@@ -7,7 +7,7 @@ volume only when the two embeddings are cycle-consistent. Residual 3D and
 prices everything in exact multiply-accumulates.
 """
 
-from srtg.blocks import BlockSpec, BlockSpecError, Network, build_block, network_forward
+from srtg.blocks import BlockSpec, BlockSpecError, Network, build_block
 from srtg.config import (
     ConfigError,
     NetworkSpec,

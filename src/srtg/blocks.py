@@ -1,20 +1,27 @@
 """Residual blocks with optional gated recurrent units, and small networks.
 
+One weight-free layout per block (`block_layout`) says everything about it:
+the conv steps of the main path, the projection skip, and where the gated
+unit sits and how wide it is. `route` is the only statement of how those
+pieces are wired, and `block_specs` the only loop over stages and blocks.
+`Block.forward` runs `route` on tensors; `srtg.opcount.count_macs` runs it on
+shapes, so the op count prices the network that trains without allocating
+its weights.
+
 Simple blocks run two 3x3x3 convolutions, bottleneck blocks run a 1x1x1
 reduce / 3x3x3 / 1x1x1 expand triple (stride on the middle conv). Either kind
-can swap full 3D convolutions for a (2+1)D factorization: a 1xkxk spatial
-conv followed by a kx1x1 temporal conv with norm and activation in between.
+can swap full 3D convolutions for a (2+1)D factorization (`st_conv_parts`).
 A gated unit can be wired at six insertion points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from srtg import tensor as tt
-from srtg.config import NetworkSpec
+from srtg.config import PLACEMENTS, NetworkSpec
 from srtg.gate import init_lstm_params, srtg_unit
 from srtg.tensor import Tensor
 
@@ -23,13 +30,19 @@ __all__ = [
     "BlockSpec",
     "SIMPLE_PLACEMENTS",
     "BOTTLENECK_PLACEMENTS",
+    "ConvStep",
+    "BlockLayout",
+    "block_layout",
+    "st_conv_parts",
+    "route",
+    "block_specs",
+    "Block",
     "build_block",
     "Network",
-    "network_forward",
 ]
 
-SIMPLE_PLACEMENTS = ("none", "start", "mid", "res", "final")
-BOTTLENECK_PLACEMENTS = ("none", "start", "top", "mid", "end", "res", "final")
+SIMPLE_PLACEMENTS = PLACEMENTS["simple"]
+BOTTLENECK_PLACEMENTS = PLACEMENTS["bottleneck"]
 BOTTLENECK_EXPANSION = 4
 
 
@@ -49,11 +62,11 @@ class BlockSpec:
     gate_active: bool = True
 
     def __post_init__(self):
-        if self.depth_kind not in ("simple", "bottleneck"):
+        if self.depth_kind not in PLACEMENTS:
             raise BlockSpecError(f"unknown depth_kind {self.depth_kind!r}")
         if self.conv_kind not in ("full_3d", "two_plus_one_d"):
             raise BlockSpecError(f"unknown conv_kind {self.conv_kind!r}")
-        allowed = SIMPLE_PLACEMENTS if self.depth_kind == "simple" else BOTTLENECK_PLACEMENTS
+        allowed = PLACEMENTS[self.depth_kind]
         if self.placement not in allowed:
             raise BlockSpecError(
                 f"placement {self.placement!r} not valid for {self.depth_kind} blocks "
@@ -66,9 +79,115 @@ class BlockSpec:
                 f"bottleneck out_channels must be divisible by {BOTTLENECK_EXPANSION}"
             )
 
-    @property
-    def mid_channels(self) -> int:
-        return self.out_channels // BOTTLENECK_EXPANSION
+
+# ---------------------------------------------------------------------------
+# layout: what a block computes, without weights
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ConvStep:
+    """One conv followed by batch norm, and by a relu when `relu` is set."""
+
+    tag: str
+    in_ch: int
+    out_ch: int
+    kernel: tuple[int, int, int]
+    stride: tuple[int, int, int] = (1, 1, 1)
+    relu: bool = True
+
+
+@dataclass(frozen=True)
+class BlockLayout:
+    """Main-path conv steps, the projection skip (None for identity) and the
+    gated unit's place and width. `gate_at` is a main-path position (0 before
+    the first step, i after step i), "res" (on the skip), "final" (after the
+    join) or None (no unit)."""
+
+    convs: tuple[ConvStep, ...]
+    skip: ConvStep | None
+    gate_at: int | str | None
+    gate_channels: int
+
+
+def block_layout(spec: BlockSpec) -> BlockLayout:
+    out = spec.out_channels
+    if spec.depth_kind == "simple":
+        convs = (
+            ConvStep("conv1", spec.in_channels, out, (3, 3, 3), spec.stride),
+            ConvStep("conv2", out, out, (3, 3, 3), relu=False),
+        )
+    else:
+        mid = out // BOTTLENECK_EXPANSION
+        convs = (
+            ConvStep("conv1", spec.in_channels, mid, (1, 1, 1)),
+            ConvStep("conv2", mid, mid, (3, 3, 3), spec.stride),
+            ConvStep("conv3", mid, out, (1, 1, 1), relu=False),
+        )
+    skip = None
+    if spec.in_channels != out or spec.stride != (1, 1, 1):
+        skip = ConvStep("down", spec.in_channels, out, (1, 1, 1), spec.stride, relu=False)
+    positions = {"none": None, "start": 0, "top": 1, "mid": len(convs) - 1, "end": len(convs)}
+    gate_at = positions.get(spec.placement, spec.placement)
+    on_main = isinstance(gate_at, int) and gate_at < len(convs)
+    return BlockLayout(convs, skip, gate_at, convs[gate_at].in_ch if on_main else out)
+
+
+def st_conv_parts(step: ConvStep, conv_kind: str) -> tuple[ConvStep, ...]:
+    """The convs one step runs: the step itself, or under (2+1)D (Tran et al.
+    2018) a 1xkxk spatial conv then a kx1x1 temporal conv, both out_ch wide,
+    with norm and relu between them. 1x1x1 steps are never factorized."""
+    if conv_kind != "two_plus_one_d" or step.kernel == (1, 1, 1):
+        return (step,)
+    kt, kh, kw = step.kernel
+    st, sh, sw = step.stride
+    return (
+        replace(step, tag="spatial", kernel=(1, kh, kw), stride=(1, sh, sw)),
+        replace(step, tag="temporal", in_ch=step.out_ch, kernel=(kt, 1, 1), stride=(st, 1, 1)),
+    )
+
+
+def route(layout: BlockLayout, x, conv, gate, join):
+    """Wire one block: the main-path steps with the gate at its position, the
+    (projected) skip from the possibly gated input, then the join.
+
+    `conv(step, v)`, `gate(v)` and `join(main, skip)` act on whatever `x` is:
+    tensors in the forward pass, shapes in the op count.
+    """
+    if layout.gate_at == 0:
+        x = gate(x)
+    h = x
+    for pos, step in enumerate(layout.convs, start=1):
+        h = conv(step, h)
+        if layout.gate_at == pos:
+            h = gate(h)
+    skip = x if layout.skip is None else conv(layout.skip, x)
+    if layout.gate_at == "res":
+        skip = gate(skip)
+    out = join(h, skip)
+    if layout.gate_at == "final":
+        out = gate(out)
+    return out
+
+
+def block_specs(spec: NetworkSpec):
+    """(name, BlockSpec) for every block of the network, in forward order."""
+    expansion = BOTTLENECK_EXPANSION if spec.depth_kind == "bottleneck" else 1
+    in_ch = spec.stem_channels
+    for si, stage in enumerate(spec.stages, start=1):
+        out_ch = stage.channels * expansion
+        for bi in range(stage.blocks):
+            yield f"stage{si}.block{bi}", BlockSpec(
+                depth_kind=spec.depth_kind,
+                conv_kind=spec.conv_kind,
+                placement=spec.placement,
+                in_channels=in_ch,
+                out_channels=out_ch,
+                stride=stage.stride if bi == 0 else (1, 1, 1),
+                fusion_mode=spec.fusion_mode,
+                gate_active=spec.gate_active,
+            )
+            in_ch = out_ch
 
 
 # ---------------------------------------------------------------------------
@@ -77,25 +196,20 @@ class BlockSpec:
 
 
 class Conv3dLayer:
-    def __init__(self, in_ch, out_ch, kernel, stride=(1, 1, 1), rng=None, bias=False):
-        rng = rng or np.random.default_rng()
-        kt, kh, kw = kernel
-        fan_in = in_ch * kt * kh * kw
-        std = np.sqrt(2.0 / fan_in)
-        self.kernel = kernel
+    """Bias-free conv, padded by k // 2, He-initialized."""
+
+    def __init__(self, in_ch, out_ch, kernel, stride, rng):
+        std = np.sqrt(2.0 / (in_ch * kernel[0] * kernel[1] * kernel[2]))
         self.stride = stride
-        self.padding = (kt // 2, kh // 2, kw // 2)
-        self.weight = Tensor(rng.standard_normal((out_ch, in_ch, kt, kh, kw)) * std,
+        self.padding = tuple(k // 2 for k in kernel)
+        self.weight = Tensor(rng.standard_normal((out_ch, in_ch, *kernel)) * std,
                              requires_grad=True)
-        self.bias = Tensor(np.zeros(out_ch), requires_grad=True) if bias else None
 
     def __call__(self, x):
-        return tt.conv3d(x, self.weight, self.bias, self.stride, self.padding)
+        return tt.conv3d(x, self.weight, None, self.stride, self.padding)
 
     def named_params(self, prefix):
         yield f"{prefix}.weight", self.weight
-        if self.bias is not None:
-            yield f"{prefix}.bias", self.bias
 
 
 class BatchNorm3dLayer:
@@ -119,22 +233,18 @@ class BatchNorm3dLayer:
 
 
 class STConv:
-    """One spatio-temporal conv unit: a full kxkxk conv, or the (2+1)D pair.
+    """The weights of one conv step: a full conv, or the (2+1)D pair with a
+    norm between them (see `st_conv_parts`)."""
 
-    1x1x1 convolutions are never factorized. The factorized pair keeps the
-    intermediate width equal to out_ch and normalizes between the two convs.
-    """
-
-    def __init__(self, in_ch, out_ch, kernel, stride, conv_kind, rng):
-        kt, kh, kw = kernel
-        self.factorized = conv_kind == "two_plus_one_d" and (kt, kh, kw) != (1, 1, 1)
+    def __init__(self, step: ConvStep, conv_kind, rng):
+        convs = [Conv3dLayer(p.in_ch, p.out_ch, p.kernel, p.stride, rng)
+                 for p in st_conv_parts(step, conv_kind)]
+        self.factorized = len(convs) == 2
         if self.factorized:
-            st, sh, sw = stride
-            self.spatial = Conv3dLayer(in_ch, out_ch, (1, kh, kw), (1, sh, sw), rng)
-            self.mid_bn = BatchNorm3dLayer(out_ch)
-            self.temporal = Conv3dLayer(out_ch, out_ch, (kt, 1, 1), (st, 1, 1), rng)
+            self.spatial, self.temporal = convs
+            self.mid_bn = BatchNorm3dLayer(step.out_ch)
         else:
-            self.conv = Conv3dLayer(in_ch, out_ch, kernel, stride, rng)
+            (self.conv,) = convs
 
     def __call__(self, x, training):
         if self.factorized:
@@ -159,7 +269,6 @@ class SrtgUnit:
     """Owns the recurrent parameters for one insertion point."""
 
     def __init__(self, channels, gate_active, fusion_mode, rng):
-        self.channels = channels
         self.gate_active = gate_active
         self.fusion_mode = fusion_mode
         self.params = init_lstm_params(channels, num_layers=2, rng=rng)
@@ -178,147 +287,57 @@ class SrtgUnit:
 # ---------------------------------------------------------------------------
 
 
-def _downsample(spec, rng):
-    if spec.in_channels != spec.out_channels or spec.stride != (1, 1, 1):
-        return (
-            Conv3dLayer(spec.in_channels, spec.out_channels, (1, 1, 1), spec.stride, rng),
-            BatchNorm3dLayer(spec.out_channels),
-        )
-    return None
-
-
-class SimpleBlock:
-    """conv3 -> bn -> relu -> conv3 -> bn, added to the (possibly projected)
-    skip path; placements: start, mid, res, final."""
+class Block:
+    """A residual block instantiated from its layout: an STConv and a norm
+    per step (named convN/bnN on the main path, down_conv/down_bn on the
+    skip), then the gated unit as `srtg`. Weights are drawn in that order."""
 
     def __init__(self, spec: BlockSpec, rng, name="block"):
-        if spec.depth_kind != "simple":
-            raise BlockSpecError("SimpleBlock requires a simple spec")
         self.spec = spec
         self.name = name
-        self.conv1 = STConv(spec.in_channels, spec.out_channels, (3, 3, 3),
-                            spec.stride, spec.conv_kind, rng)
-        self.bn1 = BatchNorm3dLayer(spec.out_channels)
-        self.conv2 = STConv(spec.out_channels, spec.out_channels, (3, 3, 3),
-                            (1, 1, 1), spec.conv_kind, rng)
-        self.bn2 = BatchNorm3dLayer(spec.out_channels)
-        self.down = _downsample(spec, rng)
+        self.layout = layout = block_layout(spec)
+        self._parts = []  # (tag, layer) in named_params order
+        self._layers = {}  # step tag -> (STConv, norm)
+        for i, step in enumerate(layout.convs, start=1):
+            self._add_step(step, step.tag, f"bn{i}", rng)
+        if layout.skip is not None:
+            self._add_step(layout.skip, "down_conv", "down_bn", rng)
         self.srtg = None
-        if spec.placement != "none":
-            ch = spec.in_channels if spec.placement == "start" else spec.out_channels
-            self.srtg = SrtgUnit(ch, spec.gate_active, spec.fusion_mode, rng)
+        if layout.gate_at is not None:
+            self.srtg = SrtgUnit(layout.gate_channels, spec.gate_active,
+                                 spec.fusion_mode, rng)
+            self._parts.append(("srtg", self.srtg))
+
+    def _add_step(self, step, conv_tag, bn_tag, rng):
+        layers = (STConv(step, self.spec.conv_kind, rng), BatchNorm3dLayer(step.out_ch))
+        self._layers[step.tag] = layers
+        for tag, layer in zip((conv_tag, bn_tag), layers):
+            setattr(self, tag, layer)
+            self._parts.append((tag, layer))
 
     def forward(self, x, training, gate_log):
-        p = self.spec.placement
-        unit = f"{self.name}.srtg"
-        if p == "start":
-            x = self.srtg(x, gate_log, unit)
-        h = tt.relu(self.bn1(self.conv1(x, training), training))
-        if p == "mid":
-            h = self.srtg(h, gate_log, unit)
-        z = self.bn2(self.conv2(h, training), training)
-        if self.down is not None:
-            conv, bn = self.down
-            skip = bn(conv(x), training)
-        else:
-            skip = x
-        if p == "res":
-            skip = self.srtg(skip, gate_log, unit)
-        out = tt.relu(tt.add(z, skip))
-        if p == "final":
-            out = self.srtg(out, gate_log, unit)
-        return out
+        def conv(step, h):
+            st_conv, bn = self._layers[step.tag]
+            h = bn(st_conv(h, training), training)
+            return tt.relu(h) if step.relu else h
 
-    def _parts(self):
-        parts = [("conv1", self.conv1), ("bn1", self.bn1),
-                 ("conv2", self.conv2), ("bn2", self.bn2)]
-        if self.down is not None:
-            parts += [("down_conv", self.down[0]), ("down_bn", self.down[1])]
-        if self.srtg is not None:
-            parts.append(("srtg", self.srtg))
-        return parts
+        def gate(h):
+            return self.srtg(h, gate_log, f"{self.name}.srtg")
+
+        return route(self.layout, x, conv, gate, lambda z, skip: tt.relu(tt.add(z, skip)))
 
     def named_params(self, prefix):
-        for tag, part in self._parts():
+        for tag, part in self._parts:
             yield from part.named_params(f"{prefix}.{tag}")
 
     def named_buffers(self, prefix):
-        for tag, part in self._parts():
+        for tag, part in self._parts:
             if hasattr(part, "named_buffers"):
                 yield from part.named_buffers(f"{prefix}.{tag}")
 
 
-class BottleneckBlock:
-    """1x1x1 reduce -> 3x3x3 (strided) -> 1x1x1 expand, plus skip; all seven
-    placements apply."""
-
-    def __init__(self, spec: BlockSpec, rng, name="block"):
-        if spec.depth_kind != "bottleneck":
-            raise BlockSpecError("BottleneckBlock requires a bottleneck spec")
-        self.spec = spec
-        self.name = name
-        mid = spec.mid_channels
-        self.conv1 = Conv3dLayer(spec.in_channels, mid, (1, 1, 1), (1, 1, 1), rng)
-        self.bn1 = BatchNorm3dLayer(mid)
-        self.conv2 = STConv(mid, mid, (3, 3, 3), spec.stride, spec.conv_kind, rng)
-        self.bn2 = BatchNorm3dLayer(mid)
-        self.conv3 = Conv3dLayer(mid, spec.out_channels, (1, 1, 1), (1, 1, 1), rng)
-        self.bn3 = BatchNorm3dLayer(spec.out_channels)
-        self.down = _downsample(spec, rng)
-        self.srtg = None
-        if spec.placement != "none":
-            ch = {
-                "start": spec.in_channels,
-                "top": mid,
-                "mid": mid,
-            }.get(spec.placement, spec.out_channels)
-            self.srtg = SrtgUnit(ch, spec.gate_active, spec.fusion_mode, rng)
-
-    def forward(self, x, training, gate_log):
-        p = self.spec.placement
-        unit = f"{self.name}.srtg"
-        if p == "start":
-            x = self.srtg(x, gate_log, unit)
-        h = tt.relu(self.bn1(self.conv1(x), training))
-        if p == "top":
-            h = self.srtg(h, gate_log, unit)
-        h = tt.relu(self.bn2(self.conv2(h, training), training))
-        if p == "mid":
-            h = self.srtg(h, gate_log, unit)
-        z = self.bn3(self.conv3(h), training)
-        if p == "end":
-            z = self.srtg(z, gate_log, unit)
-        if self.down is not None:
-            conv, bn = self.down
-            skip = bn(conv(x), training)
-        else:
-            skip = x
-        if p == "res":
-            skip = self.srtg(skip, gate_log, unit)
-        out = tt.relu(tt.add(z, skip))
-        if p == "final":
-            out = self.srtg(out, gate_log, unit)
-        return out
-
-    def _parts(self):
-        parts = [("conv1", self.conv1), ("bn1", self.bn1),
-                 ("conv2", self.conv2), ("bn2", self.bn2),
-                 ("conv3", self.conv3), ("bn3", self.bn3)]
-        if self.down is not None:
-            parts += [("down_conv", self.down[0]), ("down_bn", self.down[1])]
-        if self.srtg is not None:
-            parts.append(("srtg", self.srtg))
-        return parts
-
-    named_params = SimpleBlock.named_params
-    named_buffers = SimpleBlock.named_buffers
-
-
 def build_block(spec: BlockSpec, rng=None, name="block"):
-    rng = rng or np.random.default_rng()
-    if spec.depth_kind == "simple":
-        return SimpleBlock(spec, rng, name)
-    return BottleneckBlock(spec, rng, name)
+    return Block(spec, rng or np.random.default_rng(), name)
 
 
 # ---------------------------------------------------------------------------
@@ -335,26 +354,8 @@ class Network:
         self.stem_conv = Conv3dLayer(spec.in_channels, spec.stem_channels,
                                      spec.stem_kernel, spec.stem_stride, rng)
         self.stem_bn = BatchNorm3dLayer(spec.stem_channels)
-        expansion = BOTTLENECK_EXPANSION if spec.depth_kind == "bottleneck" else 1
-        self.stages = []
-        in_ch = spec.stem_channels
-        for si, stage in enumerate(spec.stages):
-            blocks = []
-            out_ch = stage.channels * expansion
-            for bi in range(stage.blocks):
-                bspec = BlockSpec(
-                    depth_kind=spec.depth_kind,
-                    conv_kind=spec.conv_kind,
-                    placement=spec.placement,
-                    in_channels=in_ch,
-                    out_channels=out_ch,
-                    stride=stage.stride if bi == 0 else (1, 1, 1),
-                    fusion_mode=spec.fusion_mode,
-                    gate_active=spec.gate_active,
-                )
-                blocks.append(build_block(bspec, rng, name=f"stage{si + 1}.block{bi}"))
-                in_ch = out_ch
-            self.stages.append(blocks)
+        self.blocks = [build_block(bspec, rng, name) for name, bspec in block_specs(spec)]
+        in_ch = self.blocks[-1].spec.out_channels
         bound = 1.0 / np.sqrt(in_ch)
         self.head_w = Tensor(rng.uniform(-bound, bound, size=(spec.num_classes, in_ch)),
                              requires_grad=True)
@@ -375,9 +376,8 @@ class Network:
             k = self.spec.stem_pool_kernel
             h = tt.max_pool3d(h, k, self.spec.stem_pool_stride,
                               tuple(e // 2 for e in k))
-        for blocks in self.stages:
-            for block in blocks:
-                h = block.forward(h, training, gate_log)
+        for block in self.blocks:
+            h = block.forward(h, training, gate_log)
         pooled = tt.global_avg_pool(h)
         logits = tt.affine(pooled, self.head_w, self.head_b)
         return logits, gate_log
@@ -385,30 +385,15 @@ class Network:
     def named_params(self):
         yield from self.stem_conv.named_params("stem.conv")
         yield from self.stem_bn.named_params("stem.bn")
-        for blocks in self.stages:
-            for block in blocks:
-                yield from block.named_params(block.name)
+        for block in self.blocks:
+            yield from block.named_params(block.name)
         yield "head.weight", self.head_w
         yield "head.bias", self.head_b
 
     def named_buffers(self):
         yield from self.stem_bn.named_buffers("stem.bn")
-        for blocks in self.stages:
-            for block in blocks:
-                yield from block.named_buffers(block.name)
-
-    def zero_grads(self):
-        for _, p in self.named_params():
-            p.zero_grad()
+        for block in self.blocks:
+            yield from block.named_buffers(block.name)
 
     def srtg_unit_names(self):
-        names = []
-        for blocks in self.stages:
-            for block in blocks:
-                if block.srtg is not None:
-                    names.append(f"{block.name}.srtg")
-        return names
-
-
-def network_forward(net: Network, batch, training=False):
-    return net.forward(batch, training)
+        return [f"{block.name}.srtg" for block in self.blocks if block.srtg is not None]

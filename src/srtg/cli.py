@@ -15,8 +15,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from srtg import checks, config, data, opcount, train as training
 from srtg.blocks import Network
 from srtg.config import ConfigError
@@ -203,28 +201,20 @@ def _cmd_gate_analyze(args):
         _persist(cfg, out)
     ds = load_dataset(args.data)
 
-    records = []
-    open_counts: dict[str, list[int]] = {}
-    from srtg.tensor import no_grad
-
-    with no_grad():
-        for start in range(0, len(ds), args.batch_size):
-            idx = np.arange(start, min(start + args.batch_size, len(ds)))
-            _, gate_log = net.forward(ds.clips[idx], training=False)
-            for layer, decisions in gate_log:
-                for pos, decision in enumerate(decisions):
-                    records.append(decision.to_record(layer, int(idx[pos])))
-                    acc = open_counts.setdefault(layer, [0, 0])
-                    acc[0] += 1 if decision.fused else 0
-                    acc[1] += 1
+    records, log = [], []
+    for idx, _, gate_log in training.eval_batches(net, ds, args.batch_size):
+        log += gate_log
+        records += [decision.to_record(layer, int(idx[pos]))
+                    for layer, decisions in gate_log
+                    for pos, decision in enumerate(decisions)]
     lines = "\n".join(json.dumps(r, sort_keys=True) for r in records)
     if out:
         with open(os.path.join(out, "gates.jsonl"), "w") as fh:
             fh.write(lines + "\n")
     else:
         print(lines)
-    summary = {layer: n_open / n for layer, (n_open, n) in sorted(open_counts.items())}
-    _emit({"open_rates": summary, "clips": len(ds)}, out, "gate_summary.json")
+    _emit({"open_rates": training.gate_rates(log), "clips": len(ds)},
+          out, "gate_summary.json")
     return 0
 
 
@@ -249,6 +239,16 @@ def _cmd_grad_check(args):
 # ---------------------------------------------------------------------------
 # wiring
 # ---------------------------------------------------------------------------
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _build_parser():
@@ -294,7 +294,7 @@ def _build_parser():
                    help="network config (default: the one embedded in the checkpoint)")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--batch-size", type=int, default=16)
+    p.add_argument("--batch-size", type=_positive_int, default=16)
     common(p, out_required=False)
     p.set_defaults(func=_cmd_gate_analyze)
 

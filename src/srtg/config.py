@@ -29,8 +29,13 @@ __all__ = [
 ]
 
 CONV_KINDS = ("full_3d", "two_plus_one_d")
-DEPTH_KINDS = ("simple", "bottleneck")
-PLACEMENTS = ("none", "start", "top", "mid", "end", "res", "final")
+# where a gated unit can sit in each block kind; top and end exist only in the
+# three-conv bottleneck (srtg.blocks.block_layout maps each to a position)
+PLACEMENTS = {
+    "simple": ("none", "start", "mid", "res", "final"),
+    "bottleneck": ("none", "start", "top", "mid", "end", "res", "final"),
+}
+DEPTH_KINDS = tuple(PLACEMENTS)
 FAMILIES = ("translate", "oscillate", "reversed_pair")
 
 
@@ -267,8 +272,11 @@ def network_spec(cfg: dict) -> NetworkSpec:
     if depth_kind not in DEPTH_KINDS:
         raise ConfigError(f"network.depth_kind {depth_kind!r} not in {DEPTH_KINDS}")
     placement = _get(cfg, "network", "placement", "final")
-    if placement not in PLACEMENTS:
-        raise ConfigError(f"network.placement {placement!r} not in {PLACEMENTS}")
+    if placement not in PLACEMENTS[depth_kind]:
+        raise ConfigError(
+            f"network.placement {placement!r} not valid for {depth_kind} blocks "
+            f"(allowed: {', '.join(PLACEMENTS[depth_kind])})"
+        )
     fusion = _get(cfg, "network", "fusion_mode", "multiplicative")
     if fusion not in ("multiplicative", "additive"):
         raise ConfigError(f"network.fusion_mode {fusion!r}")

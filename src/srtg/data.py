@@ -150,6 +150,8 @@ def load_dataset(path) -> Dataset:
     if raw[: len(_MAGIC)] != _MAGIC:
         raise DatasetFormatError(f"{path}: not a dataset file (bad magic)")
     off = len(_MAGIC)
+    if len(raw) < off + struct.calcsize("<IQ"):
+        raise DatasetFormatError(f"{path}: truncated header")
     version, hlen = struct.unpack_from("<IQ", raw, off)
     off += struct.calcsize("<IQ")
     if version != _VERSION:
@@ -159,8 +161,11 @@ def load_dataset(path) -> Dataset:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DatasetFormatError(f"{path}: corrupt header") from e
     off += hlen
-    count = header["count"]
-    shape = tuple(header["shape"])
+    try:
+        count = int(header["count"])
+        shape = tuple(int(v) for v in header["shape"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise DatasetFormatError(f"{path}: header lacks a valid count and shape") from e
     nclip = count * int(np.prod(shape))
     expected = off + nclip * 8 + count * 8
     if len(raw) != expected:

@@ -1,7 +1,9 @@
 """Analytic multiply-accumulate counting for network specs.
 
-Counts are exact integers derived from shapes alone (no data, no weights).
-Conventions, stated once here and echoed in every report header:
+Counts are exact integers derived from shapes alone (no data, no weights):
+each block's layout is walked with `srtg.blocks.route`, the same wiring the
+forward pass runs. Conventions, stated once here and echoed in every report
+header:
 
 * conv MACs  = out_elements * in_channels * kT*kH*kW, batch of one clip
 * lstm MACs  = T * layers * 4 gates * C*(C_in + C), with C_in = C
@@ -17,9 +19,10 @@ Conventions, stated once here and echoed in every report header:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from srtg.blocks import BOTTLENECK_EXPANSION, BlockSpec
+from srtg.blocks import BlockSpec, block_layout, block_specs, route, st_conv_parts
 from srtg.config import NetworkSpec
 
 __all__ = ["LayerCount", "OpCount", "count_macs", "report_dict"]
@@ -74,82 +77,39 @@ class OpCount:
         return self.srtg_macs / self.vanilla_macs if self.vanilla_macs else 0.0
 
 
-def _out_extent(ext, k, s, p):
-    return (ext + 2 * p - k) // s + 1
-
-
-def _conv_shape(shape, out_ch, kernel, stride):
-    _, t, h, w = shape
-    kt, kh, kw = kernel
-    st, sh, sw = stride
-    return (
-        out_ch,
-        _out_extent(t, kt, st, kt // 2),
-        _out_extent(h, kh, sh, kh // 2),
-        _out_extent(w, kw, sw, kw // 2),
+def _out_shape(shape, out_ch, kernel, stride):
+    """(C, T, H, W) after a conv or pool padded by k // 2 on every axis."""
+    return (out_ch,) + tuple(
+        (e + 2 * (k // 2) - k) // s + 1 for e, k, s in zip(shape[1:], kernel, stride)
     )
 
 
 def _conv(counts, name, in_shape, out_ch, kernel, stride):
-    out_shape = _conv_shape(in_shape, out_ch, kernel, stride)
-    elems = out_shape[0] * out_shape[1] * out_shape[2] * out_shape[3]
-    counts.add(name, "conv", elems * in_shape[0] * kernel[0] * kernel[1] * kernel[2])
+    out_shape = _out_shape(in_shape, out_ch, kernel, stride)
+    counts.add(name, "conv", math.prod(out_shape) * in_shape[0] * math.prod(kernel))
     return out_shape
 
 
-def _st_conv(counts, name, in_shape, out_ch, kernel, stride, conv_kind):
-    """Mirror of blocks.STConv: full conv or the (1,k,k)+(k,1,1) pair."""
-    if conv_kind == "two_plus_one_d" and kernel != (1, 1, 1):
-        kt, kh, kw = kernel
-        st, sh, sw = stride
-        mid = _conv(counts, f"{name}.spatial", in_shape, out_ch, (1, kh, kw), (1, sh, sw))
-        return _conv(counts, f"{name}.temporal", mid, out_ch, (kt, 1, 1), (st, 1, 1))
-    return _conv(counts, name, in_shape, out_ch, kernel, stride)
-
-
-def _srtg(counts, name, shape, gate_active, fusion_mode):
-    c, t, h, w = shape
-    counts.add(f"{name}.lstm", "lstm", t * 2 * 4 * c * (c + c))
-    if gate_active:
-        counts.add(f"{name}.gate", "gate", 6 * t * t * c)
-    if fusion_mode == "multiplicative":
-        counts.add(f"{name}.fuse", "gate", c * t * h * w)
-
-
 def _block(counts, bspec: BlockSpec, in_shape, name):
-    p = bspec.placement
-    gate_args = (bspec.gate_active, bspec.fusion_mode)
-    if p == "start":
-        _srtg(counts, f"{name}.srtg", in_shape, *gate_args)
-    if bspec.depth_kind == "simple":
-        h = _st_conv(counts, f"{name}.conv1", in_shape, bspec.out_channels,
-                     (3, 3, 3), bspec.stride, bspec.conv_kind)
-        if p == "mid":
-            _srtg(counts, f"{name}.srtg", h, *gate_args)
-        out = _st_conv(counts, f"{name}.conv2", h, bspec.out_channels,
-                       (3, 3, 3), (1, 1, 1), bspec.conv_kind)
-    else:
-        mid = bspec.mid_channels
-        h = _conv(counts, f"{name}.conv1", in_shape, mid, (1, 1, 1), (1, 1, 1))
-        if p == "top":
-            _srtg(counts, f"{name}.srtg", h, *gate_args)
-        h = _st_conv(counts, f"{name}.conv2", h, mid, (3, 3, 3), bspec.stride,
-                     bspec.conv_kind)
-        if p == "mid":
-            _srtg(counts, f"{name}.srtg", h, *gate_args)
-        out = _conv(counts, f"{name}.conv3", h, bspec.out_channels, (1, 1, 1), (1, 1, 1))
-        if p == "end":
-            _srtg(counts, f"{name}.srtg", out, *gate_args)
-    if bspec.in_channels != bspec.out_channels or bspec.stride != (1, 1, 1):
-        skip = _conv(counts, f"{name}.down", in_shape, bspec.out_channels,
-                     (1, 1, 1), bspec.stride)
-    else:
-        skip = in_shape
-    if p == "res":
-        _srtg(counts, f"{name}.srtg", skip, *gate_args)
-    if p == "final":
-        _srtg(counts, f"{name}.srtg", out, *gate_args)
-    return out
+    """Walk the block's layout on shapes, as Block.forward walks it on tensors."""
+
+    def conv(step, shape):
+        parts = st_conv_parts(step, bspec.conv_kind)
+        for part in parts:
+            tag = step.tag if len(parts) == 1 else f"{step.tag}.{part.tag}"
+            shape = _conv(counts, f"{name}.{tag}", shape, part.out_ch, part.kernel, part.stride)
+        return shape
+
+    def gate(shape):
+        c, t, h, w = shape
+        counts.add(f"{name}.srtg.lstm", "lstm", t * 2 * 4 * c * (c + c))
+        if bspec.gate_active:
+            counts.add(f"{name}.srtg.gate", "gate", 6 * t * t * c)
+        if bspec.fusion_mode == "multiplicative":
+            counts.add(f"{name}.srtg.fuse", "gate", c * t * h * w)
+        return shape
+
+    return route(block_layout(bspec), in_shape, conv, gate, lambda main, skip: main)
 
 
 def count_macs(spec: NetworkSpec, input_shape) -> OpCount:
@@ -163,32 +123,9 @@ def count_macs(spec: NetworkSpec, input_shape) -> OpCount:
     shape = _conv(counts, "stem.conv", (c, t, h, w), spec.stem_channels,
                   spec.stem_kernel, spec.stem_stride)
     if spec.stem_pool_kernel is not None:
-        kt, kh, kw = spec.stem_pool_kernel
-        st, sh, sw = spec.stem_pool_stride
-        shape = (
-            shape[0],
-            _out_extent(shape[1], kt, st, kt // 2),
-            _out_extent(shape[2], kh, sh, kh // 2),
-            _out_extent(shape[3], kw, sw, kw // 2),
-        )
-    expansion = BOTTLENECK_EXPANSION if spec.depth_kind == "bottleneck" else 1
-    in_ch = spec.stem_channels
-    for si, stage in enumerate(spec.stages):
-        out_ch = stage.channels * expansion
-        for bi in range(stage.blocks):
-            bspec = BlockSpec(
-                depth_kind=spec.depth_kind,
-                conv_kind=spec.conv_kind,
-                placement=spec.placement,
-                in_channels=in_ch,
-                out_channels=out_ch,
-                stride=stage.stride if bi == 0 else (1, 1, 1),
-                fusion_mode=spec.fusion_mode,
-                gate_active=spec.gate_active,
-            )
-            shape = _block(counts, bspec, shape, f"stage{si + 1}.block{bi}")
-            in_ch = out_ch
-        # shape[0] already tracks out_ch
+        shape = _out_shape(shape, shape[0], spec.stem_pool_kernel, spec.stem_pool_stride)
+    for name, bspec in block_specs(spec):
+        shape = _block(counts, bspec, shape, name)
     counts.add("head.fc", "head", shape[0] * spec.num_classes)
     return counts
 

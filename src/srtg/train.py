@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -29,6 +30,8 @@ __all__ = [
     "TrainingDivergedError",
     "CheckpointError",
     "top_k_hits",
+    "gate_rates",
+    "eval_batches",
     "evaluate",
     "train",
     "checkpoint_save",
@@ -105,11 +108,25 @@ def _batches(n, batch_size, order=None):
         yield idx[start : start + batch_size]
 
 
-def _gate_rates(gate_log_accum):
-    rates = {}
-    for name, decisions in gate_log_accum.items():
-        rates[name] = sum(1 for d in decisions if d.fused) / len(decisions)
-    return rates
+def gate_rates(gate_log) -> dict:
+    """Per unit, the share of clip decisions that fused, over a gate log's
+    (unit, decisions) pairs gathered from any number of batches."""
+    tally = {}
+    for name, decisions in gate_log:
+        acc = tally.setdefault(name, [0, 0])
+        acc[0] += sum(1 for d in decisions if d.fused)
+        acc[1] += len(decisions)
+    return {name: fused / n for name, (fused, n) in tally.items()}
+
+
+def eval_batches(net: Network, ds: Dataset, batch_size: int):
+    """Forward the split in eval mode, batch by batch in clip order; yields
+    (clip indices, logits, gate log). The tape stays off while the caller
+    handles each batch."""
+    with no_grad():
+        for idx in _batches(len(ds), batch_size):
+            logits, gate_log = net.forward(ds.clips[idx], training=False)
+            yield idx, logits, gate_log
 
 
 def _subsample_frames(clip, frames_per_clip, rng):
@@ -127,18 +144,16 @@ def evaluate(net: Network, ds: Dataset, batch_size=16) -> Metrics:
         raise ValueError("evaluate: empty split")
     hits1 = hits5 = 0
     loss_sum = 0.0
-    gate_accum: dict[str, list] = {}
-    with no_grad():
-        for idx in _batches(len(ds), batch_size):
-            logits, gate_log = net.forward(ds.clips[idx], training=False)
-            loss = tt.softmax_cross_entropy(logits, ds.labels[idx])
-            loss_sum += float(loss.data) * len(idx)
-            hits1 += top_k_hits(logits.data, ds.labels[idx], 1)
-            hits5 += top_k_hits(logits.data, ds.labels[idx], 5)
-            for name, decisions in gate_log:
-                gate_accum.setdefault(name, []).extend(decisions)
+    log = []
+    for idx, logits, gate_log in eval_batches(net, ds, batch_size):
+        labels = ds.labels[idx]
+        loss = tt.softmax_cross_entropy(logits, labels)
+        loss_sum += float(loss.data) * len(idx)
+        hits1 += top_k_hits(logits.data, labels, 1)
+        hits5 += top_k_hits(logits.data, labels, 5)
+        log += gate_log
     n = len(ds)
-    return Metrics(hits1 / n, hits5 / n, loss_sum / n, _gate_rates(gate_accum))
+    return Metrics(hits1 / n, hits5 / n, loss_sum / n, gate_rates(log))
 
 
 def _history_columns(unit_names):
@@ -257,9 +272,18 @@ def checkpoint_save(path, net: Network, optimizer: SGD, epoch: int, seed=0, net_
     for _, arr in arrays:
         body += np.ascontiguousarray(arr, dtype="<f8").tobytes()
     digest = hashlib.sha256(bytes(body)).digest()
-    with open(path, "wb") as fh:
-        fh.write(bytes(body))
-        fh.write(digest)
+    # write beside the target and swap it in, so a crash mid-write keeps the
+    # previous checkpoint
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(bytes(body))
+            fh.write(digest)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def checkpoint_load(path) -> dict:
@@ -301,18 +325,20 @@ def apply_checkpoint(net: Network, optimizer: SGD | None, state: dict):
     """Restore parameters, batch-norm buffers and (if given) momentum in place."""
     arrays = state["arrays"]
 
-    def take(name):
-        if name not in arrays:
-            raise CheckpointError(f"checkpoint missing array {name}")
-        return arrays[name]
+    def restore(key, dest):
+        if key not in arrays:
+            raise CheckpointError(f"checkpoint missing array {key}")
+        if arrays[key].shape != dest.shape:
+            raise CheckpointError(
+                f"shape mismatch for {key}: checkpoint {arrays[key].shape}, "
+                f"model {dest.shape}"
+            )
+        dest[:] = arrays[key]
 
     for name, p in net.named_params():
-        arr = take(f"param.{name}")
-        if arr.shape != p.data.shape:
-            raise CheckpointError(f"shape mismatch for {name}")
-        p.data[:] = arr
+        restore(f"param.{name}", p.data)
     for name, b in net.named_buffers():
-        b[:] = take(f"buffer.{name}")
+        restore(f"buffer.{name}", b)
     if optimizer is not None:
-        for name in optimizer.velocity:
-            optimizer.velocity[name][:] = take(f"velocity.{name}")
+        for name, v in optimizer.velocity.items():
+            restore(f"velocity.{name}", v)

@@ -215,6 +215,23 @@ def test_bad_input_shape_exits_1(capsys):
     assert rc == 1
 
 
+def test_placement_missing_from_depth_kind_exits_1(capsys):
+    rc = main(["count-ops", "--net", str(CONFIGS / "toy.cfg"), "--input", "1x8x16x16",
+               "--set", "network.placement=top"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: network.placement 'top' not valid for simple blocks")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("size", ["0", "-1", "two"])
+def test_gate_analyze_rejects_batch_size_below_one(tmp_path, capsys, size):
+    rc = main(["gate-analyze", "--checkpoint", str(tmp_path / "none.bin"),
+               "--data", str(tmp_path / "none.bin"), "--batch-size", size])
+    assert rc == 1
+    assert "--batch-size: expected a positive integer" in capsys.readouterr().err
+
+
 def test_corrupt_checkpoint_exits_2(tmp_path, capsys):
     data = _gen(tmp_path)
     bad = tmp_path / "bad.ckpt"

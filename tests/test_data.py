@@ -1,5 +1,8 @@
 """Synthetic data generation and dataset file format tests."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -118,6 +121,28 @@ def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTADATASET" * 10)
     with pytest.raises(DatasetFormatError, match="magic"):
+        load_dataset(path)
+
+
+def test_magic_only_file_rejected(tmp_path):
+    path = tmp_path / "magic.bin"
+    path.write_bytes(b"SRTGDATA")
+    with pytest.raises(DatasetFormatError, match="truncated header"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("missing", ["count", "shape"])
+def test_header_without_count_or_shape_rejected(tmp_path, missing):
+    train, _ = generate(_spec())
+    path = tmp_path / "train.bin"
+    save_dataset(path, train)
+    raw = path.read_bytes()
+    hlen = struct.unpack_from("<IQ", raw, 8)[1]
+    header = json.loads(raw[20 : 20 + hlen])
+    del header[missing]
+    hjson = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + struct.pack("<IQ", 1, len(hjson)) + hjson + raw[20 + hlen :])
+    with pytest.raises(DatasetFormatError, match="count and shape"):
         load_dataset(path)
 
 

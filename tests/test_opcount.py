@@ -1,10 +1,17 @@
 """Op-counter tests: spreadsheet-style independent arithmetic for a mini net,
-the full-scale reference totals, and cost-model invariants."""
+the full-scale reference totals, cost-model invariants, agreement with the
+convs and units one forward pass actually runs, and golden reports."""
+
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from srtg.blocks import Network
+from srtg import blocks
+from srtg import tensor as tt
+from srtg.blocks import BOTTLENECK_PLACEMENTS, SIMPLE_PLACEMENTS, Network
+from srtg.cli import main as cli_main
 from srtg.config import NetworkSpec, StageSpec, read_config, network_spec
 from srtg.opcount import OpCount, _conv, count_macs, report_dict
 
@@ -156,3 +163,58 @@ def test_report_dict_shape():
     assert rep["srtg_overhead_ratio"] == counts.srtg_overhead_ratio
     with pytest.raises(ValueError):
         report_dict(counts, (1, 8, 16, 16), units="watts")
+
+
+# ---------------------------------------------------------------------------
+# the count prices the network that runs
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("conv", ["full_3d", "two_plus_one_d"])
+@pytest.mark.parametrize(
+    "depth,placement",
+    [("simple", p) for p in SIMPLE_PLACEMENTS]
+    + [("bottleneck", p) for p in BOTTLENECK_PLACEMENTS],
+)
+def test_counted_macs_match_the_forward_pass(monkeypatch, depth, conv, placement):
+    spec = _mini_spec(placement=placement, depth=depth, conv=conv)
+    # two blocks in stage 1 so bottlenecks see an identity skip too
+    spec.stages[0] = StageSpec(blocks=2, channels=4, stride=(1, 1, 1))
+    spec.stem_pool_kernel, spec.stem_pool_stride = (1, 3, 3), (1, 2, 2)
+    net = Network(spec, seed=0)
+
+    conv_macs, unit_shapes = [], []
+
+    def conv3d(x, w, *args, **kwargs):
+        out = real_conv3d(x, w, *args, **kwargs)
+        conv_macs.append(math.prod(out.data.shape[1:]) * math.prod(w.data.shape[1:]))
+        return out
+
+    def unit(x, *args, **kwargs):
+        unit_shapes.append(x.data.shape)
+        return real_unit(x, *args, **kwargs)
+
+    real_conv3d, real_unit = tt.conv3d, blocks.srtg_unit
+    monkeypatch.setattr(tt, "conv3d", conv3d)
+    monkeypatch.setattr(blocks, "srtg_unit", unit)
+    _, gate_log = net.forward(np.zeros((1, 1, 8, 16, 16)))
+
+    counts = count_macs(spec, (1, 8, 16, 16))
+    assert [l.macs for l in counts.layers if l.kind == "conv"] == conv_macs
+    expected_lstm = [
+        (f"{name}.lstm", 16 * t * c * c)
+        for (name, _), (_, c, t, _, _) in zip(gate_log, unit_shapes)
+    ]
+    assert [(l.name, l.macs) for l in counts.layers if l.kind == "lstm"] == expected_lstm
+    assert len(expected_lstm) == (0 if placement == "none" else 3)
+
+
+@pytest.mark.parametrize("name", ["r3d34_srtg", "r3d50_srtg"])
+def test_count_ops_report_matches_golden(name, capsys):
+    rc = cli_main(["count-ops", "--net", str(CONFIGS / f"{name}.cfg"),
+                   "--input", "3x16x224x224"])
+    assert rc == 0
+    assert capsys.readouterr().out == (GOLDEN / f"count_ops_{name}.json").read_text()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import srtg.train
 from srtg import tensor as tt
 from srtg.blocks import Network
 from srtg.config import NetworkSpec, StageSpec, TrainConfig
@@ -223,6 +224,36 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path):
     apply_checkpoint(net2, opt2, state)
     checkpoint_save(p2, net2, opt2, epoch=3, seed=7)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["buffer", "velocity"])
+def test_checkpoint_restore_checks_buffer_and_velocity_shapes(tmp_path, kind):
+    net = Network(_tiny_net_spec(), seed=17)
+    opt = SGD(net.named_params())
+    path = tmp_path / "s.ckpt"
+    checkpoint_save(path, net, opt, epoch=1)
+    state = checkpoint_load(path)
+    key = next(k for k in state["arrays"] if k.startswith(f"{kind}."))
+    state["arrays"][key] = np.zeros(1)
+    with pytest.raises(CheckpointError, match=f"shape mismatch for {key}"):
+        apply_checkpoint(Network(_tiny_net_spec(), seed=18), SGD(net.named_params()), state)
+
+
+def test_checkpoint_save_keeps_previous_file_when_write_fails(tmp_path, monkeypatch):
+    net = Network(_tiny_net_spec(), seed=19)
+    opt = SGD(net.named_params())
+    path = tmp_path / "checkpoint.bin"
+    checkpoint_save(path, net, opt, epoch=1)
+    before = path.read_bytes()
+
+    def crash(src, dst):
+        raise OSError("simulated crash before the swap")
+
+    monkeypatch.setattr(srtg.train.os, "replace", crash)
+    with pytest.raises(OSError, match="simulated"):
+        checkpoint_save(path, net, opt, epoch=2)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
 
 
 def test_checkpoint_truncation_detected(tmp_path):
