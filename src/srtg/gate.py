@@ -177,38 +177,35 @@ def recursion(embedding: Tensor, params: LstmParams) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def soft_match_weights(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Softmax over i of -||query - reference_i||^2; sums to 1."""
-    reference = np.asarray(reference, dtype=np.float64)
+def _squared_distances(name: str, query, reference) -> np.ndarray:
+    """(..., C) queries against a (T, C) reference -> (..., T) squared L2."""
     query = np.asarray(query, dtype=np.float64)
+    reference = np.asarray(reference, dtype=np.float64)
     if reference.ndim != 2 or reference.shape[0] == 0:
-        raise ShapeError("soft_match_weights: reference must be a non-empty (T, C) array")
-    if query.shape != (reference.shape[1],):
-        raise ShapeError(
-            f"soft_match_weights: query dim {query.shape} vs reference C {reference.shape[1]}"
-        )
-    d2 = ((reference - query) ** 2).sum(axis=1)
-    return tt.stable_softmax(-d2)
+        raise ShapeError(f"{name}: reference must be a non-empty (T, C) array")
+    if query.ndim == 0 or query.shape[-1] != reference.shape[1]:
+        raise ShapeError(f"{name}: query dim {query.shape} vs reference C {reference.shape[1]}")
+    return ((reference - query[..., None, :]) ** 2).sum(axis=-1)
+
+
+def soft_match_weights(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Softmax over i of -||query - reference_i||^2, one (..., T) row per
+    query of a (..., C) stack; each row sums to 1."""
+    return tt.stable_softmax(-_squared_distances("soft_match_weights", query, reference))
 
 
 def soft_nearest_neighbor(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Distance-softmax weighted blend of reference frames for one query frame."""
+    """Distance-softmax weighted blend of reference frames, one per query."""
     reference = np.asarray(reference, dtype=np.float64)
-    return soft_match_weights(query, reference) @ reference
+    # a stack of row vectors keeps each blend's sum order that of a lone query
+    return (soft_match_weights(query, reference)[..., None, :] @ reference)[..., 0, :]
 
 
-def nearest_frame_index(soft_match: np.ndarray, reference: np.ndarray) -> int:
+def nearest_frame_index(soft_match: np.ndarray, reference: np.ndarray) -> int | list[int]:
     """Index of the reference frame nearest to the soft match (L2); ties go to
-    the smallest index."""
-    reference = np.asarray(reference, dtype=np.float64)
-    if reference.ndim != 2 or reference.shape[0] == 0:
-        raise ShapeError("nearest_frame_index: reference must be a non-empty (T, C) array")
-    d2 = ((reference - np.asarray(soft_match, dtype=np.float64)) ** 2).sum(axis=1)
-    return int(np.argmin(d2))  # argmin returns the first minimum
-
-
-def _one_direction(a: np.ndarray, b: np.ndarray) -> list[int]:
-    return [nearest_frame_index(soft_nearest_neighbor(a[t], b), b) for t in range(a.shape[0])]
+    the smallest index. An int for one match, a list of ints for a stack."""
+    d2 = _squared_distances("nearest_frame_index", soft_match, reference)
+    return np.argmin(d2, axis=-1).tolist()  # argmin returns the first minimum
 
 
 def cycle_consistent(a: np.ndarray, b: np.ndarray) -> GateDecision:
@@ -218,10 +215,10 @@ def cycle_consistent(a: np.ndarray, b: np.ndarray) -> GateDecision:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeError(f"cycle_consistent: embedding shapes {a.shape} vs {b.shape} differ")
-    fwd = _one_direction(a, b)
-    bwd = _one_direction(b, a)
-    fwd_ok = all(idx == t for t, idx in enumerate(fwd))
-    bwd_ok = all(idx == t for t, idx in enumerate(bwd))
+    fwd = nearest_frame_index(soft_nearest_neighbor(a, b), b)
+    bwd = nearest_frame_index(soft_nearest_neighbor(b, a), a)
+    frames = list(range(a.shape[0]))
+    fwd_ok, bwd_ok = fwd == frames, bwd == frames
     verdict = GateVerdict.OPEN if (fwd_ok and bwd_ok) else GateVerdict.CLOSED
     return GateDecision(verdict, (fwd_ok, bwd_ok), fwd, bwd)
 

@@ -599,6 +599,10 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     n = logits.data.shape[0]
     if labels.shape != (n,):
         raise ShapeError(f"softmax_cross_entropy: labels shape {labels.shape}, expected ({n},)")
+    k = logits.data.shape[1]
+    outside = labels[(labels < 0) | (labels >= k)]
+    if outside.size:
+        raise ValueError(f"softmax_cross_entropy: label {int(outside[0])} outside [0, {k})")
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1))
     logp = shifted[np.arange(n), labels] - logz

@@ -162,6 +162,24 @@ def _history_columns(unit_names):
     ]
 
 
+def _drop_rows_after(path, epoch):
+    """Cut a metrics file after its last complete row for an epoch <= epoch.
+    The row of epoch k is written before checkpoint k, so a crash between the
+    two leaves a row that the run resumed from checkpoint k-1 writes again."""
+    try:
+        fh = open(path, "r+b")
+    except FileNotFoundError:
+        return
+    with fh:
+        keep = len(fh.readline())  # column names
+        for line in fh:
+            first = line.split(b",", 1)[0]
+            if not (line.endswith(b"\n") and first.isdigit() and int(first) <= epoch):
+                break
+            keep += len(line)
+        fh.truncate(keep)
+
+
 def train(
     net: Network,
     train_ds: Dataset,
@@ -182,8 +200,8 @@ def train(
 
     History rows hold the epoch's mean train loss, val top-1/top-5, the lr
     used, and per-unit gate-open rates on the val split. Rows are appended to
-    metrics_path as they are produced; a checkpoint (when requested) is
-    rewritten after every epoch.
+    metrics_path as they are produced, after dropping any past start_epoch;
+    a checkpoint (when requested) is rewritten after every epoch.
     """
     optimizer = optimizer or SGD(net.named_params(), cfg.momentum, cfg.weight_decay)
     unit_names = net.srtg_unit_names()
@@ -192,6 +210,8 @@ def train(
     writer = None
     fh = None
     if metrics_path is not None:
+        if start_epoch:
+            _drop_rows_after(metrics_path, start_epoch)
         fh = open(metrics_path, "w" if start_epoch == 0 else "a", newline="")
         writer = csv.writer(fh)
         if start_epoch == 0:
@@ -299,18 +319,28 @@ def checkpoint_load(path) -> dict:
     if hashlib.sha256(body).digest() != digest:
         raise CheckpointError(f"{path}: checksum mismatch (truncated or corrupt)")
     off = len(_CKPT_MAGIC)
+    if len(body) < off + struct.calcsize("<IQ"):
+        raise CheckpointError(f"{path}: header truncated")
     version, hlen = struct.unpack_from("<IQ", body, off)
     off += struct.calcsize("<IQ")
     if version != _CKPT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    header = json.loads(body[off : off + hlen].decode())
+    try:
+        header = json.loads(body[off : off + hlen].decode())
+    except ValueError as e:
+        raise CheckpointError(f"{path}: header is not JSON ({e})") from e
+    if not isinstance(header, dict) or not {"epoch", "seed", "arrays"} <= header.keys():
+        raise CheckpointError(f"{path}: header is not an object with epoch, seed and arrays")
     off += hlen
     arrays = {}
-    for name, shape in header["arrays"]:
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(body, dtype="<f8", count=count, offset=off).reshape(shape)
-        arrays[name] = arr.copy()
-        off += count * 8
+    try:
+        for name, shape in header["arrays"]:
+            count = int(np.prod(shape)) if shape else 1
+            arr = np.frombuffer(body, dtype="<f8", count=count, offset=off).reshape(shape)
+            arrays[name] = arr.copy()
+            off += count * 8
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: bad array table in header ({e})") from e
     if off != len(body):
         raise CheckpointError(f"{path}: payload size mismatch")
     return {

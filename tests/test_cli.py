@@ -1,12 +1,15 @@
 """End-to-end CLI tests: artifact layout, exit codes, determinism, resume."""
 
+import hashlib
 import json
 import os
+import struct
 from pathlib import Path
 
 import pytest
 
 from srtg.cli import main
+from srtg.data import load_dataset, save_dataset
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -242,6 +245,36 @@ def test_corrupt_checkpoint_exits_2(tmp_path, capsys):
     ])
     assert rc == 2
     assert "runtime error" in capsys.readouterr().err
+
+
+def test_checkpoint_header_without_epoch_exits_2(tmp_path, capsys):
+    # the checksum is valid; only the header is wrong
+    hjson = json.dumps({"seed": 0, "arrays": []}).encode()
+    body = b"SRTGCKPT" + struct.pack("<IQ", 1, len(hjson)) + hjson
+    forged = tmp_path / "forged.ckpt"
+    forged.write_bytes(body + hashlib.sha256(body).digest())
+    rc = main(["evaluate", "--config", str(CONFIGS / "toy.cfg"),
+               "--checkpoint", str(forged), "--data", str(tmp_path / "val.bin")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and "epoch, seed and arrays" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_evaluate_label_outside_classes_exits_2(tmp_path, capsys):
+    data = _gen(tmp_path)
+    run = tmp_path / "run"
+    assert main(_train_args(data, run, epochs=1)) == 0
+    val = load_dataset(data / "val.bin")
+    for label in (5, -1):
+        val.labels[-1] = label
+        save_dataset(tmp_path / "bad.bin", val)
+        capsys.readouterr()
+        rc = main(["evaluate", "--checkpoint", str(run / "checkpoint.bin"),
+                   "--data", str(tmp_path / "bad.bin")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"runtime error: softmax_cross_entropy: label {label} outside [0, 2)\n"
 
 
 def test_effective_config_written_before_run(tmp_path):

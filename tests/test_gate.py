@@ -283,6 +283,56 @@ def test_cycle_permutation_detection():
         assert cycle_consistent(e, e[perm]).verdict is GateVerdict.CLOSED
 
 
+@pytest.mark.parametrize("scale", [0.3, 1.0, 4.0])
+def test_stacked_queries_equal_per_row_calls(scale):
+    rng = np.random.default_rng(int(scale * 10) + 20)
+    for _ in range(30):
+        t_len, c_len = int(rng.integers(1, 33)), int(rng.integers(1, 17))
+        queries = rng.standard_normal((int(rng.integers(1, 33)), c_len)) * scale
+        ref = rng.standard_normal((t_len, c_len)) * scale
+        weights = soft_match_weights(queries, ref)
+        assert np.array_equal(weights, np.stack([soft_match_weights(q, ref) for q in queries]))
+        soft = soft_nearest_neighbor(queries, ref)
+        assert np.array_equal(soft, np.stack([soft_nearest_neighbor(q, ref) for q in queries]))
+        idx = nearest_frame_index(soft, ref)
+        assert idx == [nearest_frame_index(s, ref) for s in soft]
+        assert all(type(i) is int for i in idx)
+        # any number of leading axes: each 2-D slice is its own stack
+        deep = np.stack([queries, queries[::-1]])
+        assert np.array_equal(soft_nearest_neighbor(deep, ref),
+                              np.stack([soft, soft_nearest_neighbor(queries[::-1], ref)]))
+        assert nearest_frame_index(deep, ref) == [nearest_frame_index(d, ref) for d in deep]
+
+
+def test_stacked_nearest_index_ties_go_low_per_row():
+    ref = np.array([[3.0], [1.0], [-1.0], [1.0]])
+    # 0.0 ties frames 1, 2, 3; 2.0 ties 0, 1, 3; 1.0 sits on 1 and 3
+    assert nearest_frame_index(np.array([[0.0], [2.0], [1.0]]), ref) == [1, 0, 1]
+
+
+@pytest.mark.parametrize("helper", [soft_match_weights, soft_nearest_neighbor,
+                                    nearest_frame_index])
+def test_stacked_query_dim_mismatch(helper):
+    with pytest.raises(ShapeError, match="query dim"):
+        helper(np.zeros((3, 2)), np.zeros((4, 3)))
+
+
+def test_cycle_matches_bruteforce_oracle_at_t32():
+    rng = np.random.default_rng(21)
+    for trial in range(12):
+        c_len = int(rng.integers(1, 17))
+        scale = [0.3, 1.0, 4.0][trial % 3]
+        a = rng.standard_normal((32, c_len)) * scale
+        b = rng.standard_normal((32, c_len)) * scale
+        d = cycle_consistent(a, b)
+        ok, fwd, bwd = cycle_oracle(a.tolist(), b.tolist())
+        assert (d.verdict is GateVerdict.OPEN) == ok
+        assert d.match_indices_fwd == fwd
+        assert d.match_indices_bwd == bwd
+    e = separated_embedding(rng, 32, 8)
+    assert cycle_consistent(e, e).verdict is GateVerdict.OPEN
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     st.integers(2, 6),

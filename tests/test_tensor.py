@@ -138,6 +138,12 @@ def test_softmax_empty_rejected():
         tt.softmax_last(Tensor(np.zeros(0)))
 
 
+@pytest.mark.parametrize("label", [5, -1])
+def test_cross_entropy_rejects_label_outside_classes(label):
+    with pytest.raises(ValueError, match=rf"label {label} outside \[0, 2\)"):
+        tt.softmax_cross_entropy(Tensor(np.zeros((2, 2))), [0, label])
+
+
 def test_pointwise_analytic_values():
     assert tt.sigmoid(Tensor([0.0])).data[0] == 0.5
     assert tt.tanh(Tensor([0.0])).data[0] == 0.0

@@ -1,5 +1,8 @@
 """Optimizer, metrics, training-loop and checkpoint tests."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -274,6 +277,28 @@ def test_checkpoint_bad_magic(tmp_path):
         checkpoint_load(path)
 
 
+@pytest.mark.parametrize("hjson", [
+    b'{"seed": 0, "arrays": []}',
+    b'{"epoch": 1, "arrays": []}',
+    b'{"epoch": 1, "seed": 0}',
+    None,
+    b"[1, 2]",
+    b'{"epoch": 1,',
+    b'{"epoch": 1, "seed": 0, "arrays": [1]}',
+    b'{"epoch": 1, "seed": 0, "arrays": [["param.w", [4]]]}',
+], ids=["no_epoch", "no_seed", "no_arrays", "magic_only", "not_object", "not_json",
+        "array_entry_not_a_pair", "array_past_payload"])
+def test_checkpoint_header_faults_are_checkpoint_errors(tmp_path, hjson):
+    # the checksum trailer is valid; only what it covers is malformed
+    body = b"SRTGCKPT"
+    if hjson is not None:
+        body += struct.pack("<IQ", 1, len(hjson)) + hjson
+    path = tmp_path / "forged.ckpt"
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    with pytest.raises(CheckpointError, match="header"):
+        checkpoint_load(path)
+
+
 def test_resume_reproduces_uninterrupted_run(tmp_path):
     train_ds, val_ds = _tiny_data()
     cfg = _cfg(epochs=4)
@@ -297,3 +322,39 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
           start_epoch=state["epoch"], optimizer=opt_b)
 
     assert full_path.read_bytes() == part_path.read_bytes()
+
+
+def test_resume_after_crash_between_row_and_checkpoint(tmp_path, monkeypatch):
+    # the epoch-3 row is written, then its checkpoint fails; resuming from
+    # the epoch-2 checkpoint must not repeat that row
+    train_ds, val_ds = _tiny_data()
+    cfg = _cfg(epochs=4)
+    full, part = tmp_path / "full", tmp_path / "part"
+    full.mkdir()
+    part.mkdir()
+    train(Network(_tiny_net_spec(), seed=16), train_ds, val_ds, cfg,
+          metrics_path=full / "metrics.csv", checkpoint_path=full / "checkpoint.bin")
+
+    save = srtg.train.checkpoint_save
+
+    def crash_at_epoch_3(path, net, optimizer, epoch, **kw):
+        if epoch == 3:
+            raise OSError("simulated crash before checkpoint 3")
+        save(path, net, optimizer, epoch, **kw)
+
+    monkeypatch.setattr(srtg.train, "checkpoint_save", crash_at_epoch_3)
+    with pytest.raises(OSError, match="simulated"):
+        train(Network(_tiny_net_spec(), seed=16), train_ds, val_ds, cfg,
+              metrics_path=part / "metrics.csv", checkpoint_path=part / "checkpoint.bin")
+    monkeypatch.undo()
+
+    state = checkpoint_load(part / "checkpoint.bin")
+    assert state["epoch"] == 2
+    net = Network(_tiny_net_spec(), seed=16)
+    opt = SGD(net.named_params(), cfg.momentum, cfg.weight_decay)
+    apply_checkpoint(net, opt, state)
+    train(net, train_ds, val_ds, cfg, metrics_path=part / "metrics.csv",
+          checkpoint_path=part / "checkpoint.bin", start_epoch=2, optimizer=opt)
+
+    for name in ("metrics.csv", "checkpoint.bin"):
+        assert (part / name).read_bytes() == (full / name).read_bytes(), name
