@@ -122,6 +122,8 @@ class SyntheticSpec:
             raise ConfigError("synthetic: reversed_pair is a two-class family")
         if self.noise < 0:
             raise ConfigError("synthetic: negative noise level")
+        if min(self.train_clips, self.val_clips) < 1:
+            raise ConfigError("synthetic: train_clips and val_clips must be at least 1")
 
 
 # ---------------------------------------------------------------------------

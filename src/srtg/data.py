@@ -166,6 +166,11 @@ def load_dataset(path) -> Dataset:
         shape = tuple(int(v) for v in header["shape"])
     except (KeyError, TypeError, ValueError) as e:
         raise DatasetFormatError(f"{path}: header lacks a valid count and shape") from e
+    if count < 1 or len(shape) != 4 or min(shape) < 1:
+        raise DatasetFormatError(
+            f"{path}: header count {count} and clip shape {list(shape)} must be positive, "
+            "with shape (C, T, H, W)"
+        )
     nclip = count * int(np.prod(shape))
     expected = off + nclip * 8 + count * 8
     if len(raw) != expected:

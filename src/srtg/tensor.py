@@ -379,30 +379,29 @@ def conv3d(x: Tensor, w: Tensor, b=None, stride=(1, 1, 1), padding=(0, 0, 0)) ->
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
     wdat = w.data
-    out = np.zeros((n, cout, ot, oh, ow), dtype=np.float64)
-    for dt in range(kt):
-        for dh in range(kh):
-            for dw in range(kw):
-                xs = xp[:, :, dt : dt + ot * st : st, dh : dh + oh * sh : sh, dw : dw + ow * sw : sw]
-                out += np.einsum("ncthw,oc->nothw", xs, wdat[:, :, dt, dh, dw])
+    # Each kernel offset is one BLAS matmul on a contiguous (N, C_in, oT*oH*oW)
+    # copy of its input tap. A full im2col matrix kept for the backward would
+    # hold k^3 copies of the input per conv for the whole step.
+    offsets = list(itertools.product(range(kt), range(kh), range(kw)))
+
+    def tap(dt, dh, dw):
+        return np.s_[:, :, dt : dt + ot * st : st, dh : dh + oh * sh : sh, dw : dw + ow * sw : sw]
+
+    out = np.zeros((n, cout, ot * oh * ow), dtype=np.float64)
+    for dt, dh, dw in offsets:
+        out += wdat[:, :, dt, dh, dw] @ xp[tap(dt, dh, dw)].reshape(n, cin, -1)
+    out = out.reshape(n, cout, ot, oh, ow)
     if b is not None:
         out += b.data.reshape(1, cout, 1, 1, 1)
 
     def bwd(g):
+        g2 = g.reshape(n, cout, -1)
         dxp = np.zeros_like(xp)
         dw_ = np.zeros_like(wdat)
-        for dt in range(kt):
-            for dh in range(kh):
-                for dw in range(kw):
-                    sl = (
-                        slice(None),
-                        slice(None),
-                        slice(dt, dt + ot * st, st),
-                        slice(dh, dh + oh * sh, sh),
-                        slice(dw, dw + ow * sw, sw),
-                    )
-                    dxp[sl] += np.einsum("nothw,oc->ncthw", g, wdat[:, :, dt, dh, dw])
-                    dw_[:, :, dt, dh, dw] = np.einsum("nothw,ncthw->oc", g, xp[sl])
+        for dt, dh, dw in offsets:
+            sl = tap(dt, dh, dw)
+            dxp[sl] += (wdat[:, :, dt, dh, dw].T @ g2).reshape(n, cin, ot, oh, ow)
+            dw_[:, :, dt, dh, dw] = np.tensordot(g2, xp[sl].reshape(n, cin, -1), ([0, 2], [0, 2]))
         dx = dxp[:, :, pt : pt + t, ph : ph + h, pw : pw + wd]
         grads = [(x, dx), (w, dw_)]
         if b is not None:

@@ -89,7 +89,8 @@ class Metrics:
     gate_open_rates: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        assert 0.0 <= self.top1 <= self.top5 <= 1.0
+        if not 0.0 <= self.top1 <= self.top5 <= 1.0:
+            raise ValueError(f"Metrics: need 0 <= top1 ({self.top1}) <= top5 ({self.top5}) <= 1")
 
 
 def top_k_hits(logits: np.ndarray, labels: np.ndarray, k: int) -> int:
@@ -331,6 +332,15 @@ def checkpoint_load(path) -> dict:
         raise CheckpointError(f"{path}: header is not JSON ({e})") from e
     if not isinstance(header, dict) or not {"epoch", "seed", "arrays"} <= header.keys():
         raise CheckpointError(f"{path}: header is not an object with epoch, seed and arrays")
+    net_config = header.get("net_config")
+    if net_config is not None and not (
+        isinstance(net_config, dict)
+        and all(
+            isinstance(sec, dict) and all(isinstance(v, str) for v in sec.values())
+            for sec in net_config.values()
+        )
+    ):
+        raise CheckpointError(f"{path}: net_config is not an object of sections of strings")
     off += hlen
     arrays = {}
     try:
@@ -346,7 +356,7 @@ def checkpoint_load(path) -> dict:
     return {
         "epoch": header["epoch"],
         "seed": header["seed"],
-        "net_config": header.get("net_config"),
+        "net_config": net_config,
         "arrays": arrays,
     }
 

@@ -38,6 +38,35 @@ def conv3d_oracle(x, w, b, stride, padding):
     return out
 
 
+def conv3d_grad_oracle(x, w, g, stride, padding):
+    """(dx, dw, db) of sum(conv3d(x, w, b) * g), one multiply-add at a time."""
+    n, cin, t, h, wd = x.shape
+    cout, _, kt, kh, kw = w.shape
+    _, _, ot, oh, ow = g.shape
+    st, sh, sw = stride
+    pt, ph, pw = padding
+    xp = np.zeros((n, cin, t + 2 * pt, h + 2 * ph, wd + 2 * pw))
+    xp[:, :, pt : pt + t, ph : ph + h, pw : pw + wd] = x
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    db = np.zeros(cout)
+    for ni in range(n):
+        for oc in range(cout):
+            for zt in range(ot):
+                for zy in range(oh):
+                    for zx in range(ow):
+                        gv = g[ni, oc, zt, zy, zx]
+                        db[oc] += gv
+                        for ic in range(cin):
+                            for dt in range(kt):
+                                for dy in range(kh):
+                                    for dx in range(kw):
+                                        at = (ni, ic, zt * st + dt, zy * sh + dy, zx * sw + dx)
+                                        dxp[at] += gv * w[oc, ic, dt, dy, dx]
+                                        dw[oc, ic, dt, dy, dx] += gv * xp[at]
+    return dxp[:, :, pt : pt + t, ph : ph + h, pw : pw + wd], dw, db
+
+
 def matmul_oracle(a, b):
     m, k = a.shape
     _, n = b.shape

@@ -261,6 +261,33 @@ def test_checkpoint_header_without_epoch_exits_2(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_checkpoint_net_config_not_an_object_exits_2(tmp_path, capsys):
+    # without --config, evaluate rebuilds the network from net_config
+    hjson = json.dumps({"epoch": 1, "seed": 0, "arrays": [], "net_config": 5}).encode()
+    body = b"SRTGCKPT" + struct.pack("<IQ", 1, len(hjson)) + hjson
+    forged = tmp_path / "forged.ckpt"
+    forged.write_bytes(body + hashlib.sha256(body).digest())
+    rc = main(["evaluate", "--checkpoint", str(forged), "--data", str(tmp_path / "val.bin")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and "net_config" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_dataset_header_with_negative_sizes_exits_2(tmp_path, capsys):
+    # count -1 and shape [-1] multiply to one clip of one value, and the file
+    # has no payload: the sizes themselves must be rejected
+    hjson = json.dumps({"count": -1, "shape": [-1], "meta": {}}).encode()
+    forged = tmp_path / "forged.bin"
+    forged.write_bytes(b"SRTGDATA" + struct.pack("<IQ", 1, len(hjson)) + hjson)
+    rc = main(_train_args(tmp_path, tmp_path / "run", extra=(
+        "--set", f"data.train={forged}", "--set", f"data.val={forged}")))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and "must be positive" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_evaluate_label_outside_classes_exits_2(tmp_path, capsys):
     data = _gen(tmp_path)
     run = tmp_path / "run"

@@ -146,6 +146,28 @@ def test_header_without_count_or_shape_rejected(tmp_path, missing):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("count, shape", [
+    (-1, [-1]), (0, [1, 8, 16, 16]), (-2, [1, -8, 16, 16]), (1, [1, 0, 16, 16]),
+    (2, [8, 16, 16]), (2, [1, 1, 8, 16, 16]),
+], ids=["negative_pair", "zero_count", "negative_count_and_extent", "zero_extent",
+        "shape_3_long", "shape_5_long"])
+def test_header_with_nonpositive_or_wrong_rank_shape_rejected(tmp_path, count, shape):
+    # the payload is sized to match count * prod(shape), so only the header
+    # values themselves are wrong
+    hjson = json.dumps({"count": count, "shape": shape, "meta": {}}).encode()
+    payload = bytes(8 * max(0, count * int(np.prod(shape)) + count))
+    path = tmp_path / "forged.bin"
+    path.write_bytes(b"SRTGDATA" + struct.pack("<IQ", 1, len(hjson)) + hjson + payload)
+    with pytest.raises(DatasetFormatError, match="must be positive"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("split", ["train_clips", "val_clips"])
+def test_empty_split_rejected(split):
+    with pytest.raises(ConfigError, match="at least 1"):
+        _spec(**{split: 0})
+
+
 def test_noise_zero_reversal_is_exact_time_mirror():
     spec = _spec(noise=0.0, train_clips=4)
     train, _ = generate(spec)

@@ -1,6 +1,10 @@
 """Tensor engine tests: loop oracles first, then autodiff and invariants."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from srtg.tensor import (
     grad_check,
 )
 
-from oracles import conv3d_oracle, matmul_oracle, pool_oracle
+from oracles import conv3d_grad_oracle, conv3d_oracle, matmul_oracle, pool_oracle
 
 # ---------------------------------------------------------------------------
 # conv3d
@@ -58,6 +62,75 @@ def test_conv3d_strided_matches_loop_oracle():
     out = tt.conv3d(Tensor(x), Tensor(w), None, stride=(2, 2, 2), padding=(1, 1, 1))
     expect = conv3d_oracle(x, w, None, (2, 2, 2), (1, 1, 1))
     np.testing.assert_allclose(out.data, expect, rtol=0, atol=1e-12)
+
+
+# every kernel kind the networks use: full 3D (stem and blocks), 1x1x1
+# projections and bottlenecks, and the (1,k,k) / (k,1,1) halves of a
+# (2+1)D conv; each kernel offset of conv3d is one matmul, so each kind
+# exercises a different tap layout
+_KERNEL_KINDS = [
+    # (x shape, w shape, stride, padding)
+    ((2, 2, 4, 5, 5), (3, 2, 3, 3, 3), (1, 2, 2), (1, 1, 1)),
+    ((2, 2, 5, 5, 5), (3, 2, 3, 3, 3), (2, 2, 2), (1, 1, 1)),
+    ((2, 3, 3, 4, 4), (2, 3, 1, 1, 1), (1, 1, 1), (0, 0, 0)),
+    ((2, 3, 4, 5, 5), (2, 3, 1, 1, 1), (2, 2, 2), (0, 0, 0)),
+    ((2, 2, 3, 5, 5), (3, 2, 1, 3, 3), (1, 1, 1), (0, 1, 1)),
+    ((2, 2, 3, 5, 5), (3, 2, 1, 3, 3), (1, 2, 2), (0, 1, 1)),
+    ((2, 2, 5, 3, 3), (3, 2, 3, 1, 1), (1, 1, 1), (1, 0, 0)),
+    ((2, 2, 5, 3, 3), (3, 2, 3, 1, 1), (2, 1, 1), (1, 0, 0)),
+    ((2, 1, 4, 6, 6), (3, 1, 3, 3, 3), (1, 2, 2), (1, 1, 1)),
+]
+_KIND_IDS = ["3x3x3-s122", "3x3x3-s222", "1x1x1-s111", "1x1x1-s222", "1x3x3-s111",
+             "1x3x3-s122", "3x1x1-s111", "3x1x1-s211", "cin1-3x3x3-s122"]
+
+
+@pytest.mark.parametrize("xs, ws, stride, padding", _KERNEL_KINDS, ids=_KIND_IDS)
+def test_conv3d_kernel_kinds_match_loop_oracles(xs, ws, stride, padding):
+    rng = np.random.default_rng(20)
+    x = rng.standard_normal(xs)
+    w = rng.standard_normal(ws)
+    b = rng.standard_normal(ws[0])
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = tt.conv3d(xt, wt, bt, stride=stride, padding=padding)
+    np.testing.assert_allclose(out.data, conv3d_oracle(x, w, b, stride, padding),
+                               rtol=0, atol=1e-12)
+    g = rng.standard_normal(out.data.shape)
+    backward(tt.sum_all(tt.mul(out, Tensor(g))))
+    dx, dw, db = conv3d_grad_oracle(x, w, g, stride, padding)
+    np.testing.assert_allclose(xt.grad, dx, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(wt.grad, dw, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(bt.grad, db, rtol=0, atol=1e-12)
+
+
+_RERUN_SCRIPT = """
+import hashlib, numpy as np
+from srtg import tensor as tt
+rng = np.random.default_rng(21)
+xd, wd = rng.standard_normal((8, 32, 32, 8, 8)), rng.standard_normal((32, 32, 1, 1, 1))
+g = rng.standard_normal((8, 32, 32, 8, 8))
+for _ in range(3):
+    x, w = tt.Tensor(xd, requires_grad=True), tt.Tensor(wd, requires_grad=True)
+    out = tt.conv3d(x, w, None)
+    tt.backward(tt.sum_all(tt.mul(out, tt.Tensor(g))))
+    print(hashlib.sha256(out.data.tobytes() + x.grad.tobytes() + w.grad.tobytes()).hexdigest())
+"""
+
+
+def test_conv3d_bit_identical_across_runs_with_unpinned_blas():
+    # BLAS thread counts come from the environment; drop any pinning so the
+    # library's default threading is what runs
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tt.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    digests = set()
+    for _ in range(2):
+        run = subprocess.run([sys.executable, "-c", _RERUN_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        lines = run.stdout.split()
+        assert len(lines) == 3
+        digests.update(lines)
+    assert len(digests) == 1
 
 
 def test_conv3d_linearity():

@@ -1,7 +1,11 @@
 """Optimizer, metrics, training-loop and checkpoint tests."""
 
 import hashlib
+import json
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -153,8 +157,21 @@ def test_gate_open_rate_is_one_when_inactive():
 
 
 def test_metrics_invariant_guard():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="top1"):
         Metrics(top1=0.9, top5=0.5, loss=1.0)
+
+
+def test_metrics_invariant_guard_survives_optimize_flag():
+    # python -O strips assert statements; the guard must not be one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(srtg.train.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from srtg.train import Metrics; Metrics(top1=0.9, top5=0.5, loss=1.0)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode != 0
+    assert "ValueError" in run.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +314,29 @@ def test_checkpoint_header_faults_are_checkpoint_errors(tmp_path, hjson):
     path.write_bytes(body + hashlib.sha256(body).digest())
     with pytest.raises(CheckpointError, match="header"):
         checkpoint_load(path)
+
+
+def _checkpoint_with_net_config(path, net_config):
+    hjson = json.dumps({"epoch": 1, "seed": 0, "arrays": [],
+                        "net_config": net_config}).encode()
+    body = b"SRTGCKPT" + struct.pack("<IQ", 1, len(hjson)) + hjson
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    return path
+
+
+@pytest.mark.parametrize("net_config", [
+    5, "network", [["network", {}]], {"network": 5}, {"network": {"depth_kind": 5}},
+], ids=["number", "string", "list", "section_not_object", "value_not_string"])
+def test_checkpoint_net_config_must_be_sections_of_strings(tmp_path, net_config):
+    path = _checkpoint_with_net_config(tmp_path / "forged.ckpt", net_config)
+    with pytest.raises(CheckpointError, match="net_config"):
+        checkpoint_load(path)
+
+
+@pytest.mark.parametrize("net_config", [None, {}, {"network": {"depth_kind": "simple"}}])
+def test_checkpoint_net_config_null_or_sections_load(tmp_path, net_config):
+    path = _checkpoint_with_net_config(tmp_path / "ok.ckpt", net_config)
+    assert checkpoint_load(path)["net_config"] == net_config
 
 
 def test_resume_reproduces_uninterrupted_run(tmp_path):
