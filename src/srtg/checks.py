@@ -1,9 +1,10 @@
 """Standard gradient-verification battery.
 
 Each check compares analytic gradients against central finite differences
-(eps 1e-5) and reports the max relative error. Gated units run with the gate
-bypassed so the finite-difference surface stays smooth; the hard open/close
-routing is exercised separately by the consistency tests.
+(eps 1e-5) and reports the max relative error. Between them the checks run
+every tensor op a train step runs. Gated units run with the gate bypassed so
+the finite-difference surface stays smooth; the routing a closed gate applies
+is checked as `select_clips` under a fixed mask.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 
 from srtg import tensor as tt
 from srtg.blocks import BlockSpec, build_block
-from srtg.gate import LstmState, init_lstm_params, lstm_cell_step, srtg_unit
+from srtg.gate import init_lstm_params, recursion, srtg_unit
 from srtg.tensor import Tensor, grad_check
 
 __all__ = ["CHECK_TOLERANCES", "run_checks"]
@@ -29,39 +30,39 @@ CHECK_TOLERANCES = {
 
 def _check_primitives():
     rng = np.random.default_rng(0)
-    worst = 0.0
     x = Tensor(rng.standard_normal((1, 2, 3, 3, 3)))
     w = Tensor(rng.standard_normal((2, 2, 3, 3, 3)) * 0.4, requires_grad=True)
     b = Tensor(rng.standard_normal(2) * 0.1, requires_grad=True)
-    worst = max(
-        worst,
-        grad_check(lambda: tt.sum_all(tt.tanh(tt.conv3d(x, w, b, padding=(1, 1, 1)))), [w, b]),
-    )
     v = Tensor(rng.standard_normal((1, 3, 2, 2, 2)) * 0.5, requires_grad=True)
-    worst = max(worst, grad_check(lambda: tt.sum_all(tt.sigmoid(tt.spatial_avg_pool(v))), [v]))
-    m = Tensor(rng.standard_normal((3, 4)) * 0.5, requires_grad=True)
-    worst = max(
-        worst, grad_check(lambda: tt.sum_all(tt.mul(tt.softmax_last(m), m)), [m])
-    )
-    return worst
+    # the network head: stem pool, global pool, classifier, loss
+    hv = Tensor(rng.standard_normal((2, 3, 2, 4, 4)), requires_grad=True)
+    hw = Tensor(rng.standard_normal((2, 3)) * 0.5, requires_grad=True)
+    hb = Tensor(rng.standard_normal(2) * 0.1, requires_grad=True)
+    labels = np.array([0, 1])
+    # per-clip gate routing: clip 0 fused, clip 1 (gate closed) passed through
+    sa = Tensor(rng.standard_normal((2, 3, 2)) * 0.5, requires_grad=True)
+    sb = Tensor(rng.standard_normal((2, 3, 2)) * 0.5, requires_grad=True)
+    mask = np.array([True, False])
+
+    def head():
+        pooled = tt.global_avg_pool(tt.max_pool3d(hv, (1, 3, 3), (1, 2, 2), (0, 1, 1)))
+        return tt.softmax_cross_entropy(tt.affine(pooled, hw, hb), labels)
+
+    cases = [
+        (lambda: tt.sum_all(tt.tanh(tt.conv3d(x, w, b, padding=(1, 1, 1)))), [w, b]),
+        (lambda: tt.sum_all(tt.sigmoid(tt.spatial_avg_pool(v))), [v]),
+        (head, [hv, hw, hb]),
+        (lambda: tt.sum_all(tt.tanh(tt.select_clips(mask, tt.mul(sa, sb), sb))), [sa, sb]),
+    ]
+    return max(grad_check(f, params) for f, params in cases)
 
 
 def _check_lstm_layer():
-    # one layer, T=3, C=2, unrolled by hand
+    # one layer, T=3, C=2
     rng = np.random.default_rng(1)
     params = init_lstm_params(2, num_layers=1, rng=rng)
     xs = Tensor(rng.standard_normal((1, 3, 2)))
-
-    def f():
-        state = LstmState(h=Tensor(np.zeros((1, 2))), c=Tensor(np.zeros((1, 2))))
-        acc = None
-        for t in range(3):
-            h, state = lstm_cell_step(tt.time_slice(xs, t), state, params.layers[0])
-            s = tt.sum_all(h)
-            acc = s if acc is None else tt.add(acc, s)
-        return acc
-
-    return grad_check(f, [p for _, p in params.named("l")])
+    return grad_check(lambda: tt.sum_all(recursion(xs, params)), [p for _, p in params.named("l")])
 
 
 def _check_srtg_unit(mode):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -164,14 +165,14 @@ def load_dataset(path) -> Dataset:
     try:
         count = int(header["count"])
         shape = tuple(int(v) for v in header["shape"])
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:  # int(inf) overflows
         raise DatasetFormatError(f"{path}: header lacks a valid count and shape") from e
     if count < 1 or len(shape) != 4 or min(shape) < 1:
         raise DatasetFormatError(
             f"{path}: header count {count} and clip shape {list(shape)} must be positive, "
             "with shape (C, T, H, W)"
         )
-    nclip = count * int(np.prod(shape))
+    nclip = count * math.prod(shape)  # exact: an int64 product can wrap to 0
     expected = off + nclip * 8 + count * 8
     if len(raw) != expected:
         raise DatasetFormatError(

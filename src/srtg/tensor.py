@@ -9,6 +9,7 @@ reduction order is fixed.
 from __future__ import annotations
 
 import itertools
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -22,16 +23,11 @@ __all__ = [
     "backward",
     "grad_check",
     "add",
-    "sub",
     "mul",
-    "scale",
-    "add_bias",
     "affine",
-    "matmul",
     "sigmoid",
     "tanh",
     "relu",
-    "softmax_last",
     "stable_softmax",
     "sum_all",
     "mean_all",
@@ -187,41 +183,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data + b.data, (a, b), lambda g: [(a, g), (b, g)])
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-    return _result(a.data - b.data, (a, b), lambda g: [(a, g), (b, -g)])
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
     ad, bd = a.data, b.data
     return _result(ad * bd, (a, b), lambda g: [(a, g * bd), (b, g * ad)])
-
-
-def scale(x: Tensor, s: float) -> Tensor:
-    s = float(s)
-    return _result(x.data * s, (x,), lambda g: [(x, g * s)])
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """x + b with b broadcast over all leading axes (b is 1-D, last dim)."""
-    if b.data.ndim != 1 or b.data.shape[0] != x.data.shape[-1]:
-        raise ShapeError(
-            f"add_bias: bias shape {b.data.shape} does not match last dim {x.data.shape[-1]}"
-        )
-    lead = tuple(range(x.data.ndim - 1))
-    return _result(x.data + b.data, (x, b), lambda g: [(x, g), (b, g.sum(axis=lead))])
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError("matmul: operands must be 2-D")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(
-            f"matmul: inner dims {a.data.shape[1]} vs {b.data.shape[0]} differ"
-        )
-    ad, bd = a.data, b.data
-    return _result(ad @ bd, (a, b), lambda g: [(a, g @ bd.T), (b, ad.T @ g)])
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -264,23 +229,13 @@ def relu(x: Tensor) -> Tensor:
 
 
 def stable_softmax(v: np.ndarray, axis=-1) -> np.ndarray:
-    """Max-subtracted softmax on a plain array (shared by ops and the gate)."""
+    """Max-subtracted softmax on a plain array (the gate's soft match)."""
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise ShapeError("softmax of an empty array")
     shifted = v - v.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def softmax_last(x: Tensor) -> Tensor:
-    y = stable_softmax(x.data, axis=-1)
-
-    def bwd(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return [(x, y * (g - dot))]
-
-    return _result(y, (x,), bwd)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -345,65 +300,75 @@ def stack_time(steps) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _conv_extent(ext, k, s, p, name):
-    out = (ext + 2 * p - k) // s + 1
-    if out <= 0:
-        raise ShapeError(
-            f"conv3d: non-positive output extent along {name} "
-            f"(input {ext}, kernel {k}, stride {s}, padding {p})"
-        )
-    return out
+def _windows(op, x, kernel, stride, padding, fill=0.0):
+    """The input padded with `fill` along T, H and W, and the output extents
+    floor((ext + 2p - k) / s) + 1 of a sliding-window op."""
+    extents = []
+    for ext, k, s, p, name in zip(x.data.shape[2:], kernel, stride, padding,
+                                  ("frames", "height", "width")):
+        out = (ext + 2 * p - k) // s + 1
+        if out <= 0:
+            raise ShapeError(
+                f"{op}: non-positive output extent along {name} "
+                f"(input {ext}, kernel {k}, stride {s}, padding {p})"
+            )
+        extents.append(out)
+    pad = ((0, 0), (0, 0)) + tuple((p, p) for p in padding)
+    return np.pad(x.data, pad, constant_values=fill), tuple(extents)
+
+
+def _tap(offset, extents, stride):
+    """Index of the (N, C, T, H, W) elements that the kernel offset meets at
+    each output position. At offset=padding, extents=input extents and unit
+    stride it is the unpadded input inside the padded one."""
+    return (slice(None), slice(None)) + tuple(
+        slice(o, o + e * s, s) for o, e, s in zip(offset, extents, stride)
+    )
 
 
 def conv3d(x: Tensor, w: Tensor, b=None, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
     """3D convolution with zero padding.
 
     x: (N, C_in, T, H, W); w: (C_out, C_in, kT, kH, kW); b: (C_out,) or None.
-    Output extents follow floor((ext + 2p - k) / s) + 1.
     """
     if x.data.ndim != 5:
         raise ShapeError(f"conv3d: input must be rank 5, got shape {x.data.shape}")
     if w.data.ndim != 5:
         raise ShapeError(f"conv3d: weights must be rank 5, got shape {w.data.shape}")
-    n, cin, t, h, wd = x.data.shape
-    cout, wcin, kt, kh, kw = w.data.shape
+    n, cin = x.data.shape[:2]
+    cout, wcin = w.data.shape[:2]
     if wcin != cin:
         raise ShapeError(f"conv3d: input channels {cin} vs kernel in-channels {wcin}")
     if b is not None and b.data.shape != (cout,):
         raise ShapeError(f"conv3d: bias shape {b.data.shape}, expected ({cout},)")
-    st, sh, sw = stride
-    pt, ph, pw = padding
-    ot = _conv_extent(t, kt, st, pt, "frames")
-    oh = _conv_extent(h, kh, sh, ph, "height")
-    ow = _conv_extent(wd, kw, sw, pw, "width")
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
-    wdat = w.data
+    xp, ext = _windows("conv3d", x, w.data.shape[2:], stride, padding)
     # Each kernel offset is one BLAS matmul on a contiguous (N, C_in, oT*oH*oW)
     # copy of its input tap. A full im2col matrix kept for the backward would
     # hold k^3 copies of the input per conv for the whole step.
-    offsets = list(itertools.product(range(kt), range(kh), range(kw)))
+    offsets = list(itertools.product(*map(range, w.data.shape[2:])))
+    wk = w.data.transpose(2, 3, 4, 0, 1)  # (kT, kH, kW, C_out, C_in) view
 
-    def tap(dt, dh, dw):
-        return np.s_[:, :, dt : dt + ot * st : st, dh : dh + oh * sh : sh, dw : dw + ow * sw : sw]
-
-    out = np.zeros((n, cout, ot * oh * ow), dtype=np.float64)
-    for dt, dh, dw in offsets:
-        out += wdat[:, :, dt, dh, dw] @ xp[tap(dt, dh, dw)].reshape(n, cin, -1)
-    out = out.reshape(n, cout, ot, oh, ow)
+    out = np.zeros((n, cout, math.prod(ext)), dtype=np.float64)
+    for off in offsets:
+        out += wk[off] @ xp[_tap(off, ext, stride)].reshape(n, cin, -1)
+    out = out.reshape((n, cout) + ext)
     if b is not None:
         out += b.data.reshape(1, cout, 1, 1, 1)
 
     def bwd(g):
         g2 = g.reshape(n, cout, -1)
-        dxp = np.zeros_like(xp)
-        dw_ = np.zeros_like(wdat)
-        for dt, dh, dw in offsets:
-            sl = tap(dt, dh, dw)
-            dxp[sl] += (wdat[:, :, dt, dh, dw].T @ g2).reshape(n, cin, ot, oh, ow)
-            dw_[:, :, dt, dh, dw] = np.tensordot(g2, xp[sl].reshape(n, cin, -1), ([0, 2], [0, 2]))
-        dx = dxp[:, :, pt : pt + t, ph : ph + h, pw : pw + wd]
-        grads = [(x, dx), (w, dw_)]
+        # no dx for an input that needs no gradient, such as the raw clip
+        dxp = np.zeros_like(xp) if x.needs_grad else None
+        dw = np.zeros_like(w.data)
+        dwk = dw.transpose(2, 3, 4, 0, 1)
+        for off in offsets:
+            sl = _tap(off, ext, stride)
+            if dxp is not None:
+                dxp[sl] += (wk[off].T @ g2).reshape((n, cin) + ext)
+            dwk[off] = np.tensordot(g2, xp[sl].reshape(n, cin, -1), ([0, 2], [0, 2]))
+        grads = [(w, dw)]
+        if dxp is not None:
+            grads.append((x, dxp[_tap(padding, x.data.shape[2:], (1, 1, 1))]))
         if b is not None:
             grads.append((b, g.sum(axis=(0, 2, 3, 4))))
         return grads
@@ -416,35 +381,21 @@ def max_pool3d(x: Tensor, kernel, stride, padding=(0, 0, 0)) -> Tensor:
     """Max pooling over (T, H, W); padding uses -inf so it never wins."""
     if x.data.ndim != 5:
         raise ShapeError(f"max_pool3d: input must be rank 5, got {x.data.shape}")
-    n, c, t, h, w = x.data.shape
-    kt, kh, kw = kernel
-    st, sh, sw = stride
-    pt, ph, pw = padding
-    ot = _conv_extent(t, kt, st, pt, "frames")
-    oh = _conv_extent(h, kh, sh, ph, "height")
-    ow = _conv_extent(w, kw, sw, pw, "width")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)), constant_values=-np.inf)
-    out = np.full((n, c, ot, oh, ow), -np.inf)
-    argoff = np.zeros((n, c, ot, oh, ow), dtype=np.int64)
-    offsets = [(dt, dh, dw) for dt in range(kt) for dh in range(kh) for dw in range(kw)]
-    for idx, (dt, dh, dw) in enumerate(offsets):
-        xs = xp[:, :, dt : dt + ot * st : st, dh : dh + oh * sh : sh, dw : dw + ow * sw : sw]
+    xp, ext = _windows("max_pool3d", x, kernel, stride, padding, fill=-np.inf)
+    out = np.full(x.data.shape[:2] + ext, -np.inf)
+    argoff = np.zeros(out.shape, dtype=np.int64)
+    offsets = list(itertools.product(*map(range, kernel)))
+    for idx, off in enumerate(offsets):
+        xs = xp[_tap(off, ext, stride)]
         better = xs > out  # strict: ties resolve to the earliest offset
         out[better] = xs[better]
         argoff[better] = idx
 
     def bwd(g):
         dxp = np.zeros_like(xp)
-        for idx, (dt, dh, dw) in enumerate(offsets):
-            sl = (
-                slice(None),
-                slice(None),
-                slice(dt, dt + ot * st, st),
-                slice(dh, dh + oh * sh, sh),
-                slice(dw, dw + ow * sw, sw),
-            )
-            dxp[sl] += g * (argoff == idx)
-        return [(x, dxp[:, :, pt : pt + t, ph : ph + h, pw : pw + w])]
+        for idx, off in enumerate(offsets):
+            dxp[_tap(off, ext, stride)] += g * (argoff == idx)
+        return [(x, dxp[_tap(padding, x.data.shape[2:], (1, 1, 1))])]
 
     return _result(out, (x,), bwd)
 
@@ -603,10 +554,11 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     if outside.size:
         raise ValueError(f"softmax_cross_entropy: label {int(outside[0])} outside [0, {k})")
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1))
-    logp = shifted[np.arange(n), labels] - logz
+    e = np.exp(shifted)
+    z = e.sum(axis=1, keepdims=True)
+    logp = shifted[np.arange(n), labels] - np.log(z[:, 0])
     loss = -logp.mean()
-    probs = stable_softmax(logits.data, axis=1)
+    probs = e / z
 
     def bwd(g):
         d = probs.copy()

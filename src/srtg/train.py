@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -345,11 +346,11 @@ def checkpoint_load(path) -> dict:
     arrays = {}
     try:
         for name, shape in header["arrays"]:
-            count = int(np.prod(shape)) if shape else 1
+            count = math.prod(shape)
             arr = np.frombuffer(body, dtype="<f8", count=count, offset=off).reshape(shape)
             arrays[name] = arr.copy()
             off += count * 8
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise CheckpointError(f"{path}: bad array table in header ({e})") from e
     if off != len(body):
         raise CheckpointError(f"{path}: payload size mismatch")

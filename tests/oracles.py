@@ -67,19 +67,6 @@ def conv3d_grad_oracle(x, w, g, stride, padding):
     return dxp[:, :, pt : pt + t, ph : ph + h, pw : pw + wd], dw, db
 
 
-def matmul_oracle(a, b):
-    m, k = a.shape
-    _, n = b.shape
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for p in range(k):
-                acc += a[i, p] * b[p, j]
-            out[i, j] = acc
-    return out
-
-
 def pool_oracle(x):
     n, c, t, h, w = x.shape
     out = np.zeros((n, t, c))

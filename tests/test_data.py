@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from srtg.config import ConfigError, SyntheticSpec
 from srtg.data import (
@@ -146,20 +148,73 @@ def test_header_without_count_or_shape_rejected(tmp_path, missing):
         load_dataset(path)
 
 
-@pytest.mark.parametrize("count, shape", [
-    (-1, [-1]), (0, [1, 8, 16, 16]), (-2, [1, -8, 16, 16]), (1, [1, 0, 16, 16]),
-    (2, [8, 16, 16]), (2, [1, 1, 8, 16, 16]),
+_POSITIVE = "must be positive"
+
+
+@pytest.mark.parametrize("count, shape, match", [
+    (-1, [-1], _POSITIVE), (0, [1, 8, 16, 16], _POSITIVE), (-2, [1, -8, 16, 16], _POSITIVE),
+    (1, [1, 0, 16, 16], _POSITIVE), (2, [8, 16, 16], _POSITIVE),
+    (2, [1, 1, 8, 16, 16], _POSITIVE), (1, [2**32, 2**32, 1, 1], "payload"),
 ], ids=["negative_pair", "zero_count", "negative_count_and_extent", "zero_extent",
-        "shape_3_long", "shape_5_long"])
-def test_header_with_nonpositive_or_wrong_rank_shape_rejected(tmp_path, count, shape):
-    # the payload is sized to match count * prod(shape), so only the header
-    # values themselves are wrong
+        "shape_3_long", "shape_5_long", "shape_product_wraps_int64"])
+def test_header_with_nonpositive_or_wrong_rank_shape_rejected(tmp_path, count, shape, match):
+    # the payload is sized to match count * prod(shape) taken in int64, so
+    # only the header values themselves are wrong; 2**64 wraps to 0 there
     hjson = json.dumps({"count": count, "shape": shape, "meta": {}}).encode()
     payload = bytes(8 * max(0, count * int(np.prod(shape)) + count))
     path = tmp_path / "forged.bin"
     path.write_bytes(b"SRTGDATA" + struct.pack("<IQ", 1, len(hjson)) + hjson + payload)
-    with pytest.raises(DatasetFormatError, match="must be positive"):
+    with pytest.raises(DatasetFormatError, match=match):
         load_dataset(path)
+
+
+# ---------------------------------------------------------------------------
+# loader fuzzing: a damaged file ends in DatasetFormatError, nothing else
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def saved_dataset(tmp_path_factory):
+    ds, _ = generate(_spec(height=4, width=4, frames=3, train_clips=2))
+    path = tmp_path_factory.mktemp("fuzz") / "train.bin"
+    save_dataset(path, ds)
+    return path, ds
+
+
+def test_every_truncation_rejected(saved_dataset):
+    path, _ = saved_dataset
+    raw = path.read_bytes()
+    forged = path.with_name("truncated.bin")
+    for cut in range(len(raw)):
+        forged.write_bytes(raw[:cut])
+        with pytest.raises(DatasetFormatError):
+            load_dataset(forged)
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats()
+                 | st.text(max_size=6))
+_JSON_VALUES = _JSON_SCALARS | st.lists(_JSON_SCALARS | st.lists(_JSON_SCALARS), max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=st.sampled_from(["count", "shape"]), value=_JSON_VALUES)
+@example(key="count", value=float("inf"))  # int(inf) raises OverflowError
+@example(key="shape", value=[1, 3, 4.0, "4"])  # int() of each gives the true shape
+def test_fuzz_header_count_or_shape_loads_same_or_rejected(saved_dataset, key, value):
+    path, ds = saved_dataset
+    raw = path.read_bytes()
+    hlen = struct.unpack_from("<IQ", raw, 8)[1]
+    header = json.loads(raw[20 : 20 + hlen])
+    header[key] = value
+    hjson = json.dumps(header).encode()
+    forged = path.with_name("header.bin")
+    forged.write_bytes(raw[:8] + struct.pack("<IQ", 1, len(hjson)) + hjson + raw[20 + hlen :])
+    try:
+        loaded = load_dataset(forged)
+    except DatasetFormatError:
+        return
+    assert dataset_digest(loaded) == dataset_digest(ds)
+    assert loaded.clips.shape == ds.clips.shape
 
 
 @pytest.mark.parametrize("split", ["train_clips", "val_clips"])

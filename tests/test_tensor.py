@@ -1,6 +1,8 @@
 """Tensor engine tests: loop oracles first, then autodiff and invariants."""
 
 import hashlib
+import inspect
+import itertools
 import math
 import os
 import subprocess
@@ -12,6 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srtg import tensor as tt
+from srtg.blocks import Network
+from srtg.checks import run_checks
+from srtg.config import NetworkSpec, StageSpec
 from srtg.tensor import (
     GraphError,
     NondeterministicError,
@@ -21,7 +26,7 @@ from srtg.tensor import (
     grad_check,
 )
 
-from oracles import conv3d_grad_oracle, conv3d_oracle, matmul_oracle, pool_oracle
+from oracles import conv3d_grad_oracle, conv3d_oracle, pool_oracle
 
 # ---------------------------------------------------------------------------
 # conv3d
@@ -184,31 +189,18 @@ def test_pool_matches_loop_oracle():
 
 
 # ---------------------------------------------------------------------------
-# matmul, softmax, pointwise
+# softmax, pointwise
 # ---------------------------------------------------------------------------
 
 
-def test_matmul_matches_triple_loop():
-    rng = np.random.default_rng(6)
-    a = rng.standard_normal((2, 3))
-    b = rng.standard_normal((3, 2))
-    out = tt.matmul(Tensor(a), Tensor(b))
-    np.testing.assert_allclose(out.data, matmul_oracle(a, b), rtol=0, atol=1e-12)
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeError, match="inner dims"):
-        tt.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
-
-
 def test_softmax_symmetry():
-    out = tt.softmax_last(Tensor([0.0, 0.0, 0.0]))
-    np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
+    out = tt.stable_softmax(np.zeros(3))
+    np.testing.assert_allclose(out, [1 / 3] * 3, atol=1e-15)
 
 
 def test_softmax_empty_rejected():
     with pytest.raises(ShapeError):
-        tt.softmax_last(Tensor(np.zeros(0)))
+        tt.stable_softmax(np.zeros(0))
 
 
 @pytest.mark.parametrize("label", [5, -1])
@@ -226,9 +218,9 @@ def test_pointwise_analytic_values():
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=16), st.floats(-30, 30))
 def test_softmax_normalized_and_shift_invariant(vals, shift):
     v = np.array(vals)
-    y = tt.softmax_last(Tensor(v)).data
+    y = tt.stable_softmax(v)
     assert abs(y.sum() - 1.0) <= 1e-12
-    y2 = tt.softmax_last(Tensor(v + shift)).data
+    y2 = tt.stable_softmax(v + shift)
     np.testing.assert_allclose(y2, y, rtol=0, atol=1e-12)
 
 
@@ -340,7 +332,7 @@ def test_grad_check_detects_nondeterminism():
 
     def f():
         state["n"] += 1.0
-        return tt.sum_all(tt.scale(p, state["n"]))
+        return tt.sum_all(tt.mul(p, Tensor([state["n"]])))
 
     with pytest.raises(NondeterministicError):
         grad_check(f, [p])
@@ -355,10 +347,10 @@ def test_grad_check_every_primitive_small_shapes():
     cases = []
 
     a, b = _rand_params(rng, (3, 4), (3, 4))
-    cases.append((lambda: tt.sum_all(tt.mul(tt.add(a, b), tt.sub(a, b))), [a, b]))
+    cases.append((lambda: tt.sum_all(tt.mul(tt.add(a, b), tt.mul(a, b))), [a, b]))
 
-    m1, m2 = _rand_params(rng, (3, 4), (4, 2))
-    cases.append((lambda: tt.sum_all(tt.matmul(m1, m2)), [m1, m2]))
+    ax, aw, ab = _rand_params(rng, (3, 4), (2, 4), (2,))
+    cases.append((lambda: tt.sum_all(tt.tanh(tt.affine(ax, aw, ab))), [ax, aw, ab]))
 
     s = _rand_params(rng, (2, 5))[0]
     cases.append((lambda: tt.sum_all(tt.mul(tt.sigmoid(s), tt.tanh(s))), [s]))
@@ -368,7 +360,8 @@ def test_grad_check_every_primitive_small_shapes():
     cases.append((lambda: tt.sum_all(tt.relu(r)), [r]))
 
     sm = _rand_params(rng, (3, 4))[0]
-    cases.append((lambda: tt.sum_all(tt.mul(tt.softmax_last(sm), sm)), [sm]))
+    labels = np.array([0, 3, 1])
+    cases.append((lambda: tt.softmax_cross_entropy(tt.mul(sm, sm), labels), [sm]))
 
     c1, c2 = _rand_params(rng, (2, 3), (2, 2))
     cases.append((lambda: tt.mean_all(tt.tanh(tt.concat_last(c1, c2))), [c1, c2]))
@@ -405,23 +398,21 @@ def test_grad_check_every_primitive_small_shapes():
         (lambda: tt.sum_all(tt.max_pool3d(mp, (1, 3, 3), (1, 2, 2), (0, 1, 1))), [mp])
     )
 
+    bx, gamma, beta = _rand_params(rng, (2, 2, 2, 2, 2), (2,), (2,))
+    stats = np.zeros(2), np.ones(2)
+    cases.append(
+        (lambda: tt.sum_all(tt.tanh(tt.batch_norm(bx, gamma, beta, *stats, training=True))),
+         [bx, gamma, beta])
+    )
+
     for f, params in cases:
         assert grad_check(f, params) <= 1e-5
 
 
 def test_scale_and_mean():
     x = Tensor(np.full((2, 2), 3.0), requires_grad=True)
-    backward(tt.mean_all(tt.scale(x, 2.0)))
+    backward(tt.mean_all(tt.mul(x, Tensor(np.full((2, 2), 2.0)))))
     np.testing.assert_allclose(x.grad, np.full((2, 2), 0.5))
-
-
-def test_add_bias_broadcast_and_grad():
-    x = Tensor(np.zeros((3, 2)), requires_grad=True)
-    b = Tensor(np.array([1.0, -1.0]), requires_grad=True)
-    out = tt.add_bias(x, b)
-    np.testing.assert_array_equal(out.data, np.tile([1.0, -1.0], (3, 1)))
-    backward(tt.sum_all(out))
-    np.testing.assert_array_equal(b.grad, [3.0, 3.0])
 
 
 def test_select_clips_closed_rows_bit_identical():
@@ -437,9 +428,11 @@ def test_select_clips_closed_rows_bit_identical():
 def test_outputs_finite_on_finite_inputs():
     rng = np.random.default_rng(13)
     x = Tensor(rng.standard_normal((1, 2, 3, 4, 4)) * 100)
-    w = Tensor(rng.standard_normal((2, 2, 3, 3, 3)))
-    out = tt.softmax_last(tt.spatial_avg_pool(tt.conv3d(x, w, None, padding=(1, 1, 1))))
-    assert np.isfinite(out.data).all()
+    w = Tensor(rng.standard_normal((2, 2, 3, 3, 3)), requires_grad=True)
+    logits = tt.global_avg_pool(tt.conv3d(x, w, None, padding=(1, 1, 1)))
+    loss = tt.softmax_cross_entropy(logits, [0])
+    backward(loss)
+    assert np.isfinite(loss.data) and np.isfinite(w.grad).all()
 
 
 def test_sigmoid_extreme_inputs_stable():
@@ -447,3 +440,57 @@ def test_sigmoid_extreme_inputs_stable():
     out = tt.sigmoid(x).data
     assert math.isfinite(out[0]) and math.isfinite(out[1])
     assert out[0] == 0.0 and out[1] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# op coverage: the engine keeps only the ops the model runs, and the
+# grad-check battery runs every one of them
+# ---------------------------------------------------------------------------
+
+# tape machinery and the gate's plain-array softmax, not tape ops
+_NOT_OPS = {"backward", "grad_check", "no_grad", "stable_softmax"}
+_OPS = [n for n in tt.__all__ if n not in _NOT_OPS and inspect.isfunction(getattr(tt, n))]
+
+
+def _ops_called(monkeypatch, run):
+    """Names of the engine ops that run() calls, by module attribute."""
+    called = set()
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as m:
+        for name in _OPS:
+            m.setattr(tt, name, spy(name, getattr(tt, name)))
+        run()
+    return called
+
+
+def _train_steps():
+    """One forward, cross-entropy and backward for each conv kind, with and
+    without a stem pool, in each fusion mode; every gated unit has at least
+    one closed clip, so the routing runs too."""
+    x = np.random.default_rng(22).standard_normal((2, 1, 8, 16, 16))
+    for conv, pool, mode in itertools.product(
+        ("full_3d", "two_plus_one_d"), (None, (1, 3, 3)), ("multiplicative", "additive")
+    ):
+        spec = NetworkSpec(
+            in_channels=1, num_classes=2, conv_kind=conv, depth_kind="simple",
+            placement="final", gate_active=True, fusion_mode=mode, stem_channels=4,
+            stem_kernel=(3, 3, 3), stem_stride=(1, 2, 2), stem_pool_kernel=pool,
+            stem_pool_stride=pool and (1, 2, 2),
+            stages=[StageSpec(blocks=1, channels=4, stride=(1, 1, 1))],
+        )
+        logits, gate_log = Network(spec, seed=0).forward(x, training=True)
+        assert gate_log and all(not all(d.fused for d in ds) for _, ds in gate_log)
+        backward(tt.softmax_cross_entropy(logits, np.array([0, 1])))
+
+
+def test_grad_check_battery_runs_every_model_op(monkeypatch):
+    model = _ops_called(monkeypatch, _train_steps)
+    battery = _ops_called(monkeypatch, run_checks)
+    assert model - battery == set(), "ops a train step runs that grad-check never checks"
+    assert set(_OPS) - (model | battery) == set(), "engine ops with no model or check caller"

@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import srtg.train
 from srtg import tensor as tt
@@ -303,8 +305,9 @@ def test_checkpoint_bad_magic(tmp_path):
     b'{"epoch": 1,',
     b'{"epoch": 1, "seed": 0, "arrays": [1]}',
     b'{"epoch": 1, "seed": 0, "arrays": [["param.w", [4]]]}',
+    b'{"epoch": 1, "seed": 0, "arrays": [["param.w", [4294967296, 4294967296]]]}',
 ], ids=["no_epoch", "no_seed", "no_arrays", "magic_only", "not_object", "not_json",
-        "array_entry_not_a_pair", "array_past_payload"])
+        "array_entry_not_a_pair", "array_past_payload", "array_size_past_int64"])
 def test_checkpoint_header_faults_are_checkpoint_errors(tmp_path, hjson):
     # the checksum trailer is valid; only what it covers is malformed
     body = b"SRTGCKPT"
@@ -314,6 +317,37 @@ def test_checkpoint_header_faults_are_checkpoint_errors(tmp_path, hjson):
     path.write_bytes(body + hashlib.sha256(body).digest())
     with pytest.raises(CheckpointError, match="header"):
         checkpoint_load(path)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    net = Network(_tiny_net_spec(), seed=16)
+    path = tmp_path_factory.mktemp("fuzz") / "checkpoint.bin"
+    checkpoint_save(path, net, SGD(net.named_params()), epoch=1)
+    return path
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzz_truncated_checkpoint_rejected(saved_checkpoint, data):
+    raw = saved_checkpoint.read_bytes()
+    cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+    forged = saved_checkpoint.with_name("truncated.bin")
+    forged.write_bytes(raw[:cut])
+    with pytest.raises(CheckpointError):
+        checkpoint_load(forged)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzz_byte_flip_in_checkpoint_rejected(saved_checkpoint, data):
+    raw = bytearray(saved_checkpoint.read_bytes())
+    at = data.draw(st.integers(0, len(raw) - 1), label="at")
+    raw[at] ^= data.draw(st.integers(1, 255), label="xor")
+    forged = saved_checkpoint.with_name("flipped.bin")
+    forged.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError):
+        checkpoint_load(forged)
 
 
 def _checkpoint_with_net_config(path, net_config):
