@@ -23,7 +23,6 @@ from srtg.gate import (
     cycle_consistent,
     fuse,
     init_lstm_params,
-    lstm_cell_step,
     nearest_frame_index,
     recursion,
     soft_nearest_neighbor,

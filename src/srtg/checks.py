@@ -58,11 +58,15 @@ def _check_primitives():
 
 
 def _check_lstm_layer():
-    # one layer, T=3, C=2
+    # one layer, N=2, T=4, C=2; the input is a parameter so the hand-written
+    # BPTT's input gradient is checked too
     rng = np.random.default_rng(1)
     params = init_lstm_params(2, num_layers=1, rng=rng)
-    xs = Tensor(rng.standard_normal((1, 3, 2)))
-    return grad_check(lambda: tt.sum_all(recursion(xs, params)), [p for _, p in params.named("l")])
+    leaves = [p for _, p in params.named("l")]
+    for bias in leaves[4:]:
+        bias.data += rng.standard_normal(2) * 0.5
+    xs = Tensor(rng.standard_normal((2, 4, 2)), requires_grad=True)
+    return grad_check(lambda: tt.sum_all(recursion(xs, params)), [xs] + leaves)
 
 
 def _check_srtg_unit(mode):

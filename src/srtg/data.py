@@ -162,11 +162,12 @@ def load_dataset(path) -> Dataset:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DatasetFormatError(f"{path}: corrupt header") from e
     off += hlen
-    try:
-        count = int(header["count"])
-        shape = tuple(int(v) for v in header["shape"])
-    except (KeyError, TypeError, ValueError, OverflowError) as e:  # int(inf) overflows
-        raise DatasetFormatError(f"{path}: header lacks a valid count and shape") from e
+    fields = header if isinstance(header, dict) else {}
+    count, shape = fields.get("count"), fields.get("shape")
+    # JSON integers only; type() and not isinstance(), so true and false fail
+    if not isinstance(shape, list) or any(type(v) is not int for v in [count, *shape]):
+        raise DatasetFormatError(f"{path}: header lacks a valid count and shape (JSON integers)")
+    shape = tuple(shape)
     if count < 1 or len(shape) != 4 or min(shape) < 1:
         raise DatasetFormatError(
             f"{path}: header count {count} and clip shape {list(shape)} must be positive, "

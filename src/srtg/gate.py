@@ -24,10 +24,8 @@ __all__ = [
     "GateDecision",
     "LstmLayerParams",
     "LstmParams",
-    "LstmState",
     "init_lstm_params",
     "squeeze",
-    "lstm_cell_step",
     "recursion",
     "soft_match_weights",
     "soft_nearest_neighbor",
@@ -100,12 +98,6 @@ class LstmParams:
             yield from layer.named(f"{prefix}.layer{li}")
 
 
-@dataclass
-class LstmState:
-    h: Tensor
-    c: Tensor
-
-
 def init_lstm_params(channels: int, num_layers: int = 2, rng=None) -> LstmParams:
     """Uniform(+-1/sqrt(C)) weights, zero biases, forget bias +1.
 
@@ -137,38 +129,13 @@ def squeeze(volume: Tensor) -> Tensor:
     return tt.spatial_avg_pool(volume)
 
 
-def lstm_cell_step(x_t: Tensor, state: LstmState, layer: LstmLayerParams):
-    """One recurrent step; returns (h_t, new state).
-
-    f, i and the output gate are sigmoids of affine maps of [h_(t-1), x_t];
-    the candidate cell is a tanh; c_t = f*c_(t-1) + i*cand; h_t = o*tanh(c_t).
-    """
-    z = tt.concat_last(state.h, x_t)
-    f = tt.sigmoid(tt.affine(z, layer.w_f, layer.b_f))
-    i = tt.sigmoid(tt.affine(z, layer.w_i, layer.b_i))
-    cand = tt.tanh(tt.affine(z, layer.w_c, layer.b_c))
-    c = tt.add(tt.mul(f, state.c), tt.mul(i, cand))
-    o = tt.sigmoid(tt.affine(z, layer.w_a, layer.b_a))
-    h = tt.mul(o, tt.tanh(c))
-    return h, LstmState(h=h, c=c)
-
-
 def recursion(embedding: Tensor, params: LstmParams) -> Tensor:
-    """Run the stacked LSTM over (N, T, C); output is the last layer's hidden
-    sequence, same shape as the input."""
-    n, t, c = embedding.data.shape
+    """Run the stacked LSTM over (N, T, C), one `tt.lstm_layer` tape node per
+    layer; output is the last layer's hidden sequence, same shape as the input."""
     seq = embedding
     for layer in params.layers:
-        if layer.w_f.data.shape != (c, 2 * c):
-            raise ShapeError(
-                f"recursion: layer weights {layer.w_f.data.shape}, expected ({c}, {2 * c})"
-            )
-        state = LstmState(h=Tensor(np.zeros((n, c))), c=Tensor(np.zeros((n, c))))
-        outs = []
-        for step in range(t):
-            h, state = lstm_cell_step(tt.time_slice(seq, step), state, layer)
-            outs.append(h)
-        seq = tt.stack_time(outs)
+        seq = tt.lstm_layer(seq, (layer.w_f, layer.w_i, layer.w_c, layer.w_a),
+                            (layer.b_f, layer.b_i, layer.b_c, layer.b_a))
     return seq
 
 

@@ -31,9 +31,7 @@ __all__ = [
     "stable_softmax",
     "sum_all",
     "mean_all",
-    "concat_last",
-    "time_slice",
-    "stack_time",
+    "lstm_layer",
     "conv3d",
     "batch_norm",
     "max_pool3d",
@@ -205,12 +203,9 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so exp never overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -257,42 +252,74 @@ def mean_all(x: Tensor) -> Tensor:
     )
 
 
-def concat_last(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape[:-1] != b.data.shape[:-1]:
-        raise ShapeError(
-            f"concat_last: leading shapes {a.data.shape[:-1]} vs {b.data.shape[:-1]} differ"
-        )
-    na = a.data.shape[-1]
+def lstm_layer(seq: Tensor, weights, biases) -> Tensor:
+    """One LSTM layer over a (N, T, C_in) sequence -> (N, T, C) hidden states.
+
+    weights are the forget, input, candidate and output gates' (C, C + C_in)
+    maps of [h_(t-1), x_t], biases their (C,) offsets; from zero state,
+    c_t = f*c_(t-1) + i*cand and h_t = o*tanh(c_t), with sigmoid f, i, o and a
+    tanh candidate. The input half of every gate is one matmul over the whole
+    sequence (cuDNN's hoisted projection); only h_(t-1) @ W_h^T runs per step.
+    One tape node: its BPTT backward collects dz for every gate and step, then
+    dW, db and dseq are one matmul or sum each.
+    """
+    if seq.data.ndim != 3:
+        raise ShapeError(f"lstm_layer: input must be (N, T, C), got {seq.data.shape}")
+    n, t, cin = seq.data.shape
+    c = weights[0].data.shape[0]
+    for w, b in zip(weights, biases):
+        if w.data.shape != (c, c + cin) or b.data.shape != (c,):
+            raise ShapeError(f"lstm_layer: gate weights {w.data.shape} and bias "
+                             f"{b.data.shape}, expected ({c}, {c + cin}) and ({c},)")
+    wcat = np.concatenate([w.data for w in weights])  # (4C, C + C_in): f | i | cand | o
+    wh = np.ascontiguousarray(wcat[:, :c])
+    whT = np.ascontiguousarray(wh.T)
+    wx = wcat[:, c:]
+    # time-major, so every step reads and writes contiguous (N, .) rows
+    xs = np.ascontiguousarray(seq.data.transpose(1, 0, 2))
+    zx = (xs.reshape(t * n, cin) @ wx.T).reshape(t, n, 4 * c)
+    zx += np.concatenate([b.data for b in biases])
+    acts = np.empty((t, n, 4 * c))  # gate activations
+    cs, hs = np.empty((t, n, c)), np.empty((t, n, c))
+    h = cell = np.zeros((n, c))
+    for s in range(t):
+        z = h @ whT
+        z += zx[s]
+        a = acts[s]
+        a[:] = _sigmoid(z)
+        np.tanh(z[:, 2 * c:3 * c], out=a[:, 2 * c:3 * c])
+        cell = np.multiply(a[:, :c], cell, out=cs[s])
+        cell += a[:, c:2 * c] * a[:, 2 * c:3 * c]
+        h = np.multiply(a[:, 3 * c:], np.tanh(cell), out=hs[s])
 
     def bwd(g):
-        return [(a, g[..., :na]), (b, g[..., na:])]
+        gt = g.transpose(1, 0, 2)
+        tc = np.tanh(cs)
+        f, i, cand, o = np.split(acts, 4, axis=-1)
+        first = np.zeros((1, n, c))
+        prev_c = np.concatenate([first, cs[:-1]])
+        # dz[s] = [dc, dc, dc, dh] * local[s], gate by gate
+        local = np.stack([prev_c * f * (1.0 - f), cand * i * (1.0 - i),
+                          i * (1.0 - cand * cand), tc * o * (1.0 - o)], axis=2)
+        dtc = o * (1.0 - tc * tc)
+        dz = np.empty((t, n, 4, c))
+        dh_next = dc_next = np.zeros((n, c))
+        for s in range(t - 1, -1, -1):
+            dh = gt[s] + dh_next
+            dc = dh * dtc[s]
+            dc += dc_next
+            np.multiply(dc[:, None], local[s, :, :3], out=dz[s, :, :3])
+            np.multiply(dh, local[s, :, 3], out=dz[s, :, 3])
+            dc_next = dc * f[s]
+            dh_next = dz[s].reshape(n, 4 * c) @ wh
+        dz = dz.reshape(t * n, 4 * c)
+        inputs = np.concatenate([np.concatenate([first, hs[:-1]]), xs], axis=-1)
+        dw = np.split(dz.T @ inputs.reshape(t * n, c + cin), 4)
+        db = np.split(dz.sum(axis=0), 4)
+        dseq = (dz @ wx).reshape(t, n, cin).transpose(1, 0, 2)
+        return [(seq, dseq)] + list(zip(weights, dw)) + list(zip(biases, db))
 
-    return _result(np.concatenate([a.data, b.data], axis=-1), (a, b), bwd)
-
-
-def time_slice(x: Tensor, t: int) -> Tensor:
-    """Select timestep t from a (N, T, C) sequence -> (N, C)."""
-    if x.data.ndim != 3:
-        raise ShapeError(f"time_slice expects (N, T, C), got {x.data.shape}")
-    shape = x.data.shape
-
-    def bwd(g):
-        full = np.zeros(shape, dtype=np.float64)
-        full[:, t, :] = g
-        return [(x, full)]
-
-    return _result(x.data[:, t, :].copy(), (x,), bwd)
-
-
-def stack_time(steps) -> Tensor:
-    """Stack T tensors of shape (N, C) into (N, T, C)."""
-    steps = list(steps)
-    data = np.stack([s.data for s in steps], axis=1)
-
-    def bwd(g):
-        return [(s, g[:, t, :]) for t, s in enumerate(steps)]
-
-    return _result(data, tuple(steps), bwd)
+    return _result(hs.transpose(1, 0, 2), (seq, *weights, *biases), bwd)
 
 
 # ---------------------------------------------------------------------------

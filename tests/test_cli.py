@@ -1,12 +1,16 @@
 """End-to-end CLI tests: artifact layout, exit codes, determinism, resume."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import struct
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srtg.cli import main
 from srtg.data import load_dataset, save_dataset
@@ -302,6 +306,35 @@ def test_evaluate_label_outside_classes_exits_2(tmp_path, capsys):
         assert rc == 2
         err = capsys.readouterr().err
         assert err == f"runtime error: softmax_cross_entropy: label {label} outside [0, 2)\n"
+
+
+@pytest.fixture(scope="module")
+def toy_checkpoint(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli_fuzz")
+    data = _gen(root)
+    assert main(_train_args(data, root / "run", epochs=1)) == 0
+    return root / "run" / "checkpoint.bin", data / "val.bin"
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzz_damaged_checkpoint_evaluate_exits_2_with_one_line(toy_checkpoint, data):
+    ckpt, val = toy_checkpoint
+    raw = bytearray(ckpt.read_bytes())
+    if data.draw(st.booleans(), label="flip"):
+        at = data.draw(st.integers(0, len(raw) - 1), label="at")
+        raw[at] ^= data.draw(st.integers(1, 255), label="xor")
+    else:
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="cut")]
+    forged = ckpt.with_name("damaged.bin")
+    forged.write_bytes(bytes(raw))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["evaluate", "--checkpoint", str(forged), "--data", str(val)])
+    assert rc == 2
+    lines = err.getvalue().splitlines()
+    # one line and no traceback
+    assert len(lines) == 1 and lines[0].startswith("runtime error: "), lines
 
 
 def test_effective_config_written_before_run(tmp_path):

@@ -181,6 +181,27 @@ def saved_dataset(tmp_path_factory):
     return path, ds
 
 
+@pytest.mark.parametrize("key, value", [
+    ("count", "2"), ("count", 2.9), ("count", 2.0), ("count", True),
+    ("shape", "1344"), ("shape", [1, 3, 4.0, 4]), ("shape", [1, 3, "4", 4]),
+    ("shape", [True, 3, 4, 4]),
+], ids=["count_string", "count_float", "count_integral_float", "count_bool", "shape_string",
+        "shape_float_extent", "shape_string_extent", "shape_bool_extent"])
+def test_header_count_and_shape_must_be_json_integers(saved_dataset, key, value):
+    # a lenient int() would load each of these: "1344" as this file's shape
+    # [1, 3, 4, 4], 2.9 as the count 2
+    path, _ = saved_dataset
+    raw = path.read_bytes()
+    hlen = struct.unpack_from("<IQ", raw, 8)[1]
+    header = json.loads(raw[20 : 20 + hlen])
+    header[key] = value
+    hjson = json.dumps(header).encode()
+    forged = path.with_name("typed.bin")
+    forged.write_bytes(raw[:8] + struct.pack("<IQ", 1, len(hjson)) + hjson + raw[20 + hlen :])
+    with pytest.raises(DatasetFormatError, match="JSON integers"):
+        load_dataset(forged)
+
+
 def test_every_truncation_rejected(saved_dataset):
     path, _ = saved_dataset
     raw = path.read_bytes()

@@ -2,6 +2,9 @@
 fixtures, brute-force consistency oracle, and the gating properties."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +17,6 @@ from srtg.gate import (
     GateVerdict,
     LstmLayerParams,
     LstmParams,
-    LstmState,
     cycle_consistent,
     fuse,
     init_lstm_params,
@@ -74,43 +76,53 @@ def test_squeeze_single_pixel_passthrough():
 # ---------------------------------------------------------------------------
 
 
+def _random_layer(rng, c, bias_scale=0.5):
+    """A layer with random weights and biases, plus the same values as the
+    nested lists lstm_oracle takes."""
+    arrs = {k: rng.standard_normal((c, 2 * c)) for k in "fica"}
+    bs = {k: rng.standard_normal(c) * bias_scale for k in "fica"}
+    layer = _layer_from_arrays(
+        arrs["f"], arrs["i"], arrs["c"], arrs["a"], bs["f"], bs["i"], bs["c"], bs["a"]
+    )
+    return layer, {k: v.tolist() for k, v in arrs.items()}, {k: v.tolist() for k, v in bs.items()}
+
+
 def test_cell_zero_params_zero_output():
-    layer = _zero_layer(3)
-    state = LstmState(h=Tensor(np.zeros((2, 3))), c=Tensor(np.zeros((2, 3))))
-    h, _ = sg.lstm_cell_step(Tensor(np.ones((2, 3))), state, layer)
-    np.testing.assert_array_equal(h.data, np.zeros((2, 3)))
+    out = sg.recursion(Tensor(np.ones((2, 5, 3))), LstmParams([_zero_layer(3)]))
+    np.testing.assert_array_equal(out.data, np.zeros((2, 5, 3)))
 
 
 def test_cell_saturated_forget_gate_preserves_cell():
-    c = 2
+    # the first frame opens the input gate and writes tanh(b_c), scaled per
+    # clip, into the cell; afterwards the input gate is shut and b_f = 50
+    # keeps the cell, so h stays o * tanh(c_0) on every later frame
+    c, n, t = 2, 2, 6
     layer = _zero_layer(c)
+    layer.w_i = Tensor(np.hstack([np.zeros((c, c)), 100.0 * np.eye(c)]), requires_grad=True)
+    layer.b_i = Tensor(np.full(c, -50.0), requires_grad=True)
     layer.b_f = Tensor(np.full(c, 50.0), requires_grad=True)
-    v = np.array([[0.3, -0.7]])
-    state = LstmState(h=Tensor(np.zeros((1, c))), c=Tensor(v))
-    _, new = sg.lstm_cell_step(Tensor(np.zeros((1, c))), state, layer)
-    np.testing.assert_allclose(new.c.data, v, rtol=0, atol=1e-15)
+    layer.b_c = Tensor(np.array([0.3, -0.7]), requires_grad=True)
+    layer.b_a = Tensor(np.array([0.4, -1.1]), requires_grad=True)
+    x = np.zeros((n, t, c))
+    x[0, 0] = 1.0
+    x[1, 0] = 0.6
+    out = sg.recursion(Tensor(x), LstmParams([layer]))
+    gate_in = 1.0 / (1.0 + np.exp(-(100.0 * x[:, 0] - 50.0)))
+    cell = gate_in * np.tanh(layer.b_c.data)
+    expect = 1.0 / (1.0 + np.exp(-layer.b_a.data)) * np.tanh(cell)
+    for step in range(t):
+        np.testing.assert_allclose(out.data[:, step], expect, rtol=0, atol=1e-15)
 
 
 def test_cell_matches_scalar_oracle():
     rng = np.random.default_rng(1)
-    c = 2
-    arrs = {k: rng.standard_normal((c, 2 * c)) for k in "fica"}
-    bs = {k: rng.standard_normal(c) * 0.3 for k in "fica"}
-    layer = _layer_from_arrays(
-        arrs["f"], arrs["i"], arrs["c"], arrs["a"], bs["f"], bs["i"], bs["c"], bs["a"]
-    )
-    xs = rng.standard_normal((3, c))
-    state = LstmState(h=Tensor(np.zeros((1, c))), c=Tensor(np.zeros((1, c))))
-    got = []
-    for t in range(3):
-        h, state = sg.lstm_cell_step(Tensor(xs[t : t + 1]), state, layer)
-        got.append(h.data[0])
-    expect = lstm_oracle(
-        xs.tolist(),
-        {k: arrs[k].tolist() for k in arrs},
-        {k: bs[k].tolist() for k in bs},
-    )
-    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+    c, n, t = 3, 3, 6
+    layer, weights, biases = _random_layer(rng, c)
+    xs = rng.standard_normal((n, t, c))
+    out = sg.recursion(Tensor(xs), LstmParams([layer]))
+    for clip in range(n):
+        expect = lstm_oracle(xs[clip].tolist(), weights, biases)
+        np.testing.assert_allclose(out.data[clip], expect, rtol=0, atol=1e-12)
 
 
 def test_recursion_zero_params_zero_sequence():
@@ -121,14 +133,13 @@ def test_recursion_zero_params_zero_sequence():
 
 def test_recursion_t1_equals_cell_composition():
     rng = np.random.default_rng(2)
-    params = init_lstm_params(3, rng=rng)
-    x = rng.standard_normal((1, 1, 3))
-    out = sg.recursion(Tensor(x), params)
-    state = LstmState(h=Tensor(np.zeros((1, 3))), c=Tensor(np.zeros((1, 3))))
-    h1, _ = sg.lstm_cell_step(Tensor(x[:, 0]), state, params.layers[0])
-    state2 = LstmState(h=Tensor(np.zeros((1, 3))), c=Tensor(np.zeros((1, 3))))
-    h2, _ = sg.lstm_cell_step(h1, state2, params.layers[1])
-    np.testing.assert_array_equal(out.data[:, 0], h2.data)
+    first, w1, b1 = _random_layer(rng, 3)
+    second, w2, b2 = _random_layer(rng, 3)
+    x = rng.standard_normal((2, 1, 3))
+    out = sg.recursion(Tensor(x), LstmParams([first, second]))
+    for clip in range(2):
+        expect = lstm_oracle(lstm_oracle(x[clip].tolist(), w1, b1), w2, b2)
+        np.testing.assert_allclose(out.data[clip], expect, rtol=0, atol=1e-12)
 
 
 def test_recursion_matches_unrolled_oracle():
@@ -151,6 +162,41 @@ def test_recursion_matches_unrolled_oracle():
     for arrs, bs in raw:
         seq = lstm_oracle(seq, {k: arrs[k].tolist() for k in arrs}, {k: bs[k].tolist() for k in bs})
     np.testing.assert_allclose(out.data[0], seq, rtol=0, atol=1e-12)
+
+
+_RERUN_SCRIPT = """
+import hashlib, numpy as np
+from srtg import tensor as tt
+from srtg.gate import init_lstm_params, recursion
+rng = np.random.default_rng(23)
+params = init_lstm_params(8, rng=rng)
+xd, g = rng.standard_normal((8, 32, 8)), rng.standard_normal((8, 32, 8))
+for _ in range(3):
+    x = tt.Tensor(xd, requires_grad=True)
+    out = recursion(x, params)
+    tt.backward(tt.sum_all(tt.mul(out, tt.Tensor(g))))
+    grads = [x.grad] + [p.grad for _, p in params.named("l")]
+    print(hashlib.sha256(b"".join(a.tobytes() for a in [out.data] + grads)).hexdigest())
+    for _, p in params.named("l"):
+        p.zero_grad()
+"""
+
+
+def test_recursion_bit_identical_across_runs_with_unpinned_blas():
+    # BLAS thread counts come from the environment; drop any pinning so the
+    # library's default threading is what runs
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tt.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    digests = set()
+    for _ in range(2):
+        run = subprocess.run([sys.executable, "-c", _RERUN_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        lines = run.stdout.split()
+        assert len(lines) == 3
+        digests.update(lines)
+    assert len(digests) == 1
 
 
 def test_recursion_dimension_mismatch():

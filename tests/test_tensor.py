@@ -363,9 +363,6 @@ def test_grad_check_every_primitive_small_shapes():
     labels = np.array([0, 3, 1])
     cases.append((lambda: tt.softmax_cross_entropy(tt.mul(sm, sm), labels), [sm]))
 
-    c1, c2 = _rand_params(rng, (2, 3), (2, 2))
-    cases.append((lambda: tt.mean_all(tt.tanh(tt.concat_last(c1, c2))), [c1, c2]))
-
     cx, cw, cb = _rand_params(rng, (1, 2, 3, 3, 3), (2, 2, 3, 3, 3), (2,))
     cases.append(
         (lambda: tt.sum_all(tt.sigmoid(tt.conv3d(cx, cw, cb, padding=(1, 1, 1)))), [cx, cw, cb])
@@ -383,14 +380,11 @@ def test_grad_check_every_primitive_small_shapes():
     mask = np.array([True, False, True])
     cases.append((lambda: tt.sum_all(tt.mul(tt.select_clips(mask, sa, sb), sa)), [sa, sb]))
 
-    seq = _rand_params(rng, (2, 3, 4))[0]
+    seq = _rand_params(rng, (2, 4, 3))[0]
+    gates = _rand_params(rng, *[(2, 5)] * 4)
+    gate_biases = _rand_params(rng, *[(2,)] * 4)
     cases.append(
-        (
-            lambda: tt.sum_all(
-                tt.stack_time([tt.tanh(tt.time_slice(seq, t)) for t in range(3)])
-            ),
-            [seq],
-        )
+        (lambda: tt.sum_all(tt.lstm_layer(seq, gates, gate_biases)), [seq, *gates, *gate_biases])
     )
 
     mp = _rand_params(rng, (1, 2, 4, 4, 4))[0]
