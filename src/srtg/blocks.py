@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from srtg import tensor as tt
-from srtg.config import PLACEMENTS, NetworkSpec
+from srtg.config import CONV_KINDS, PLACEMENTS, NetworkSpec
 from srtg.gate import init_lstm_params, srtg_unit
 from srtg.tensor import Tensor
 
@@ -64,7 +64,7 @@ class BlockSpec:
     def __post_init__(self):
         if self.depth_kind not in PLACEMENTS:
             raise BlockSpecError(f"unknown depth_kind {self.depth_kind!r}")
-        if self.conv_kind not in ("full_3d", "two_plus_one_d"):
+        if self.conv_kind not in CONV_KINDS:
             raise BlockSpecError(f"unknown conv_kind {self.conv_kind!r}")
         allowed = PLACEMENTS[self.depth_kind]
         if self.placement not in allowed:

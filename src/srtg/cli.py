@@ -62,7 +62,7 @@ def _load_cfg(args, seed_section=None):
     """Read config, apply --set overrides and the --seed shorthand."""
     cfg = config.read_config(args.config)
     config.apply_overrides(cfg, args.set or [])
-    if seed_section and getattr(args, "seed", None) is not None:
+    if seed_section and args.seed is not None:
         cfg.setdefault(seed_section, {})["seed"] = str(args.seed)
     return cfg
 
@@ -76,7 +76,8 @@ def _emit(payload, out_dir, filename):
     if out_dir is not None:
         with open(os.path.join(out_dir, filename), "w") as fh:
             fh.write(text + "\n")
-    print(text)
+    # flushed here, so a closed stdout pipe raises inside main, not at exit
+    print(text, flush=True)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +182,7 @@ def _cmd_evaluate(args):
 
 
 def _cmd_count_ops(args):
-    cfg = config.read_config(args.net)
-    config.apply_overrides(cfg, args.set or [])
+    cfg = _load_cfg(args)
     net_spec = config.network_spec(cfg)
     input_shape = config.parse_shape(args.input)
     out = _ensure_out(args.out) if args.out else None
@@ -259,11 +259,11 @@ def _build_parser():
         p.add_argument("--out", required=out_required, help="output directory")
         p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                        help="config override (repeatable)")
-        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
     p.add_argument("--config", required=True)
     common(p)
+    p.add_argument("--seed", type=int, default=None, help="sets synthetic.seed")
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="train a network")
@@ -272,6 +272,7 @@ def _build_parser():
     p.add_argument("--stop-after", type=int, default=None,
                    help="halt after this epoch (simulated interruption)")
     common(p)
+    p.add_argument("--seed", type=int, default=None, help="sets train.seed")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on a dataset")
@@ -283,7 +284,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("count-ops", help="analytic MAC/GFLOP report for a spec")
-    p.add_argument("--net", required=True, help="network config")
+    p.add_argument("--net", dest="config", required=True, help="network config")
     p.add_argument("--input", required=True, metavar="CxTxHxW")
     p.add_argument("--units", choices=("macs", "gflops"), default="macs")
     common(p, out_required=False)
@@ -302,7 +303,7 @@ def _build_parser():
     p.add_argument("--target", action="append",
                    choices=sorted(checks.CHECK_TOLERANCES),
                    help="check to run (repeatable; default all)")
-    common(p, out_required=False)
+    p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_grad_check)
 
     return parser
@@ -322,6 +323,13 @@ def main(argv=None) -> int:
         return 1
     except _RUNTIME_ERRORS as e:
         print(f"runtime error: {e}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # stdout was closed early (e.g. piped into head); point it at devnull
+        # so the interpreter's flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("runtime error: stdout was closed before the output was written",
+              file=sys.stderr)
         return 2
 
 

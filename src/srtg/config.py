@@ -1,15 +1,17 @@
 """Dataclass configs and the sectioned plain-text config format.
 
-Configs are INI files parsed with configparser; values are validated here
-against per-section key schemas (unknown keys are rejected) and turned into
-dataclasses. Dotted overrides look like `section.key=value`.
+Configs are INI files parsed with configparser. One dataclass per section is
+that section's whole schema: its fields are the keys (unknown keys are
+rejected), its defaults the defaults, each annotation picks the parser of the
+raw string and `__post_init__` rejects bad values. Stage sections are
+`[stage1]` to `[stageN]`, without gaps. Overrides look like `section.key=value`.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field
+from dataclasses import MISSING, astuple, dataclass, field, fields
 
 __all__ = [
     "ConfigError",
@@ -36,6 +38,7 @@ PLACEMENTS = {
     "bottleneck": ("none", "start", "top", "mid", "end", "res", "final"),
 }
 DEPTH_KINDS = tuple(PLACEMENTS)
+FUSION_MODES = ("multiplicative", "additive")
 FAMILIES = ("translate", "oscillate", "reversed_pair")
 
 
@@ -47,24 +50,51 @@ class ConfigError(ValueError):
 class StageSpec:
     blocks: int
     channels: int
-    stride: tuple[int, int, int]
+    stride: tuple[int, int, int] = (1, 1, 1)
+
+    def __post_init__(self):
+        if self.blocks < 1 or self.channels < 1:
+            raise ConfigError("stage: blocks and channels must be positive")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class NetworkSpec:
-    in_channels: int
+    in_channels: int = 3
     num_classes: int
-    conv_kind: str
-    depth_kind: str
-    placement: str
-    gate_active: bool
-    fusion_mode: str
-    stem_channels: int
-    stem_kernel: tuple[int, int, int]
-    stem_stride: tuple[int, int, int]
-    stem_pool_kernel: tuple[int, int, int] | None
-    stem_pool_stride: tuple[int, int, int] | None
+    conv_kind: str = "full_3d"
+    depth_kind: str = "simple"
+    placement: str = "final"
+    gate_active: bool = True
+    fusion_mode: str = "multiplicative"
+    stem_channels: int = 64
+    stem_kernel: tuple[int, int, int] = (3, 7, 7)
+    stem_stride: tuple[int, int, int] = (1, 2, 2)
+    stem_pool_kernel: tuple[int, int, int] | None = None
+    stem_pool_stride: tuple[int, int, int] | None = None
+    # filled from the [stageN] sections, not from a [network] key
     stages: list[StageSpec] = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.conv_kind not in CONV_KINDS:
+            raise ConfigError(f"network.conv_kind {self.conv_kind!r} not in {CONV_KINDS}")
+        if self.depth_kind not in DEPTH_KINDS:
+            raise ConfigError(f"network.depth_kind {self.depth_kind!r} not in {DEPTH_KINDS}")
+        allowed = PLACEMENTS[self.depth_kind]
+        if self.placement not in allowed:
+            raise ConfigError(
+                f"network.placement {self.placement!r} not valid for {self.depth_kind} "
+                f"blocks (allowed: {', '.join(allowed)})"
+            )
+        if self.fusion_mode not in FUSION_MODES:
+            raise ConfigError(f"network.fusion_mode {self.fusion_mode!r}")
+        if (self.stem_pool_kernel is None) != (self.stem_pool_stride is None):
+            raise ConfigError("network: stem_pool_kernel and stem_pool_stride go together")
+        if min(self.in_channels, self.num_classes, self.stem_channels) < 1:
+            raise ConfigError(
+                "network: in_channels, num_classes and stem_channels must be positive"
+            )
+        if not self.stages:
+            raise ConfigError("network: at least one [stageN] section is required")
 
 
 @dataclass
@@ -84,6 +114,8 @@ class TrainConfig:
             raise ConfigError("train: lr0, batch_size and epochs must be positive")
         if self.weight_decay < 0 or self.momentum < 0 or self.lr_decay <= 0:
             raise ConfigError("train: negative decay or momentum")
+        if self.frames_per_clip < 1:
+            raise ConfigError("train: frames_per_clip must be positive")
         if not self.milestones:
             self.milestones = (self.epochs // 2, (3 * self.epochs) // 4)
         self.milestones = tuple(sorted(m for m in self.milestones if m > 0))
@@ -126,73 +158,97 @@ class SyntheticSpec:
             raise ConfigError("synthetic: train_clips and val_clips must be at least 1")
 
 
+@dataclass
+class _DataPaths:
+    train: str
+    val: str
+
+
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
 
 
-def parse_triple(text: str) -> tuple[int, int, int]:
+def _dims(text: str, axes: str, what: str) -> tuple[int, ...]:
     parts = text.lower().split("x")
-    if len(parts) != 3:
-        raise ConfigError(f"expected TxHxW triple, got {text!r}")
+    if len(parts) != axes.count("x") + 1:
+        raise ConfigError(f"expected {axes} {what}, got {text!r}")
     try:
         vals = tuple(int(p) for p in parts)
     except ValueError as e:
-        raise ConfigError(f"bad triple {text!r}") from e
+        raise ConfigError(f"bad {what} {text!r}") from e
     if any(v < 1 for v in vals):
-        raise ConfigError(f"triple must be positive, got {text!r}")
+        raise ConfigError(f"{what} must be positive, got {text!r}")
     return vals
+
+
+def parse_triple(text: str) -> tuple[int, int, int]:
+    return _dims(text, "TxHxW", "triple")
 
 
 def parse_shape(text: str) -> tuple[int, int, int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 4:
-        raise ConfigError(f"expected CxTxHxW shape, got {text!r}")
-    try:
-        vals = tuple(int(p) for p in parts)
-    except ValueError as e:
-        raise ConfigError(f"bad shape {text!r}") from e
-    if any(v < 1 for v in vals):
-        raise ConfigError(f"shape must be positive, got {text!r}")
-    return vals
+    return _dims(text, "CxTxHxW", "shape")
 
 
-def _parse_bool(text: str, where: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{where}: expected a boolean, got {text!r}")
+def _parser(cast, expected: str):
+    """parser(text, where) applying `cast`; a failed cast names the key."""
+
+    def parse(text: str, where: str):
+        try:
+            return cast(text)
+        except (KeyError, ValueError) as e:
+            raise ConfigError(f"{where}: expected {expected}, got {text!r}") from e
+
+    return parse
 
 
-_SCHEMA = {
-    "network": {
-        "in_channels", "num_classes", "conv_kind", "depth_kind", "placement",
-        "gate_active", "fusion_mode", "stem_channels", "stem_kernel",
-        "stem_stride", "stem_pool_kernel", "stem_pool_stride",
-    },
-    "train": {
-        "lr0", "weight_decay", "momentum", "batch_size", "epochs",
-        "milestones", "lr_decay", "frames_per_clip", "seed",
-    },
-    "data": {"train", "val"},
-    "synthetic": {
-        "num_classes", "family", "channels", "frames", "height", "width",
-        "noise", "train_clips", "val_clips", "seed",
-    },
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+# field annotation (a string, under postponed evaluation) -> parser(text, where)
+_PARSERS = {
+    "int": _parser(int, "an integer"),
+    "float": _parser(float, "a number"),
+    "bool": _parser(lambda text: _BOOLS[text.strip().lower()], "a boolean"),
+    "str": lambda text, where: text,
+    "tuple[int, ...]": _parser(
+        lambda text: tuple(int(m) for m in text.split(",")) if text.strip() else (),
+        "a comma-separated list of integers",
+    ),
+    "tuple[int, int, int]": lambda text, where: parse_triple(text),
+    "tuple[int, int, int] | None": lambda text, where: (
+        None if text == "none" else parse_triple(text)
+    ),
 }
-_STAGE_KEYS = {"blocks", "channels", "stride"}
+_SECTIONS = {
+    "network": NetworkSpec,
+    "train": TrainConfig,
+    "data": _DataPaths,
+    "synthetic": SyntheticSpec,
+}
+# per class, built once: {key: (parser, required)}
+_KEYS = {
+    cls: {
+        f.name: (_PARSERS[f.type], f.default is MISSING)
+        for f in fields(cls)
+        if f.name != "stages"
+    }
+    for cls in (StageSpec, *_SECTIONS.values())
+}
 
 
 def _validate_sections(cfg: dict):
+    stages = {s for s in cfg if s.startswith("stage")}
+    if stages != {f"stage{i}" for i in range(1, len(stages) + 1)}:
+        raise ConfigError(
+            "stage sections must be numbered [stage1] to [stageN] without gaps, "
+            f"got {', '.join(sorted(stages))}"
+        )
     for section, keys in cfg.items():
-        if section.startswith("stage") and section[5:].isdigit():
-            extra = set(keys) - _STAGE_KEYS
-        elif section in _SCHEMA:
-            extra = set(keys) - _SCHEMA[section]
-        else:
+        cls = StageSpec if section in stages else _SECTIONS.get(section)
+        if cls is None:
             raise ConfigError(f"unknown config section [{section}]")
+        extra = set(keys) - _KEYS[cls].keys()
         if extra:
             raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(sorted(extra))}")
 
@@ -237,132 +293,33 @@ def write_config(cfg: dict, path: str):
         fh.write(buf.getvalue())
 
 
-def _get(cfg, section, key, default=None, required=False):
-    sec = cfg.get(section, {})
-    if key not in sec:
-        if required:
+def _build(cls, cfg: dict, section: str, **given):
+    """One section's dataclass from its raw strings; absent keys take the
+    field defaults, and a key without a default is required."""
+    raw = cfg.get(section, {})
+    values = {}
+    for key, (parse, required) in _KEYS[cls].items():
+        if key in raw:
+            values[key] = parse(raw[key], f"{section}.{key}")
+        elif required:
             raise ConfigError(f"missing required key {section}.{key}")
-        return default
-    return sec[key]
-
-
-def _get_int(cfg, section, key, default=None, required=False):
-    raw = _get(cfg, section, key, default=None, required=required)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as e:
-        raise ConfigError(f"{section}.{key}: expected an integer, got {raw!r}") from e
-
-
-def _get_float(cfg, section, key, default=None):
-    raw = _get(cfg, section, key)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError as e:
-        raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}") from e
+    return cls(**values, **given)
 
 
 def network_spec(cfg: dict) -> NetworkSpec:
-    conv_kind = _get(cfg, "network", "conv_kind", "full_3d")
-    if conv_kind not in CONV_KINDS:
-        raise ConfigError(f"network.conv_kind {conv_kind!r} not in {CONV_KINDS}")
-    depth_kind = _get(cfg, "network", "depth_kind", "simple")
-    if depth_kind not in DEPTH_KINDS:
-        raise ConfigError(f"network.depth_kind {depth_kind!r} not in {DEPTH_KINDS}")
-    placement = _get(cfg, "network", "placement", "final")
-    if placement not in PLACEMENTS[depth_kind]:
-        raise ConfigError(
-            f"network.placement {placement!r} not valid for {depth_kind} blocks "
-            f"(allowed: {', '.join(PLACEMENTS[depth_kind])})"
-        )
-    fusion = _get(cfg, "network", "fusion_mode", "multiplicative")
-    if fusion not in ("multiplicative", "additive"):
-        raise ConfigError(f"network.fusion_mode {fusion!r}")
-
-    pool_kernel = _get(cfg, "network", "stem_pool_kernel", "none")
-    pool_stride = _get(cfg, "network", "stem_pool_stride", "none")
-    stem_pool_kernel = None if pool_kernel == "none" else parse_triple(pool_kernel)
-    stem_pool_stride = None if pool_stride == "none" else parse_triple(pool_stride)
-    if (stem_pool_kernel is None) != (stem_pool_stride is None):
-        raise ConfigError("network: stem_pool_kernel and stem_pool_stride go together")
-
     stages = []
-    idx = 1
-    while f"stage{idx}" in cfg:
-        sec = f"stage{idx}"
-        stages.append(
-            StageSpec(
-                blocks=_get_int(cfg, sec, "blocks", required=True),
-                channels=_get_int(cfg, sec, "channels", required=True),
-                stride=parse_triple(_get(cfg, sec, "stride", "1x1x1")),
-            )
-        )
-        idx += 1
-    if not stages:
-        raise ConfigError("network: at least one [stageN] section is required")
-    for s in stages:
-        if s.blocks < 1 or s.channels < 1:
-            raise ConfigError("stage: blocks and channels must be positive")
-
-    return NetworkSpec(
-        in_channels=_get_int(cfg, "network", "in_channels", 3),
-        num_classes=_get_int(cfg, "network", "num_classes", required=True),
-        conv_kind=conv_kind,
-        depth_kind=depth_kind,
-        placement=placement,
-        gate_active=_parse_bool(_get(cfg, "network", "gate_active", "true"), "network.gate_active"),
-        fusion_mode=fusion,
-        stem_channels=_get_int(cfg, "network", "stem_channels", 64),
-        stem_kernel=parse_triple(_get(cfg, "network", "stem_kernel", "3x7x7")),
-        stem_stride=parse_triple(_get(cfg, "network", "stem_stride", "1x2x2")),
-        stem_pool_kernel=stem_pool_kernel,
-        stem_pool_stride=stem_pool_stride,
-        stages=stages,
-    )
+    while (section := f"stage{len(stages) + 1}") in cfg:
+        stages.append(_build(StageSpec, cfg, section))
+    return _build(NetworkSpec, cfg, "network", stages=stages)
 
 
 def train_config(cfg: dict) -> TrainConfig:
-    milestones_raw = _get(cfg, "train", "milestones", "")
-    milestones = ()
-    if milestones_raw.strip():
-        try:
-            milestones = tuple(int(m) for m in milestones_raw.split(","))
-        except ValueError as e:
-            raise ConfigError(f"train.milestones: bad list {milestones_raw!r}") from e
-    return TrainConfig(
-        lr0=_get_float(cfg, "train", "lr0", 0.1),
-        weight_decay=_get_float(cfg, "train", "weight_decay", 1e-6),
-        momentum=_get_float(cfg, "train", "momentum", 0.9),
-        batch_size=_get_int(cfg, "train", "batch_size", 8),
-        epochs=_get_int(cfg, "train", "epochs", 30),
-        milestones=milestones,
-        lr_decay=_get_float(cfg, "train", "lr_decay", 0.1),
-        frames_per_clip=_get_int(cfg, "train", "frames_per_clip", 16),
-        seed=_get_int(cfg, "train", "seed", 0),
-    )
+    return _build(TrainConfig, cfg, "train")
 
 
 def synthetic_spec(cfg: dict) -> SyntheticSpec:
-    return SyntheticSpec(
-        num_classes=_get_int(cfg, "synthetic", "num_classes", 2),
-        family=_get(cfg, "synthetic", "family", "reversed_pair"),
-        channels=_get_int(cfg, "synthetic", "channels", 1),
-        frames=_get_int(cfg, "synthetic", "frames", 8),
-        height=_get_int(cfg, "synthetic", "height", 16),
-        width=_get_int(cfg, "synthetic", "width", 16),
-        noise=_get_float(cfg, "synthetic", "noise", 0.05),
-        train_clips=_get_int(cfg, "synthetic", "train_clips", 400),
-        val_clips=_get_int(cfg, "synthetic", "val_clips", 100),
-        seed=_get_int(cfg, "synthetic", "seed", 0),
-    )
+    return _build(SyntheticSpec, cfg, "synthetic")
 
 
 def data_paths(cfg: dict) -> tuple[str, str]:
-    return (
-        _get(cfg, "data", "train", required=True),
-        _get(cfg, "data", "val", required=True),
-    )
+    return astuple(_build(_DataPaths, cfg, "data"))

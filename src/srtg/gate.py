@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from srtg import tensor as tt
+from srtg.config import FUSION_MODES
 from srtg.tensor import ShapeError, Tensor
 
 __all__ = [
@@ -34,8 +35,6 @@ __all__ = [
     "fuse",
     "srtg_unit",
 ]
-
-FUSION_MODES = ("multiplicative", "additive")
 
 
 class GateVerdict(str, enum.Enum):

@@ -6,12 +6,15 @@ import io
 import json
 import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import srtg
 from srtg.cli import main
 from srtg.data import load_dataset, save_dataset
 
@@ -229,6 +232,54 @@ def test_placement_missing_from_depth_kind_exits_1(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: network.placement 'top' not valid for simple blocks")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("setting", [
+    "network.in_channels=0",
+    "network.stem_channels=0",
+    "network.stem_channels=-1",
+    "network.num_classes=0",
+    "train.frames_per_clip=0",
+    "train.frames_per_clip=-3",
+])
+def test_bad_network_and_train_values_exit_1_at_parse_time(tmp_path, capsys, setting):
+    out = tmp_path / "run"
+    rc = main(["train", "--config", str(CONFIGS / "toy.cfg"), "--out", str(out),
+               "--set", setting])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert not out.exists()  # rejected before the run directory or data
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--checkpoint", "c.bin", "--data", "v.bin", "--seed", "1"],
+    ["count-ops", "--net", str(CONFIGS / "toy.cfg"), "--input", "1x8x16x16",
+     "--seed", "1"],
+    ["gate-analyze", "--checkpoint", "c.bin", "--data", "v.bin", "--seed", "1"],
+    ["grad-check", "--seed", "1"],
+    ["grad-check", "--set", "nonsense.key=1"],
+], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+def test_options_a_command_would_ignore_are_usage_errors(capsys, argv):
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_closed_stdout_pipe_exits_2_without_traceback():
+    pythonpath = [str(Path(srtg.__file__).resolve().parent.parent)]
+    if os.environ.get("PYTHONPATH"):
+        pythonpath.append(os.environ["PYTHONPATH"])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "srtg.cli", "count-ops", "--net", str(CONFIGS / "toy.cfg"),
+         "--input", "1x8x16x16"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath)),
+    )
+    proc.stdout.close()  # long before the command has imported numpy and written
+    _, err = proc.communicate(timeout=120)
+    err = err.decode()
+    assert proc.returncode == 2, err
+    assert "Traceback" not in err and len(err.strip().splitlines()) <= 1
 
 
 @pytest.mark.parametrize("size", ["0", "-1", "two"])

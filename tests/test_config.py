@@ -1,18 +1,27 @@
 """Config parsing, override, and echo round-trip tests."""
 
+from pathlib import Path
+
 import pytest
 
 from srtg.config import (
     ConfigError,
+    NetworkSpec,
+    StageSpec,
+    SyntheticSpec,
     TrainConfig,
     apply_overrides,
+    data_paths,
     network_spec,
     parse_shape,
     parse_triple,
     read_config,
+    synthetic_spec,
     train_config,
     write_config,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 MINI = """
 [network]
@@ -107,3 +116,59 @@ def test_echo_roundtrip(tmp_path, cfg_path):
     again = read_config(str(echo))
     assert train_config(again).epochs == 7
     assert network_spec(again).stages[0].channels == 8
+
+
+# ---------------------------------------------------------------------------
+# the dataclasses are the schema: each key and default is declared once
+# ---------------------------------------------------------------------------
+
+
+def test_absent_sections_build_the_dataclass_defaults():
+    assert train_config({}) == TrainConfig()
+    assert synthetic_spec({}) == SyntheticSpec()
+
+
+def test_minimal_network_config_builds_the_constructor_spec(cfg_path):
+    assert network_spec(read_config(cfg_path)) == NetworkSpec(
+        num_classes=2, in_channels=1, stem_kernel=(3, 3, 3), stem_stride=(1, 2, 2),
+        stages=[StageSpec(blocks=1, channels=8, stride=(1, 1, 1))],
+    )
+
+
+def test_stages_is_not_a_network_key(cfg_path):
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) in \[network\]: stages"):
+        apply_overrides(read_config(cfg_path), ["network.stages=1"])
+
+
+@pytest.mark.parametrize("stage", ["stage4", "stage0"])
+def test_stage_sections_must_count_from_one_without_gaps(stage):
+    # toy.cfg has [stage1] and [stage2]
+    cfg = read_config(str(CONFIGS / "toy.cfg"))
+    with pytest.raises(ConfigError, match="without gaps"):
+        apply_overrides(cfg, [f"{stage}.blocks=1", f"{stage}.channels=32"])
+
+
+def test_override_filling_the_next_stage_adds_it():
+    cfg = read_config(str(CONFIGS / "toy.cfg"))
+    apply_overrides(cfg, ["stage3.blocks=1", "stage3.channels=32"])
+    assert [s.channels for s in network_spec(cfg).stages] == [8, 16, 32]
+
+
+_BUILDERS = {
+    "network": network_spec,
+    "train": train_config,
+    "synthetic": synthetic_spec,
+    "data": data_paths,
+}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_bundled_config_echo_builds_equal_specs(tmp_path, path):
+    cfg = read_config(str(path))
+    echo = tmp_path / "effective.cfg"
+    write_config(cfg, str(echo))
+    again = read_config(str(echo))
+    builders = [build for section, build in _BUILDERS.items() if section in cfg]
+    assert builders
+    for build in builders:
+        assert build(again) == build(cfg)
