@@ -4,7 +4,8 @@ Each check compares analytic gradients against central finite differences
 (eps 1e-5) and reports the max relative error. Between them the checks run
 every tensor op a train step runs. Gated units run with the gate bypassed so
 the finite-difference surface stays smooth; the routing a closed gate applies
-is checked as `select_clips` under a fixed mask.
+is checked as `select_clips` under a fixed mask. Conv and block inputs hold two
+clips, so sums over clips (conv weight gradient, batch statistics) are checked.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ CHECK_TOLERANCES = {
 
 def _check_primitives():
     rng = np.random.default_rng(0)
-    x = Tensor(rng.standard_normal((1, 2, 3, 3, 3)))
+    x = Tensor(rng.standard_normal((2, 2, 3, 3, 3)))
     w = Tensor(rng.standard_normal((2, 2, 3, 3, 3)) * 0.4, requires_grad=True)
     b = Tensor(rng.standard_normal(2) * 0.1, requires_grad=True)
     v = Tensor(rng.standard_normal((1, 3, 2, 2, 2)) * 0.5, requires_grad=True)
@@ -95,7 +96,7 @@ def _check_block(depth_kind):
         gate_active=False,
     )
     block = build_block(spec, np.random.default_rng(5))
-    x = Tensor(rng.standard_normal((1, cin, 3, 3, 3)))
+    x = Tensor(rng.standard_normal((2, cin, 3, 3, 3)))
     params = [p for _, p in block.named_params("b")]
 
     def f():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import MISSING, astuple, dataclass, field, fields
 
 __all__ = [
@@ -116,6 +117,8 @@ class TrainConfig:
             raise ConfigError("train: negative decay or momentum")
         if self.frames_per_clip < 1:
             raise ConfigError("train: frames_per_clip must be positive")
+        if self.seed < 0:
+            raise ConfigError("train: seed must be non-negative")
         if not self.milestones:
             self.milestones = (self.epochs // 2, (3 * self.epochs) // 4)
         self.milestones = tuple(sorted(m for m in self.milestones if m > 0))
@@ -156,6 +159,8 @@ class SyntheticSpec:
             raise ConfigError("synthetic: negative noise level")
         if min(self.train_clips, self.val_clips) < 1:
             raise ConfigError("synthetic: train_clips and val_clips must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("synthetic: seed must be non-negative")
 
 
 @dataclass
@@ -202,13 +207,20 @@ def _parser(cast, expected: str):
     return parse
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):  # nan and inf pass every range check
+        raise ValueError(text)
+    return value
+
+
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 # field annotation (a string, under postponed evaluation) -> parser(text, where)
 _PARSERS = {
     "int": _parser(int, "an integer"),
-    "float": _parser(float, "a number"),
+    "float": _parser(_finite, "a finite number"),
     "bool": _parser(lambda text: _BOOLS[text.strip().lower()], "a boolean"),
     "str": lambda text, where: text,
     "tuple[int, ...]": _parser(

@@ -9,7 +9,6 @@ reduction order is fixed.
 from __future__ import annotations
 
 import itertools
-import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -340,6 +339,8 @@ def _windows(op, x, kernel, stride, padding, fill=0.0):
                 f"(input {ext}, kernel {k}, stride {s}, padding {p})"
             )
         extents.append(out)
+    if not any(padding):
+        return x.data, tuple(extents)
     pad = ((0, 0), (0, 0)) + tuple((p, p) for p in padding)
     return np.pad(x.data, pad, constant_values=fill), tuple(extents)
 
@@ -375,9 +376,12 @@ def conv3d(x: Tensor, w: Tensor, b=None, stride=(1, 1, 1), padding=(0, 0, 0)) ->
     offsets = list(itertools.product(*map(range, w.data.shape[2:])))
     wk = w.data.transpose(2, 3, 4, 0, 1)  # (kT, kH, kW, C_out, C_in) view
 
-    out = np.zeros((n, cout, math.prod(ext)), dtype=np.float64)
-    for off in offsets:
-        out += wk[off] @ xp[_tap(off, ext, stride)].reshape(n, cin, -1)
+    def tap(off):  # (N, C_in, oT*oH*oW)
+        return xp[_tap(off, ext, stride)].reshape(n, cin, -1)
+
+    out = wk[offsets[0]] @ tap(offsets[0])
+    for off in offsets[1:]:
+        out += wk[off] @ tap(off)
     out = out.reshape((n, cout) + ext)
     if b is not None:
         out += b.data.reshape(1, cout, 1, 1, 1)
@@ -389,10 +393,10 @@ def conv3d(x: Tensor, w: Tensor, b=None, stride=(1, 1, 1), padding=(0, 0, 0)) ->
         dw = np.zeros_like(w.data)
         dwk = dw.transpose(2, 3, 4, 0, 1)
         for off in offsets:
-            sl = _tap(off, ext, stride)
             if dxp is not None:
-                dxp[sl] += (wk[off].T @ g2).reshape((n, cin) + ext)
-            dwk[off] = np.tensordot(g2, xp[sl].reshape(n, cin, -1), ([0, 2], [0, 2]))
+                dxp[_tap(off, ext, stride)] += (wk[off].T @ g2).reshape((n, cin) + ext)
+            # one batched matmul, (N, C_out, C_in), then the sum over clips
+            dwk[off] = (g2 @ tap(off).transpose(0, 2, 1)).sum(axis=0)
         grads = [(w, dw)]
         if dxp is not None:
             grads.append((x, dxp[_tap(padding, x.data.shape[2:], (1, 1, 1))]))
@@ -527,45 +531,42 @@ def batch_norm(
     """
     if x.data.ndim != 5:
         raise ShapeError(f"batch_norm: input must be rank 5, got {x.data.shape}")
-    c = x.data.shape[1]
+    n, c = x.data.shape[:2]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ShapeError(f"batch_norm: affine params must have shape ({c},)")
-    axes = (0, 2, 3, 4)
-    view = (1, c, 1, 1, 1)
+    # channel rows: every reduction is over axes (0, 2) of an (N, C, T*H*W) view
+    rows = x.data.reshape(n, c, -1)
+    m = x.data.size // c
+    mean = rows.sum(axis=(0, 2)) / m if training else running_mean
+    xhat = rows - mean[:, None]  # centred here, normalized in place below
     if training:
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        var = np.einsum("ncm,ncm->c", xhat, xhat) / m
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * var
     else:
-        mean, var = running_mean, running_var
+        var = running_var
     invstd = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean.reshape(view)) * invstd.reshape(view)
-    out = gamma.data.reshape(view) * xhat + beta.data.reshape(view)
+    xhat *= invstd[:, None]
+    out = xhat * gamma.data[:, None]
+    out += beta.data[:, None]
 
-    if training:
-        m = x.data.size // c
+    def bwd(g):
+        g3 = g.reshape(n, c, -1)
+        dbeta = g3.sum(axis=(0, 2))
+        dgamma = np.einsum("ncm,ncm->c", g3, xhat)
+        scale = (gamma.data * invstd)[:, None]
+        if training:  # scale * (g - mean(g) - xhat * mean(g * xhat)), in one array
+            dx = xhat * (-dgamma / m)[:, None]
+            dx += g3
+            dx -= (dbeta / m)[:, None]
+            dx *= scale
+        else:
+            dx = g3 * scale
+        return [(x, dx.reshape(x.data.shape)), (gamma, dgamma), (beta, dbeta)]
 
-        def bwd(g):
-            dbeta = g.sum(axis=axes)
-            dgamma = (g * xhat).sum(axis=axes)
-            gs = gamma.data * invstd / m
-            dx = gs.reshape(view) * (
-                m * g - dbeta.reshape(view) - xhat * dgamma.reshape(view)
-            )
-            return [(x, dx), (gamma, dgamma), (beta, dbeta)]
-
-    else:
-
-        def bwd(g):
-            dbeta = g.sum(axis=axes)
-            dgamma = (g * xhat).sum(axis=axes)
-            dx = g * (gamma.data * invstd).reshape(view)
-            return [(x, dx), (gamma, dgamma), (beta, dbeta)]
-
-    return _result(out, (x, gamma, beta), bwd)
+    return _result(out.reshape(x.data.shape), (x, gamma, beta), bwd)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:

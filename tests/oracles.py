@@ -4,6 +4,7 @@ Everything here is deliberately naive (python loops, math module scalars)
 and must stay decoupled from the library's vectorized implementations.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -79,6 +80,29 @@ def pool_oracle(x):
                         acc += x[ni, ci, ti, y, z]
                 out[ni, ti, ci] = acc / (h * w)
     return out
+
+
+def batch_norm_oracle(x, gamma, beta, running_mean, running_var, training,
+                      momentum=0.1, eps=1e-5):
+    """Per-channel loops over (N, T, H, W): (out, new running mean, new
+    running var). Training uses the biased batch variance and moves the
+    buffers by `momentum`; eval normalizes with the buffers unchanged."""
+    n, c, t, h, w = x.shape
+    sites = list(itertools.product(range(n), range(t), range(h), range(w)))
+    out = np.zeros(x.shape)
+    new_mean, new_var = list(running_mean), list(running_var)
+    for ci in range(c):
+        vals = [x[ni, ci, ti, yi, zi] for ni, ti, yi, zi in sites]
+        if training:
+            mean = sum(vals) / len(vals)
+            var = sum((v - mean) ** 2 for v in vals) / len(vals)
+            new_mean[ci] = (1.0 - momentum) * running_mean[ci] + momentum * mean
+            new_var[ci] = (1.0 - momentum) * running_var[ci] + momentum * var
+        else:
+            mean, var = running_mean[ci], running_var[ci]
+        for (ni, ti, yi, zi), v in zip(sites, vals):
+            out[ni, ci, ti, yi, zi] = gamma[ci] * (v - mean) / math.sqrt(var + eps) + beta[ci]
+    return out, np.array(new_mean), np.array(new_var)
 
 
 def lstm_oracle(xs, weights, biases, c0=None, h0=None):

@@ -252,6 +252,35 @@ def test_bad_network_and_train_values_exit_1_at_parse_time(tmp_path, capsys, set
     assert not out.exists()  # rejected before the run directory or data
 
 
+@pytest.mark.parametrize("command,config,setting", [
+    ("train", "toy.cfg", "train.lr0=nan"),
+    ("train", "toy.cfg", "train.momentum=inf"),
+    ("train", "toy.cfg", "train.weight_decay=-inf"),
+    ("gen-data", "toy_data.cfg", "synthetic.noise=NaN"),
+])
+def test_non_finite_float_values_exit_1_at_parse_time(tmp_path, capsys, command, config,
+                                                      setting):
+    out = tmp_path / "run"
+    rc = main([command, "--config", str(CONFIGS / config), "--out", str(out),
+               "--set", setting])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "expected a finite number" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,config", [("gen-data", "toy_data.cfg"), ("train", "toy.cfg")])
+def test_negative_seed_exits_1_before_any_output(tmp_path, capsys, command, config):
+    out = tmp_path / "run"
+    rc = main([command, "--config", str(CONFIGS / config), "--out", str(out), "--seed", "-1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "seed must be non-negative" in err
+    assert not out.exists()  # no run directory, no effective.cfg
+
+
 @pytest.mark.parametrize("argv", [
     ["evaluate", "--checkpoint", "c.bin", "--data", "v.bin", "--seed", "1"],
     ["count-ops", "--net", str(CONFIGS / "toy.cfg"), "--input", "1x8x16x16",

@@ -26,7 +26,7 @@ from srtg.tensor import (
     grad_check,
 )
 
-from oracles import conv3d_grad_oracle, conv3d_oracle, pool_oracle
+from oracles import batch_norm_oracle, conv3d_grad_oracle, conv3d_oracle, pool_oracle
 
 # ---------------------------------------------------------------------------
 # conv3d
@@ -111,31 +111,42 @@ _RERUN_SCRIPT = """
 import hashlib, numpy as np
 from srtg import tensor as tt
 rng = np.random.default_rng(21)
-xd, wd = rng.standard_normal((8, 32, 32, 8, 8)), rng.standard_normal((32, 32, 1, 1, 1))
-g = rng.standard_normal((8, 32, 32, 8, 8))
-for _ in range(3):
-    x, w = tt.Tensor(xd, requires_grad=True), tt.Tensor(wd, requires_grad=True)
-    out = tt.conv3d(x, w, None)
+xd, g = rng.standard_normal((8, 32, 32, 8, 8)), rng.standard_normal((8, 32, 32, 8, 8))
+w1, w3 = rng.standard_normal((32, 32, 1, 1, 1)), rng.standard_normal((32, 32, 3, 3, 3))
+gamma, beta = rng.standard_normal(32), rng.standard_normal(32)
+
+def run(op, *leaves):
+    leaves = [tt.Tensor(a, requires_grad=True) for a in leaves]
+    out = op(*leaves)
     tt.backward(tt.sum_all(tt.mul(out, tt.Tensor(g))))
-    print(hashlib.sha256(out.data.tobytes() + x.grad.tobytes() + w.grad.tobytes()).hexdigest())
+    blob = out.data.tobytes() + b"".join(t.grad.tobytes() for t in leaves)
+    return hashlib.sha256(blob).hexdigest()
+
+for _ in range(3):
+    stats = np.zeros(32), np.ones(32)
+    print(run(lambda x, w: tt.conv3d(x, w, None), xd, w1),
+          run(lambda x, w: tt.conv3d(x, w, None, padding=(1, 1, 1)), xd, w3),
+          run(lambda x, ga, be: tt.batch_norm(x, ga, be, *stats, training=True), xd, gamma, beta),
+          hashlib.sha256(stats[0].tobytes() + stats[1].tobytes()).hexdigest())
 """
 
 
 def test_conv3d_bit_identical_across_runs_with_unpinned_blas():
     # BLAS thread counts come from the environment; drop any pinning so the
-    # library's default threading is what runs
+    # library's default threading is what runs. Each line hashes a 1x1x1 conv,
+    # a padded 3x3x3 conv and a training-mode batch_norm, forward and backward,
+    # and the batch_norm running buffers.
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     src = os.path.dirname(os.path.dirname(os.path.abspath(tt.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    digests = set()
+    lines = []
     for _ in range(2):
         run = subprocess.run([sys.executable, "-c", _RERUN_SCRIPT], env=env,
                              capture_output=True, text=True, timeout=300, check=True)
-        lines = run.stdout.split()
-        assert len(lines) == 3
-        digests.update(lines)
-    assert len(digests) == 1
+        lines += run.stdout.splitlines()
+    assert len(lines) == 6
+    assert len(set(lines)) == 1
 
 
 def test_conv3d_linearity():
@@ -159,6 +170,27 @@ def test_conv3d_nonpositive_extent():
     w = Tensor(np.zeros((1, 1, 3, 3, 3)))
     with pytest.raises(ShapeError, match="frames"):
         tt.conv3d(x, w, None)
+
+
+# ---------------------------------------------------------------------------
+# batch norm
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_batch_norm_matches_loop_oracle(training):
+    # N=3, C=4 and unequal T, H, W: a view that mixes clips and channels fails
+    rng = np.random.default_rng(17)
+    xd = rng.standard_normal((3, 4, 2, 3, 5)) * 1.5 + rng.standard_normal((1, 4, 1, 1, 1))
+    gamma, beta = rng.standard_normal(4), rng.standard_normal(4)
+    running_mean, running_var = rng.standard_normal(4), rng.random(4) + 0.5
+    want, want_mean, want_var = batch_norm_oracle(
+        xd, gamma, beta, running_mean, running_var, training)
+    out = tt.batch_norm(Tensor(xd), Tensor(gamma), Tensor(beta),
+                        running_mean, running_var, training)
+    np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(running_mean, want_mean, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(running_var, want_var, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
