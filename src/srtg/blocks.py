@@ -219,9 +219,11 @@ class BatchNorm3dLayer:
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
 
-    def __call__(self, x, training):
-        return tt.batch_norm(x, self.gamma, self.beta,
-                             self.running_mean, self.running_var, training)
+    def __call__(self, x, training, relu=False):
+        # x is always a fresh conv output that nothing else reads (the stem,
+        # mid_bn, every step's norm and down_bn), so the norm reuses its buffer
+        return tt.batch_norm(x, self.gamma, self.beta, self.running_mean,
+                             self.running_var, training, relu=relu, inplace=True)
 
     def named_params(self, prefix):
         yield f"{prefix}.gamma", self.gamma
@@ -248,8 +250,7 @@ class STConv:
 
     def __call__(self, x, training):
         if self.factorized:
-            h = tt.relu(self.mid_bn(self.spatial(x), training))
-            return self.temporal(h)
+            return self.temporal(self.mid_bn(self.spatial(x), training, relu=True))
         return self.conv(x)
 
     def named_params(self, prefix):
@@ -318,8 +319,7 @@ class Block:
     def forward(self, x, training, gate_log):
         def conv(step, h):
             st_conv, bn = self._layers[step.tag]
-            h = bn(st_conv(h, training), training)
-            return tt.relu(h) if step.relu else h
+            return bn(st_conv(h, training), training, relu=step.relu)
 
         def gate(h):
             return self.srtg(h, gate_log, f"{self.name}.srtg")
@@ -371,7 +371,7 @@ class Network:
                 f"got {x.data.shape}"
             )
         gate_log = []
-        h = tt.relu(self.stem_bn(self.stem_conv(x), training))
+        h = self.stem_bn(self.stem_conv(x), training, relu=True)
         if self.spec.stem_pool_kernel is not None:
             k = self.spec.stem_pool_kernel
             h = tt.max_pool3d(h, k, self.spec.stem_pool_stride,

@@ -44,6 +44,7 @@ def _check_primitives():
     sa = Tensor(rng.standard_normal((2, 3, 2)) * 0.5, requires_grad=True)
     sb = Tensor(rng.standard_normal((2, 3, 2)) * 0.5, requires_grad=True)
     mask = np.array([True, False])
+    gamma, beta = (Tensor(rng.standard_normal(2) * 0.1 + k, requires_grad=True) for k in (1, 0))
 
     def head():
         pooled = tt.global_avg_pool(tt.max_pool3d(hv, (1, 3, 3), (1, 2, 2), (0, 1, 1)))
@@ -54,6 +55,9 @@ def _check_primitives():
         (lambda: tt.sum_all(tt.sigmoid(tt.spatial_avg_pool(v))), [v]),
         (head, [hv, hw, hb]),
         (lambda: tt.sum_all(tt.tanh(tt.select_clips(mask, tt.mul(sa, sb), sb))), [sa, sb]),
+        (lambda: tt.sum_all(tt.tanh(tt.batch_norm(
+            tt.conv3d(x, w, padding=(1, 1, 1)), gamma, beta, np.zeros(2), np.ones(2),
+            training=True, relu=True, inplace=True))), [w, gamma, beta]),
     ]
     return max(grad_check(f, params) for f, params in cases)
 

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from srtg import checks, config, data, opcount, train as training
 from srtg.blocks import Network
@@ -106,6 +107,22 @@ def _cmd_gen_data(args):
     return 0
 
 
+def _check_resumes_this_run(state, path, seed, net_spec):
+    """A checkpoint of another seed or network restores into equal shapes and
+    would train on silently; checkpoints without net_config skip the second
+    check."""
+    if state["seed"] != seed:
+        raise ConfigError(f"{path} was written with train.seed {state['seed']}, "
+                          f"but this run has train.seed {seed}")
+    if state["net_config"]:
+        saved = config.network_spec(state["net_config"])
+        changed = [f.name for f in fields(saved)
+                   if getattr(saved, f.name) != getattr(net_spec, f.name)]
+        if changed:
+            raise ConfigError(f"{path} was written for another network: "
+                              f"{', '.join(changed)} differ")
+
+
 def _cmd_train(args):
     cfg = _load_cfg(args, seed_section="train")
     net_spec = config.network_spec(cfg)
@@ -120,6 +137,7 @@ def _cmd_train(args):
     start_epoch = 0
     if args.resume:
         state = checkpoint_load(args.resume)
+        _check_resumes_this_run(state, args.resume, train_cfg.seed, net_spec)
         apply_checkpoint(net, optimizer, state)
         start_epoch = state["epoch"]
     net_sections = {

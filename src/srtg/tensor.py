@@ -108,10 +108,15 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+def _records(parents):
+    """Whether an op over `parents` records a tape node: gradients can flow."""
+    return _grad_enabled and any(p.needs_grad for p in parents)
+
+
 def _result(data, parents, bwd):
     """Wrap an op output, recording the closure only when gradients can flow."""
     out = Tensor(data)
-    if _grad_enabled and any(p.needs_grad for p in parents):
+    if _records(parents):
         out._parents = tuple(parents)
         out._bwd = bwd
     return out
@@ -523,11 +528,16 @@ def batch_norm(
     training: bool,
     momentum: float = 0.1,
     eps: float = 1e-5,
+    *,
+    relu: bool = False,
+    inplace: bool = False,
 ) -> Tensor:
     """Per-channel batch normalization over (N, T, H, W) of a rank-5 volume.
 
     Training mode normalizes with batch statistics (biased variance) and
     updates the running buffers in place; eval mode uses the running buffers.
+    `relu` fuses the following relu into this node (InPlace-ABN, Rota Bulo et
+    al. 2018); `inplace` overwrites x.data, for an input nothing else reads.
     """
     if x.data.ndim != 5:
         raise ShapeError(f"batch_norm: input must be rank 5, got {x.data.shape}")
@@ -538,7 +548,8 @@ def batch_norm(
     rows = x.data.reshape(n, c, -1)
     m = x.data.size // c
     mean = rows.sum(axis=(0, 2)) / m if training else running_mean
-    xhat = rows - mean[:, None]  # centred here, normalized in place below
+    # centred here and normalized in place below; the backward never reads x
+    xhat = np.subtract(rows, mean[:, None], out=rows if inplace else None)
     if training:
         var = np.einsum("ncm,ncm->c", xhat, xhat) / m
         running_mean *= 1.0 - momentum
@@ -549,11 +560,16 @@ def batch_norm(
         var = running_var
     invstd = 1.0 / np.sqrt(var + eps)
     xhat *= invstd[:, None]
-    out = xhat * gamma.data[:, None]
+    # only the backward reads xhat, so without a tape node it holds the output
+    out = np.multiply(xhat, gamma.data[:, None], out=None if _records((x, gamma, beta)) else xhat)
     out += beta.data[:, None]
+    if relu:
+        np.maximum(out, 0.0, out=out)
 
     def bwd(g):
         g3 = g.reshape(n, c, -1)
+        if relu:  # multiply, as relu's backward does, so zeros keep their sign
+            g3 = g3 * (out > 0.0)
         dbeta = g3.sum(axis=(0, 2))
         dgamma = np.einsum("ncm,ncm->c", g3, xhat)
         scale = (gamma.data * invstd)[:, None]

@@ -202,6 +202,26 @@ def test_network_identical_clips_identical_logits():
     np.testing.assert_array_equal(logits.data[0], logits.data[1])
 
 
+@pytest.mark.parametrize("spec", [
+    _mini_network_spec(),
+    _mini_network_spec(placement="mid", depth="bottleneck", conv="two_plus_one_d",
+                       channels=(4, 4)),
+], ids=["toy_gated", "bottleneck_2plus1d_mid"])
+def test_network_eval_without_tape_matches_eval_with_tape(spec):
+    # without a tape every batch norm writes its output over the conv output;
+    # the logits, the gate decisions and the caller's clips must not notice
+    net = Network(spec, seed=8)
+    x = np.random.default_rng(24).standard_normal((2, 1, 8, 16, 16))
+    clips = x.copy()
+    taped, taped_log = net.forward(x)
+    assert taped._bwd is not None and x.tobytes() == clips.tobytes()
+    with tt.no_grad():
+        untaped, untaped_log = net.forward(x)
+    assert untaped._bwd is None and x.tobytes() == clips.tobytes()
+    assert untaped.data.tobytes() == taped.data.tobytes()
+    assert taped_log and untaped_log == taped_log
+
+
 def test_network_smoke_backward_populates_all_grads():
     net = Network(_mini_network_spec(), seed=2)
     x = np.random.default_rng(20).standard_normal((2, 1, 8, 16, 16))

@@ -111,6 +111,26 @@ def test_resume_matches_uninterrupted(tmp_path):
     assert (full / "checkpoint.bin").read_bytes() == (resumed / "checkpoint.bin").read_bytes()
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--seed", "99"], "written with train.seed 7, but this run has train.seed 99"),
+    (["--set", "network.fusion_mode=additive", "--set", "network.gate_active=false"],
+     "written for another network: gate_active, fusion_mode differ"),
+], ids=["seed", "network"])
+def test_resume_from_another_run_exits_1_before_any_epoch(tmp_path, capsys, extra, message):
+    # same parameter shapes, so without the checks the run would train on
+    data = _gen(tmp_path)
+    part = tmp_path / "part"
+    assert main(_train_args(data, part, extra=["--stop-after", "1"])) == 0
+    capsys.readouterr()
+    resumed = tmp_path / "resumed"
+    rc = main(_train_args(data, resumed,
+                          extra=["--resume", str(part / "checkpoint.bin"), *extra]))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+    assert not (resumed / "metrics.csv").exists()
+
+
 def test_evaluate_checkpoint(tmp_path, capsys):
     data = _gen(tmp_path)
     run = tmp_path / "run"

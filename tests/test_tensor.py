@@ -1,5 +1,6 @@
 """Tensor engine tests: loop oracles first, then autodiff and invariants."""
 
+import contextlib
 import hashlib
 import inspect
 import itertools
@@ -122,20 +123,30 @@ def run(op, *leaves):
     blob = out.data.tobytes() + b"".join(t.grad.tobytes() for t in leaves)
     return hashlib.sha256(blob).hexdigest()
 
+def run_eval():
+    with tt.no_grad():
+        out = tt.batch_norm(tt.Tensor(xd.copy()), tt.Tensor(gamma), tt.Tensor(beta), *stats,
+                            training=False, relu=True, inplace=True)
+    return hashlib.sha256(out.data.tobytes()).hexdigest()
+
 for _ in range(3):
     stats = np.zeros(32), np.ones(32)
     print(run(lambda x, w: tt.conv3d(x, w, None), xd, w1),
           run(lambda x, w: tt.conv3d(x, w, None, padding=(1, 1, 1)), xd, w3),
           run(lambda x, ga, be: tt.batch_norm(x, ga, be, *stats, training=True), xd, gamma, beta),
-          hashlib.sha256(stats[0].tobytes() + stats[1].tobytes()).hexdigest())
+          run(lambda x, ga, be: tt.batch_norm(x, ga, be, *stats, training=True,
+                                              relu=True, inplace=True), xd.copy(), gamma, beta),
+          hashlib.sha256(stats[0].tobytes() + stats[1].tobytes()).hexdigest(),
+          run_eval())
 """
 
 
 def test_conv3d_bit_identical_across_runs_with_unpinned_blas():
     # BLAS thread counts come from the environment; drop any pinning so the
-    # library's default threading is what runs. Each line hashes a 1x1x1 conv,
-    # a padded 3x3x3 conv and a training-mode batch_norm, forward and backward,
-    # and the batch_norm running buffers.
+    # library's default threading is what runs. Each repeat hashes a 1x1x1
+    # conv, a padded 3x3x3 conv, a training-mode batch_norm and its fused
+    # in-place relu form, forward and backward, and the batch_norm running
+    # buffers, then an eval-mode fused batch_norm without a tape.
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     src = os.path.dirname(os.path.dirname(os.path.abspath(tt.__file__)))
@@ -177,8 +188,10 @@ def test_conv3d_nonpositive_extent():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("training", [True, False])
-def test_batch_norm_matches_loop_oracle(training):
+@pytest.mark.parametrize("training, relu", [(True, False), (False, False), (True, True),
+                                             (False, True)],
+                         ids=["True", "False", "True-relu", "False-relu"])
+def test_batch_norm_matches_loop_oracle(training, relu):
     # N=3, C=4 and unequal T, H, W: a view that mixes clips and channels fails
     rng = np.random.default_rng(17)
     xd = rng.standard_normal((3, 4, 2, 3, 5)) * 1.5 + rng.standard_normal((1, 4, 1, 1, 1))
@@ -187,10 +200,42 @@ def test_batch_norm_matches_loop_oracle(training):
     want, want_mean, want_var = batch_norm_oracle(
         xd, gamma, beta, running_mean, running_var, training)
     out = tt.batch_norm(Tensor(xd), Tensor(gamma), Tensor(beta),
-                        running_mean, running_var, training)
-    np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+                        running_mean, running_var, training, relu=relu)
+    np.testing.assert_allclose(out.data, np.maximum(want, 0.0) if relu else want,
+                               rtol=0, atol=1e-12)
     np.testing.assert_allclose(running_mean, want_mean, rtol=0, atol=1e-14)
     np.testing.assert_allclose(running_var, want_var, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("tape", [True, False], ids=["tape", "no_grad"])
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_batch_norm_fused_relu_inplace_bit_identical_to_relu_of_batch_norm(training, tape):
+    rng = np.random.default_rng(23)
+    xd = rng.standard_normal((3, 4, 2, 3, 5))
+    gamma, beta, g = rng.standard_normal(4), rng.standard_normal(4), rng.standard_normal(xd.shape)
+    running = rng.standard_normal(4), rng.random(4) + 0.5
+
+    def run(op, xdata):
+        leaves = [Tensor(a, requires_grad=True) for a in (xdata, gamma.copy(), beta.copy())]
+        stats = [a.copy() for a in running]
+        with contextlib.nullcontext() if tape else tt.no_grad():
+            out = op(*leaves, *stats)
+        assert (out._bwd is not None) == tape
+        grads = []
+        if tape:
+            backward(tt.sum_all(tt.mul(out, Tensor(g))))
+            grads = [t.grad.tobytes() for t in leaves]
+        return [out.data.tobytes(), *(a.tobytes() for a in stats), *grads]
+
+    fused = run(lambda x, ga, be, *st: tt.batch_norm(x, ga, be, *st, training,
+                                                     relu=True, inplace=True), xd.copy())
+    # the default leaves the input untouched, with and without the fused relu
+    kept = xd.copy()
+    assert run(lambda x, ga, be, *st: tt.relu(tt.batch_norm(x, ga, be, *st, training)),
+               kept) == fused
+    assert run(lambda x, ga, be, *st: tt.batch_norm(x, ga, be, *st, training, relu=True),
+               kept) == fused
+    assert kept.tobytes() == xd.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +474,16 @@ def test_grad_check_every_primitive_small_shapes():
     cases.append(
         (lambda: tt.sum_all(tt.tanh(tt.batch_norm(bx, gamma, beta, *stats, training=True))),
          [bx, gamma, beta])
+    )
+
+    # fused relu, in place on a conv output, as the network runs it
+    fx = Tensor(rng.standard_normal((2, 2, 3, 3, 3)))
+    fw, fgamma, fbeta = _rand_params(rng, (2, 2, 3, 3, 3), (2,), (2,))
+    fstats = np.zeros(2), np.ones(2)
+    cases.append(
+        (lambda: tt.sum_all(tt.tanh(tt.batch_norm(
+            tt.conv3d(fx, fw, None, padding=(1, 1, 1)), fgamma, fbeta, *fstats,
+            training=True, relu=True, inplace=True))), [fw, fgamma, fbeta])
     )
 
     for f, params in cases:
