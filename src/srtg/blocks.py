@@ -220,10 +220,10 @@ class BatchNorm3dLayer:
         self.running_var = np.ones(channels)
 
     def __call__(self, x, training, relu=False):
-        # x is always a fresh conv output that nothing else reads (the stem,
-        # mid_bn, every step's norm and down_bn), so the norm reuses its buffer
+        # batch_norm consumes x; here x is always a fresh conv output that
+        # nothing else reads (the stem, mid_bn, every step's norm and down_bn)
         return tt.batch_norm(x, self.gamma, self.beta, self.running_mean,
-                             self.running_var, training, relu=relu, inplace=True)
+                             self.running_var, training, relu=relu)
 
     def named_params(self, prefix):
         yield f"{prefix}.gamma", self.gamma

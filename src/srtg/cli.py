@@ -128,6 +128,10 @@ def _cmd_train(args):
     net_spec = config.network_spec(cfg)
     train_cfg = config.train_config(cfg)
     train_path, val_path = config.data_paths(cfg)
+    # a refused resume writes nothing, not even effective.cfg in --out
+    state = checkpoint_load(args.resume) if args.resume else None
+    if state:
+        _check_resumes_this_run(state, args.resume, train_cfg.seed, net_spec)
     out = _ensure_out(args.out)
     _persist(cfg, out)
     train_ds = load_dataset(train_path)
@@ -135,9 +139,7 @@ def _cmd_train(args):
     net = Network(net_spec, seed=train_cfg.seed)
     optimizer = SGD(net.named_params(), train_cfg.momentum, train_cfg.weight_decay)
     start_epoch = 0
-    if args.resume:
-        state = checkpoint_load(args.resume)
-        _check_resumes_this_run(state, args.resume, train_cfg.seed, net_spec)
+    if state:
         apply_checkpoint(net, optimizer, state)
         start_epoch = state["epoch"]
     net_sections = {

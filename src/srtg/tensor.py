@@ -530,14 +530,14 @@ def batch_norm(
     eps: float = 1e-5,
     *,
     relu: bool = False,
-    inplace: bool = False,
 ) -> Tensor:
     """Per-channel batch normalization over (N, T, H, W) of a rank-5 volume.
 
     Training mode normalizes with batch statistics (biased variance) and
     updates the running buffers in place; eval mode uses the running buffers.
     `relu` fuses the following relu into this node (InPlace-ABN, Rota Bulo et
-    al. 2018); `inplace` overwrites x.data, for an input nothing else reads.
+    al. 2018). The norm consumes x.data: it is centred in place, so pass an
+    input that nothing else reads.
     """
     if x.data.ndim != 5:
         raise ShapeError(f"batch_norm: input must be rank 5, got {x.data.shape}")
@@ -548,8 +548,8 @@ def batch_norm(
     rows = x.data.reshape(n, c, -1)
     m = x.data.size // c
     mean = rows.sum(axis=(0, 2)) / m if training else running_mean
-    # centred here and normalized in place below; the backward never reads x
-    xhat = np.subtract(rows, mean[:, None], out=rows if inplace else None)
+    # centred over x's buffer and normalized in place below; the backward never reads x
+    xhat = np.subtract(rows, mean[:, None], out=rows)
     if training:
         var = np.einsum("ncm,ncm->c", xhat, xhat) / m
         running_mean *= 1.0 - momentum

@@ -117,18 +117,19 @@ def test_resume_matches_uninterrupted(tmp_path):
      "written for another network: gate_active, fusion_mode differ"),
 ], ids=["seed", "network"])
 def test_resume_from_another_run_exits_1_before_any_epoch(tmp_path, capsys, extra, message):
-    # same parameter shapes, so without the checks the run would train on
+    # same parameter shapes, so without the checks the run would train on;
+    # resuming into the checkpoint's own run directory must leave it as it was
     data = _gen(tmp_path)
     part = tmp_path / "part"
     assert main(_train_args(data, part, extra=["--stop-after", "1"])) == 0
+    before = {p.name: p.read_bytes() for p in part.iterdir()}
     capsys.readouterr()
-    resumed = tmp_path / "resumed"
-    rc = main(_train_args(data, resumed,
+    rc = main(_train_args(data, part,
                           extra=["--resume", str(part / "checkpoint.bin"), *extra]))
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
-    assert not (resumed / "metrics.csv").exists()
+    assert {p.name: p.read_bytes() for p in part.iterdir()} == before
 
 
 def test_evaluate_checkpoint(tmp_path, capsys):

@@ -126,16 +126,17 @@ def run(op, *leaves):
 def run_eval():
     with tt.no_grad():
         out = tt.batch_norm(tt.Tensor(xd.copy()), tt.Tensor(gamma), tt.Tensor(beta), *stats,
-                            training=False, relu=True, inplace=True)
+                            training=False, relu=True)
     return hashlib.sha256(out.data.tobytes()).hexdigest()
 
 for _ in range(3):
     stats = np.zeros(32), np.ones(32)
     print(run(lambda x, w: tt.conv3d(x, w, None), xd, w1),
           run(lambda x, w: tt.conv3d(x, w, None, padding=(1, 1, 1)), xd, w3),
-          run(lambda x, ga, be: tt.batch_norm(x, ga, be, *stats, training=True), xd, gamma, beta),
-          run(lambda x, ga, be: tt.batch_norm(x, ga, be, *stats, training=True,
-                                              relu=True, inplace=True), xd.copy(), gamma, beta),
+          run(lambda x, ga, be: tt.batch_norm(x, ga, be, *stats, training=True),
+              xd.copy(), gamma, beta),
+          run(lambda x, ga, be: tt.batch_norm(x, ga, be, *stats, training=True, relu=True),
+              xd.copy(), gamma, beta),
           hashlib.sha256(stats[0].tobytes() + stats[1].tobytes()).hexdigest(),
           run_eval())
 """
@@ -145,8 +146,9 @@ def test_conv3d_bit_identical_across_runs_with_unpinned_blas():
     # BLAS thread counts come from the environment; drop any pinning so the
     # library's default threading is what runs. Each repeat hashes a 1x1x1
     # conv, a padded 3x3x3 conv, a training-mode batch_norm and its fused
-    # in-place relu form, forward and backward, and the batch_norm running
-    # buffers, then an eval-mode fused batch_norm without a tape.
+    # relu form, forward and backward, and the batch_norm running buffers,
+    # then an eval-mode fused batch_norm without a tape. batch_norm consumes
+    # its input, so each gets a copy of xd.
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     src = os.path.dirname(os.path.dirname(os.path.abspath(tt.__file__)))
@@ -209,7 +211,7 @@ def test_batch_norm_matches_loop_oracle(training, relu):
 
 @pytest.mark.parametrize("tape", [True, False], ids=["tape", "no_grad"])
 @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
-def test_batch_norm_fused_relu_inplace_bit_identical_to_relu_of_batch_norm(training, tape):
+def test_batch_norm_fused_relu_bit_identical_to_relu_of_batch_norm(training, tape):
     rng = np.random.default_rng(23)
     xd = rng.standard_normal((3, 4, 2, 3, 5))
     gamma, beta, g = rng.standard_normal(4), rng.standard_normal(4), rng.standard_normal(xd.shape)
@@ -227,15 +229,10 @@ def test_batch_norm_fused_relu_inplace_bit_identical_to_relu_of_batch_norm(train
             grads = [t.grad.tobytes() for t in leaves]
         return [out.data.tobytes(), *(a.tobytes() for a in stats), *grads]
 
-    fused = run(lambda x, ga, be, *st: tt.batch_norm(x, ga, be, *st, training,
-                                                     relu=True, inplace=True), xd.copy())
-    # the default leaves the input untouched, with and without the fused relu
-    kept = xd.copy()
+    fused = run(lambda x, ga, be, *st: tt.batch_norm(x, ga, be, *st, training, relu=True),
+                xd.copy())
     assert run(lambda x, ga, be, *st: tt.relu(tt.batch_norm(x, ga, be, *st, training)),
-               kept) == fused
-    assert run(lambda x, ga, be, *st: tt.batch_norm(x, ga, be, *st, training, relu=True),
-               kept) == fused
-    assert kept.tobytes() == xd.tobytes()
+               xd.copy()) == fused
 
 
 # ---------------------------------------------------------------------------
@@ -471,19 +468,12 @@ def test_grad_check_every_primitive_small_shapes():
 
     bx, gamma, beta = _rand_params(rng, (2, 2, 2, 2, 2), (2,), (2,))
     stats = np.zeros(2), np.ones(2)
+    ones = Tensor(np.ones(bx.data.shape))
+    # batch_norm consumes its input, so it gets a fresh tensor, not the leaf
     cases.append(
-        (lambda: tt.sum_all(tt.tanh(tt.batch_norm(bx, gamma, beta, *stats, training=True))),
+        (lambda: tt.sum_all(tt.tanh(tt.batch_norm(tt.mul(bx, ones), gamma, beta, *stats,
+                                                  training=True))),
          [bx, gamma, beta])
-    )
-
-    # fused relu, in place on a conv output, as the network runs it
-    fx = Tensor(rng.standard_normal((2, 2, 3, 3, 3)))
-    fw, fgamma, fbeta = _rand_params(rng, (2, 2, 3, 3, 3), (2,), (2,))
-    fstats = np.zeros(2), np.ones(2)
-    cases.append(
-        (lambda: tt.sum_all(tt.tanh(tt.batch_norm(
-            tt.conv3d(fx, fw, None, padding=(1, 1, 1)), fgamma, fbeta, *fstats,
-            training=True, relu=True, inplace=True))), [fw, fgamma, fbeta])
     )
 
     for f, params in cases:
