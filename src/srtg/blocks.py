@@ -206,7 +206,7 @@ class Conv3dLayer:
                              requires_grad=True)
 
     def __call__(self, x):
-        return tt.conv3d(x, self.weight, None, self.stride, self.padding)
+        return tt.conv3d(x, self.weight, self.stride, self.padding)
 
     def named_params(self, prefix):
         yield f"{prefix}.weight", self.weight

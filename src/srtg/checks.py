@@ -33,7 +33,6 @@ def _check_primitives():
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((2, 2, 3, 3, 3)))
     w = Tensor(rng.standard_normal((2, 2, 3, 3, 3)) * 0.4, requires_grad=True)
-    b = Tensor(rng.standard_normal(2) * 0.1, requires_grad=True)
     v = Tensor(rng.standard_normal((1, 3, 2, 2, 2)) * 0.5, requires_grad=True)
     # the network head: stem pool, global pool, classifier, loss
     hv = Tensor(rng.standard_normal((2, 3, 2, 4, 4)), requires_grad=True)
@@ -51,7 +50,7 @@ def _check_primitives():
         return tt.softmax_cross_entropy(tt.affine(pooled, hw, hb), labels)
 
     cases = [
-        (lambda: tt.sum_all(tt.tanh(tt.conv3d(x, w, b, padding=(1, 1, 1)))), [w, b]),
+        (lambda: tt.sum_all(tt.tanh(tt.conv3d(x, w, padding=(1, 1, 1)))), [w]),
         (lambda: tt.sum_all(tt.sigmoid(tt.spatial_avg_pool(v))), [v]),
         (head, [hv, hw, hb]),
         (lambda: tt.sum_all(tt.tanh(tt.select_clips(mask, tt.mul(sa, sb), sb))), [sa, sb]),

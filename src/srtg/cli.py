@@ -209,7 +209,7 @@ def _cmd_count_ops(args):
     if out:
         _persist(cfg, out)
     counts = opcount.count_macs(net_spec, input_shape)
-    report = opcount.report_dict(counts, input_shape, units=args.units)
+    report = opcount.report_dict(counts, input_shape)
     _emit(report, out, "opcount.json")
     return 0
 
@@ -289,7 +289,7 @@ def _build_parser():
     p = sub.add_parser("train", help="train a network")
     p.add_argument("--config", required=True)
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
-    p.add_argument("--stop-after", type=int, default=None,
+    p.add_argument("--stop-after", type=_positive_int, default=None,
                    help="halt after this epoch (simulated interruption)")
     common(p)
     p.add_argument("--seed", type=int, default=None, help="sets train.seed")
@@ -306,7 +306,6 @@ def _build_parser():
     p = sub.add_parser("count-ops", help="analytic MAC/GFLOP report for a spec")
     p.add_argument("--net", dest="config", required=True, help="network config")
     p.add_argument("--input", required=True, metavar="CxTxHxW")
-    p.add_argument("--units", choices=("macs", "gflops"), default="macs")
     common(p, out_required=False)
     p.set_defaults(func=_cmd_count_ops)
 

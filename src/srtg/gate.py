@@ -12,7 +12,7 @@ gradients flow through whichever branch was taken.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class GateDecision:
     """
 
     verdict: GateVerdict
-    per_direction: tuple[bool, bool]
     match_indices_fwd: list[int]
     match_indices_bwd: list[int]
 
@@ -144,13 +143,14 @@ def recursion(embedding: Tensor, params: LstmParams) -> Tensor:
 
 
 def _squared_distances(name: str, query, reference) -> np.ndarray:
-    """(..., C) queries against a (T, C) reference -> (..., T) squared L2."""
+    """(..., C) queries against (..., T, C) references -> (..., T) squared L2;
+    leading axes broadcast, so one (T, C) reference serves every query."""
     query = np.asarray(query, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
-    if reference.ndim != 2 or reference.shape[0] == 0:
-        raise ShapeError(f"{name}: reference must be a non-empty (T, C) array")
-    if query.ndim == 0 or query.shape[-1] != reference.shape[1]:
-        raise ShapeError(f"{name}: query dim {query.shape} vs reference C {reference.shape[1]}")
+    if reference.ndim < 2 or reference.shape[-2] == 0:
+        raise ShapeError(f"{name}: reference must be a non-empty (..., T, C) array")
+    if query.ndim == 0 or query.shape[-1] != reference.shape[-1]:
+        raise ShapeError(f"{name}: query dim {query.shape} vs reference C {reference.shape[-1]}")
     return ((reference - query[..., None, :]) ** 2).sum(axis=-1)
 
 
@@ -174,19 +174,30 @@ def nearest_frame_index(soft_match: np.ndarray, reference: np.ndarray) -> int | 
     return np.argmin(d2, axis=-1).tolist()  # argmin returns the first minimum
 
 
-def cycle_consistent(a: np.ndarray, b: np.ndarray) -> GateDecision:
+def cycle_consistent(a: np.ndarray, b: np.ndarray) -> GateDecision | list[GateDecision]:
     """Check that every frame of each embedding resolves back to its own index
-    through the other embedding; open only if all 2T checks pass."""
+    through the other embedding; open only if all 2T checks pass.
+
+    One clip's (T, C) pair gives one decision; an (N, T, C) pair of stacks
+    gives a list of N, the same as N one-clip calls.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"cycle_consistent: embedding shapes {a.shape} vs {b.shape} differ")
-    fwd = nearest_frame_index(soft_nearest_neighbor(a, b), b)
-    bwd = nearest_frame_index(soft_nearest_neighbor(b, a), a)
-    frames = list(range(a.shape[0]))
-    fwd_ok, bwd_ok = fwd == frames, bwd == frames
-    verdict = GateVerdict.OPEN if (fwd_ok and bwd_ok) else GateVerdict.CLOSED
-    return GateDecision(verdict, (fwd_ok, bwd_ok), fwd, bwd)
+    if a.shape != b.shape or a.ndim not in (2, 3):
+        raise ShapeError(f"cycle_consistent: embeddings must be equal (T, C) or (N, T, C) "
+                         f"arrays, got {a.shape} and {b.shape}")
+
+    def matches(query, reference):  # (N, T) match indices, one row per clip
+        # frames to the front: frame t of every clip meets its own clip's reference
+        soft = soft_nearest_neighbor(np.moveaxis(query, -2, 0), reference)
+        return np.array(nearest_frame_index(soft, reference)).T.reshape(-1, query.shape[-2])
+
+    frames = list(range(a.shape[-2]))
+    decisions = [
+        GateDecision(GateVerdict.OPEN if fwd == bwd == frames else GateVerdict.CLOSED, fwd, bwd)
+        for fwd, bwd in zip(matches(a, b).tolist(), matches(b, a).tolist())
+    ]
+    return decisions if a.ndim == 3 else decisions[0]
 
 
 def fuse(main: Tensor, recurrent: Tensor, mode: str = "multiplicative") -> Tensor:
@@ -207,19 +218,15 @@ def srtg_unit(
 ):
     """Full squeeze -> recursion -> gate -> fuse unit.
 
-    Each clip in the batch is gated independently; clips whose gate closes
-    pass through bit-identically. Returns (output volume, per-clip decisions).
+    One cycle check covers the batch, but each clip is gated independently;
+    clips whose gate closes pass through bit-identically. Returns (output
+    volume, per-clip decisions).
     """
     emb = squeeze(volume)
     filtered = recursion(emb, params)
-    n = volume.data.shape[0]
-    decisions = []
-    for clip in range(n):
-        d = cycle_consistent(emb.data[clip], filtered.data[clip])
-        if not gate_active:
-            d = GateDecision(GateVerdict.INACTIVE, d.per_direction,
-                             d.match_indices_fwd, d.match_indices_bwd)
-        decisions.append(d)
+    decisions = cycle_consistent(emb.data, filtered.data)
+    if not gate_active:
+        decisions = [replace(d, verdict=GateVerdict.INACTIVE) for d in decisions]
     fused = fuse(volume, filtered, mode)
     mask = np.array([d.fused for d in decisions], dtype=bool)
     if mask.all():

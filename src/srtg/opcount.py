@@ -130,10 +130,8 @@ def count_macs(spec: NetworkSpec, input_shape) -> OpCount:
     return counts
 
 
-def report_dict(counts: OpCount, input_shape, units="macs") -> dict:
-    """JSON-ready op-count report."""
-    if units not in ("macs", "gflops"):
-        raise ValueError(f"unknown units {units!r}")
+def report_dict(counts: OpCount, input_shape) -> dict:
+    """JSON-ready op-count report, every layer and total in MACs and GFLOPs."""
     totals = counts.totals
     totals["total"] = counts.total
     totals["vanilla_macs"] = counts.vanilla_macs
@@ -142,7 +140,6 @@ def report_dict(counts: OpCount, input_shape, units="macs") -> dict:
     totals["gflops"] = 2.0 * counts.total / 1e9
     return {
         "header": _HEADER,
-        "units": units,
         "input": "x".join(str(v) for v in input_shape),
         "layers": [
             {

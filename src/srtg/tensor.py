@@ -359,10 +359,10 @@ def _tap(offset, extents, stride):
     )
 
 
-def conv3d(x: Tensor, w: Tensor, b=None, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
-    """3D convolution with zero padding.
+def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
+    """Bias-free 3D convolution with zero padding.
 
-    x: (N, C_in, T, H, W); w: (C_out, C_in, kT, kH, kW); b: (C_out,) or None.
+    x: (N, C_in, T, H, W); w: (C_out, C_in, kT, kH, kW).
     """
     if x.data.ndim != 5:
         raise ShapeError(f"conv3d: input must be rank 5, got shape {x.data.shape}")
@@ -372,8 +372,6 @@ def conv3d(x: Tensor, w: Tensor, b=None, stride=(1, 1, 1), padding=(0, 0, 0)) ->
     cout, wcin = w.data.shape[:2]
     if wcin != cin:
         raise ShapeError(f"conv3d: input channels {cin} vs kernel in-channels {wcin}")
-    if b is not None and b.data.shape != (cout,):
-        raise ShapeError(f"conv3d: bias shape {b.data.shape}, expected ({cout},)")
     xp, ext = _windows("conv3d", x, w.data.shape[2:], stride, padding)
     # Each kernel offset is one BLAS matmul on a contiguous (N, C_in, oT*oH*oW)
     # copy of its input tap. A full im2col matrix kept for the backward would
@@ -388,8 +386,6 @@ def conv3d(x: Tensor, w: Tensor, b=None, stride=(1, 1, 1), padding=(0, 0, 0)) ->
     for off in offsets[1:]:
         out += wk[off] @ tap(off)
     out = out.reshape((n, cout) + ext)
-    if b is not None:
-        out += b.data.reshape(1, cout, 1, 1, 1)
 
     def bwd(g):
         g2 = g.reshape(n, cout, -1)
@@ -405,12 +401,9 @@ def conv3d(x: Tensor, w: Tensor, b=None, stride=(1, 1, 1), padding=(0, 0, 0)) ->
         grads = [(w, dw)]
         if dxp is not None:
             grads.append((x, dxp[_tap(padding, x.data.shape[2:], (1, 1, 1))]))
-        if b is not None:
-            grads.append((b, g.sum(axis=(0, 2, 3, 4))))
         return grads
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _result(out, parents, bwd)
+    return _result(out, (x, w), bwd)
 
 
 def max_pool3d(x: Tensor, kernel, stride, padding=(0, 0, 0)) -> Tensor:

@@ -333,6 +333,8 @@ def checkpoint_load(path) -> dict:
         raise CheckpointError(f"{path}: header is not JSON ({e})") from e
     if not isinstance(header, dict) or not {"epoch", "seed", "arrays"} <= header.keys():
         raise CheckpointError(f"{path}: header is not an object with epoch, seed and arrays")
+    if any(type(header[k]) is not int or header[k] < 0 for k in ("epoch", "seed")):
+        raise CheckpointError(f"{path}: header epoch and seed must be non-negative JSON integers")
     net_config = header.get("net_config")
     if net_config is not None and not (
         isinstance(net_config, dict)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 
-def conv3d_oracle(x, w, b, stride, padding):
+def conv3d_oracle(x, w, stride, padding):
     n, cin, t, h, wd = x.shape
     cout, _, kt, kh, kw = w.shape
     st, sh, sw = stride
@@ -35,12 +35,12 @@ def conv3d_oracle(x, w, b, stride, padding):
                                             xp[ni, ic, zt * st + dt, zy * sh + dy, zx * sw + dx]
                                             * w[oc, ic, dt, dy, dx]
                                         )
-                        out[ni, oc, zt, zy, zx] = acc + (0.0 if b is None else b[oc])
+                        out[ni, oc, zt, zy, zx] = acc
     return out
 
 
 def conv3d_grad_oracle(x, w, g, stride, padding):
-    """(dx, dw, db) of sum(conv3d(x, w, b) * g), one multiply-add at a time."""
+    """(dx, dw) of sum(conv3d(x, w) * g), one multiply-add at a time."""
     n, cin, t, h, wd = x.shape
     cout, _, kt, kh, kw = w.shape
     _, _, ot, oh, ow = g.shape
@@ -50,14 +50,12 @@ def conv3d_grad_oracle(x, w, g, stride, padding):
     xp[:, :, pt : pt + t, ph : ph + h, pw : pw + wd] = x
     dxp = np.zeros_like(xp)
     dw = np.zeros_like(w)
-    db = np.zeros(cout)
     for ni in range(n):
         for oc in range(cout):
             for zt in range(ot):
                 for zy in range(oh):
                     for zx in range(ow):
                         gv = g[ni, oc, zt, zy, zx]
-                        db[oc] += gv
                         for ic in range(cin):
                             for dt in range(kt):
                                 for dy in range(kh):
@@ -65,7 +63,7 @@ def conv3d_grad_oracle(x, w, g, stride, padding):
                                         at = (ni, ic, zt * st + dt, zy * sh + dy, zx * sw + dx)
                                         dxp[at] += gv * w[oc, ic, dt, dy, dx]
                                         dw[oc, ic, dt, dy, dx] += gv * xp[at]
-    return dxp[:, :, pt : pt + t, ph : ph + h, pw : pw + wd], dw, db
+    return dxp[:, :, pt : pt + t, ph : ph + h, pw : pw + wd], dw
 
 
 def pool_oracle(x):

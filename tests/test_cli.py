@@ -132,6 +132,29 @@ def test_resume_from_another_run_exits_1_before_any_epoch(tmp_path, capsys, extr
     assert {p.name: p.read_bytes() for p in part.iterdir()} == before
 
 
+def test_resume_from_negative_epoch_checkpoint_exits_2_and_writes_nothing(tmp_path, capsys):
+    # a checksum-valid checkpoint of this very run, with only its epoch forged;
+    # resumed into its own run directory, no file there may change
+    data = _gen(tmp_path)
+    part = tmp_path / "part"
+    assert main(_train_args(data, part, epochs=4, extra=["--stop-after", "1"])) == 0
+    ckpt = part / "checkpoint.bin"
+    raw = ckpt.read_bytes()
+    _, hlen = struct.unpack_from("<IQ", raw, 8)
+    header = json.loads(raw[20:20 + hlen])
+    header["epoch"] = -3
+    hjson = json.dumps(header).encode()
+    body = raw[:8] + struct.pack("<IQ", 1, len(hjson)) + hjson + raw[20 + hlen:-32]
+    ckpt.write_bytes(body + hashlib.sha256(body).digest())
+    before = {p.name: p.read_bytes() for p in part.iterdir()}
+    capsys.readouterr()
+    rc = main(_train_args(data, part, epochs=4, extra=["--resume", str(ckpt)]))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and "header" in err and len(err.splitlines()) == 1
+    assert {p.name: p.read_bytes() for p in part.iterdir()} == before
+
+
 def test_evaluate_checkpoint(tmp_path, capsys):
     data = _gen(tmp_path)
     run = tmp_path / "run"
@@ -168,7 +191,7 @@ def test_evaluate_and_gate_analyze_without_config(tmp_path, capsys):
 
 def test_count_ops_report(tmp_path, capsys):
     rc = main(["count-ops", "--net", str(CONFIGS / "r3d34_srtg.cfg"),
-               "--input", "3x16x224x224", "--units", "gflops"])
+               "--input", "3x16x224x224"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert abs(payload["totals"]["gflops"] - 110.48) / 110.48 <= 0.02
@@ -338,6 +361,15 @@ def test_gate_analyze_rejects_batch_size_below_one(tmp_path, capsys, size):
                "--data", str(tmp_path / "none.bin"), "--batch-size", size])
     assert rc == 1
     assert "--batch-size: expected a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epochs", ["0", "-2", "two"])
+def test_train_rejects_stop_after_below_one(tmp_path, capsys, epochs):
+    out = tmp_path / "run"
+    rc = main(_train_args(tmp_path, out, extra=["--stop-after", epochs]))
+    assert rc == 1
+    assert "--stop-after: expected a positive integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_corrupt_checkpoint_exits_2(tmp_path, capsys):

@@ -167,7 +167,7 @@ def test_recursion_matches_unrolled_oracle():
 _RERUN_SCRIPT = """
 import hashlib, numpy as np
 from srtg import tensor as tt
-from srtg.gate import init_lstm_params, recursion
+from srtg.gate import cycle_consistent, init_lstm_params, recursion
 rng = np.random.default_rng(23)
 params = init_lstm_params(8, rng=rng)
 xd, g = rng.standard_normal((8, 32, 8)), rng.standard_normal((8, 32, 8))
@@ -176,7 +176,10 @@ for _ in range(3):
     out = recursion(x, params)
     tt.backward(tt.sum_all(tt.mul(out, tt.Tensor(g))))
     grads = [x.grad] + [p.grad for _, p in params.named("l")]
-    print(hashlib.sha256(b"".join(a.tobytes() for a in [out.data] + grads)).hexdigest())
+    # a batched check blends through BLAS with stacked operands
+    matches = [d.match_indices_fwd + d.match_indices_bwd for d in cycle_consistent(xd, g)]
+    blob = b"".join(a.tobytes() for a in [out.data] + grads + [np.array(matches)])
+    print(hashlib.sha256(blob).hexdigest())
     for _, p in params.named("l"):
         p.zero_grad()
 """
@@ -363,6 +366,50 @@ def test_stacked_query_dim_mismatch(helper):
         helper(np.zeros((3, 2)), np.zeros((4, 3)))
 
 
+@pytest.mark.parametrize("scale", [0.3, 1.0, 4.0])
+def test_cycle_batch_equals_per_clip_calls(scale):
+    rng = np.random.default_rng(int(scale * 10) + 40)
+    shapes = [(1, 1, 3), (1, 6, 2), (5, 1, 4)]
+    shapes += [tuple(int(v) for v in rng.integers(1, [9, 33, 17])) for _ in range(30)]
+    verdicts = set()
+    for n, t_len, c_len in shapes:
+        a = rng.standard_normal((n, t_len, c_len)) * scale
+        b = rng.standard_normal((n, t_len, c_len)) * scale
+        # an identity pair of frames 5 apart on one channel opens
+        a[0] = b[0] = 0.0
+        a[0, :, 0] = b[0, :, 0] = 5.0 * np.arange(t_len)
+        got = cycle_consistent(a, b)
+        assert isinstance(got, list)
+        assert got == [cycle_consistent(x, y) for x, y in zip(a, b)]
+        verdicts.update(d.verdict for d in got)
+    assert verdicts == {GateVerdict.OPEN, GateVerdict.CLOSED}
+
+
+@pytest.mark.parametrize("helper", [soft_match_weights, soft_nearest_neighbor,
+                                    nearest_frame_index])
+def test_helpers_with_stacked_references_equal_per_clip_calls(helper):
+    # a (Q, N, C) query stack against (N, T, C) references: query column i
+    # meets reference i only
+    rng = np.random.default_rng(43)
+    for trial in range(30):
+        q, n, t_len, c_len = (int(v) for v in rng.integers(1, [9, 9, 33, 17]))
+        scale = [0.3, 1.0, 4.0][trial % 3]
+        queries = rng.standard_normal((q, n, c_len)) * scale
+        refs = rng.standard_normal((n, t_len, c_len)) * scale
+        expect = np.stack([helper(queries[:, i], refs[i]) for i in range(n)], axis=1)
+        assert np.array_equal(np.asarray(helper(queries, refs)), expect)
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((4,), (4,)),
+    ((2, 2, 4, 3), (2, 2, 4, 3)),
+    ((2, 4, 3), (3, 4, 3)),
+], ids=["rank1", "rank4", "batch_mismatch"])
+def test_cycle_rejects_other_ranks_and_unequal_stacks(a_shape, b_shape):
+    with pytest.raises(ShapeError, match="cycle_consistent"):
+        cycle_consistent(np.zeros(a_shape), np.zeros(b_shape))
+
+
 def test_cycle_matches_bruteforce_oracle_at_t32():
     rng = np.random.default_rng(21)
     for trial in range(12):
@@ -516,6 +563,21 @@ def test_unit_grad_check_both_modes():
 
         err = grad_check(f, [p for _, p in names_params])
         assert err <= 1e-4, f"mode={mode}: {err}"
+
+
+def test_unit_checks_the_batch_in_one_call(monkeypatch):
+    calls = []
+    real = sg.cycle_consistent
+    monkeypatch.setattr(sg, "cycle_consistent",
+                        lambda a, b: calls.append(a.shape) or real(a, b))
+    params = init_lstm_params(3, rng=np.random.default_rng(19))
+    x = np.random.default_rng(20).standard_normal((4, 3, 5, 2, 2))
+    _, active = srtg_unit(Tensor(x), params, gate_active=True)
+    _, inactive = srtg_unit(Tensor(x), params, gate_active=False)
+    assert calls == [(4, 5, 3), (4, 5, 3)]
+    assert [d.verdict for d in inactive] == [GateVerdict.INACTIVE] * 4
+    assert [(d.match_indices_fwd, d.match_indices_bwd) for d in inactive] == [
+        (d.match_indices_fwd, d.match_indices_bwd) for d in active]
 
 
 def test_gate_decision_record_schema():

@@ -153,16 +153,13 @@ def test_r3d50_overhead_within_band():
 
 def test_report_dict_shape():
     counts = count_macs(_mini_spec(), (1, 8, 16, 16))
-    rep = report_dict(counts, (1, 8, 16, 16), units="gflops")
-    assert rep["units"] == "gflops"
+    rep = report_dict(counts, (1, 8, 16, 16))
     assert rep["input"] == "1x8x16x16"
     assert {"convolutions", "lstm", "gate", "head", "total", "gflops", "gmacs"} <= set(
         rep["totals"]
     )
     assert all({"name", "kind", "macs", "gflops"} <= set(l) for l in rep["layers"])
     assert rep["srtg_overhead_ratio"] == counts.srtg_overhead_ratio
-    with pytest.raises(ValueError):
-        report_dict(counts, (1, 8, 16, 16), units="watts")
 
 
 # ---------------------------------------------------------------------------

@@ -38,15 +38,14 @@ def test_conv3d_identity_kernel():
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((1, 1, 3, 4, 4)))
     w = Tensor(np.ones((1, 1, 1, 1, 1)))
-    b = Tensor(np.zeros(1))
-    out = tt.conv3d(x, w, b)
+    out = tt.conv3d(x, w)
     np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_conv3d_sum_of_ones():
     x = Tensor(np.ones((1, 1, 3, 3, 3)))
     w = Tensor(np.ones((1, 1, 3, 3, 3)))
-    out = tt.conv3d(x, w, None)
+    out = tt.conv3d(x, w)
     assert out.data.shape == (1, 1, 1, 1, 1)
     assert out.data.flat[0] == 27.0
 
@@ -55,9 +54,8 @@ def test_conv3d_matches_loop_oracle():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((1, 2, 4, 5, 5))
     w = rng.standard_normal((3, 2, 3, 3, 3))
-    b = rng.standard_normal(3)
-    out = tt.conv3d(Tensor(x), Tensor(w), Tensor(b), stride=(1, 1, 1), padding=(1, 1, 1))
-    expect = conv3d_oracle(x, w, b, (1, 1, 1), (1, 1, 1))
+    out = tt.conv3d(Tensor(x), Tensor(w), stride=(1, 1, 1), padding=(1, 1, 1))
+    expect = conv3d_oracle(x, w, (1, 1, 1), (1, 1, 1))
     np.testing.assert_allclose(out.data, expect, rtol=0, atol=1e-12)
 
 
@@ -65,8 +63,8 @@ def test_conv3d_strided_matches_loop_oracle():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((2, 3, 5, 6, 6))
     w = rng.standard_normal((4, 3, 3, 3, 3))
-    out = tt.conv3d(Tensor(x), Tensor(w), None, stride=(2, 2, 2), padding=(1, 1, 1))
-    expect = conv3d_oracle(x, w, None, (2, 2, 2), (1, 1, 1))
+    out = tt.conv3d(Tensor(x), Tensor(w), stride=(2, 2, 2), padding=(1, 1, 1))
+    expect = conv3d_oracle(x, w, (2, 2, 2), (1, 1, 1))
     np.testing.assert_allclose(out.data, expect, rtol=0, atol=1e-12)
 
 
@@ -95,17 +93,15 @@ def test_conv3d_kernel_kinds_match_loop_oracles(xs, ws, stride, padding):
     rng = np.random.default_rng(20)
     x = rng.standard_normal(xs)
     w = rng.standard_normal(ws)
-    b = rng.standard_normal(ws[0])
-    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
-    out = tt.conv3d(xt, wt, bt, stride=stride, padding=padding)
-    np.testing.assert_allclose(out.data, conv3d_oracle(x, w, b, stride, padding),
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    out = tt.conv3d(xt, wt, stride=stride, padding=padding)
+    np.testing.assert_allclose(out.data, conv3d_oracle(x, w, stride, padding),
                                rtol=0, atol=1e-12)
     g = rng.standard_normal(out.data.shape)
     backward(tt.sum_all(tt.mul(out, Tensor(g))))
-    dx, dw, db = conv3d_grad_oracle(x, w, g, stride, padding)
+    dx, dw = conv3d_grad_oracle(x, w, g, stride, padding)
     np.testing.assert_allclose(xt.grad, dx, rtol=0, atol=1e-12)
     np.testing.assert_allclose(wt.grad, dw, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(bt.grad, db, rtol=0, atol=1e-12)
 
 
 _RERUN_SCRIPT = """
@@ -131,8 +127,8 @@ def run_eval():
 
 for _ in range(3):
     stats = np.zeros(32), np.ones(32)
-    print(run(lambda x, w: tt.conv3d(x, w, None), xd, w1),
-          run(lambda x, w: tt.conv3d(x, w, None, padding=(1, 1, 1)), xd, w3),
+    print(run(lambda x, w: tt.conv3d(x, w), xd, w1),
+          run(lambda x, w: tt.conv3d(x, w, padding=(1, 1, 1)), xd, w3),
           run(lambda x, ga, be: tt.batch_norm(x, ga, be, *stats, training=True),
               xd.copy(), gamma, beta),
           run(lambda x, ga, be: tt.batch_norm(x, ga, be, *stats, training=True, relu=True),
@@ -166,8 +162,8 @@ def test_conv3d_linearity():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((1, 2, 4, 4, 4))
     w = Tensor(rng.standard_normal((2, 2, 3, 3, 3)))
-    a = tt.conv3d(Tensor(3.5 * x), w, None, padding=(1, 1, 1))
-    b = tt.conv3d(Tensor(x), w, None, padding=(1, 1, 1))
+    a = tt.conv3d(Tensor(3.5 * x), w, padding=(1, 1, 1))
+    b = tt.conv3d(Tensor(x), w, padding=(1, 1, 1))
     np.testing.assert_allclose(a.data, 3.5 * b.data, rtol=0, atol=1e-12)
 
 
@@ -175,14 +171,14 @@ def test_conv3d_channel_mismatch_names_dimension():
     x = Tensor(np.zeros((1, 2, 3, 3, 3)))
     w = Tensor(np.zeros((1, 3, 3, 3, 3)))
     with pytest.raises(ShapeError, match="channels"):
-        tt.conv3d(x, w, None)
+        tt.conv3d(x, w)
 
 
 def test_conv3d_nonpositive_extent():
     x = Tensor(np.zeros((1, 1, 2, 8, 8)))
     w = Tensor(np.zeros((1, 1, 3, 3, 3)))
     with pytest.raises(ShapeError, match="frames"):
-        tt.conv3d(x, w, None)
+        tt.conv3d(x, w)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +336,8 @@ def test_forward_rerun_bit_identical():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((1, 2, 3, 4, 4))
     w = rng.standard_normal((2, 2, 3, 3, 3))
-    a = tt.conv3d(Tensor(x), Tensor(w), None, padding=(1, 1, 1)).data
-    b = tt.conv3d(Tensor(x), Tensor(w), None, padding=(1, 1, 1)).data
+    a = tt.conv3d(Tensor(x), Tensor(w), padding=(1, 1, 1)).data
+    b = tt.conv3d(Tensor(x), Tensor(w), padding=(1, 1, 1)).data
     assert np.array_equal(a, b)
 
 
@@ -386,12 +382,11 @@ def test_grad_check_conv3d_layer():
     rng = np.random.default_rng(10)
     x = Tensor(rng.standard_normal((1, 2, 3, 3, 3)))
     w = Tensor(rng.standard_normal((2, 2, 2, 2, 2)) * 0.5, requires_grad=True)
-    b = Tensor(rng.standard_normal(2) * 0.1, requires_grad=True)
 
     def f():
-        return tt.sum_all(tt.tanh(tt.conv3d(x, w, b, padding=(1, 1, 1))))
+        return tt.sum_all(tt.tanh(tt.conv3d(x, w, padding=(1, 1, 1))))
 
-    assert grad_check(f, [w, b]) < 1e-5
+    assert grad_check(f, [w]) < 1e-5
 
 
 def test_grad_check_eps_range_enforced():
@@ -437,10 +432,8 @@ def test_grad_check_every_primitive_small_shapes():
     labels = np.array([0, 3, 1])
     cases.append((lambda: tt.softmax_cross_entropy(tt.mul(sm, sm), labels), [sm]))
 
-    cx, cw, cb = _rand_params(rng, (1, 2, 3, 3, 3), (2, 2, 3, 3, 3), (2,))
-    cases.append(
-        (lambda: tt.sum_all(tt.sigmoid(tt.conv3d(cx, cw, cb, padding=(1, 1, 1)))), [cx, cw, cb])
-    )
+    cx, cw = _rand_params(rng, (1, 2, 3, 3, 3), (2, 2, 3, 3, 3))
+    cases.append((lambda: tt.sum_all(tt.sigmoid(tt.conv3d(cx, cw, padding=(1, 1, 1)))), [cx, cw]))
 
     pv = _rand_params(rng, (1, 3, 2, 2, 2))[0]
     cases.append((lambda: tt.sum_all(tt.tanh(tt.spatial_avg_pool(pv))), [pv]))
@@ -500,7 +493,7 @@ def test_outputs_finite_on_finite_inputs():
     rng = np.random.default_rng(13)
     x = Tensor(rng.standard_normal((1, 2, 3, 4, 4)) * 100)
     w = Tensor(rng.standard_normal((2, 2, 3, 3, 3)), requires_grad=True)
-    logits = tt.global_avg_pool(tt.conv3d(x, w, None, padding=(1, 1, 1)))
+    logits = tt.global_avg_pool(tt.conv3d(x, w, padding=(1, 1, 1)))
     loss = tt.softmax_cross_entropy(logits, [0])
     backward(loss)
     assert np.isfinite(loss.data) and np.isfinite(w.grad).all()

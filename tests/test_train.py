@@ -306,8 +306,18 @@ def test_checkpoint_bad_magic(tmp_path):
     b'{"epoch": 1, "seed": 0, "arrays": [1]}',
     b'{"epoch": 1, "seed": 0, "arrays": [["param.w", [4]]]}',
     b'{"epoch": 1, "seed": 0, "arrays": [["param.w", [4294967296, 4294967296]]]}',
+    b'{"epoch": "1", "seed": 0, "arrays": []}',
+    b'{"epoch": 1.0, "seed": 0, "arrays": []}',
+    b'{"epoch": true, "seed": 0, "arrays": []}',
+    b'{"epoch": -3, "seed": 0, "arrays": []}',
+    b'{"epoch": 1, "seed": "0", "arrays": []}',
+    b'{"epoch": 1, "seed": 0.0, "arrays": []}',
+    b'{"epoch": 1, "seed": false, "arrays": []}',
+    b'{"epoch": 1, "seed": -1, "arrays": []}',
 ], ids=["no_epoch", "no_seed", "no_arrays", "magic_only", "not_object", "not_json",
-        "array_entry_not_a_pair", "array_past_payload", "array_size_past_int64"])
+        "array_entry_not_a_pair", "array_past_payload", "array_size_past_int64",
+        "epoch_string", "epoch_float", "epoch_bool", "epoch_negative",
+        "seed_string", "seed_float", "seed_bool", "seed_negative"])
 def test_checkpoint_header_faults_are_checkpoint_errors(tmp_path, hjson):
     # the checksum trailer is valid; only what it covers is malformed
     body = b"SRTGCKPT"
