@@ -6,7 +6,9 @@ unit sits and how wide it is. `route` is the only statement of how those
 pieces are wired, and `block_specs` the only loop over stages and blocks.
 `Block.forward` runs `route` on tensors; `srtg.opcount.count_macs` runs it on
 shapes, so the op count prices the network that trains without allocating
-its weights.
+its weights. Each step's op list (`_step_ops`) both draws its weights into a
+flat store keyed by checkpoint name and runs the step, so the store's order
+is the draw order and the checkpoint's array table.
 
 Simple blocks run two 3x3x3 convolutions, bottleneck blocks run a 1x1x1
 reduce / 3x3x3 / 1x1x1 expand triple (stride on the middle conv). Either kind
@@ -142,7 +144,7 @@ def st_conv_parts(step: ConvStep, conv_kind: str) -> tuple[ConvStep, ...]:
     kt, kh, kw = step.kernel
     st, sh, sw = step.stride
     return (
-        replace(step, tag="spatial", kernel=(1, kh, kw), stride=(1, sh, sw)),
+        replace(step, tag="spatial", kernel=(1, kh, kw), stride=(1, sh, sw), relu=True),
         replace(step, tag="temporal", in_ch=step.out_ch, kernel=(kt, 1, 1), stride=(st, 1, 1)),
     )
 
@@ -191,96 +193,57 @@ def block_specs(spec: NetworkSpec):
 
 
 # ---------------------------------------------------------------------------
-# layers
+# weights: one flat store of checkpoint-named arrays
 # ---------------------------------------------------------------------------
 
 
-class Conv3dLayer:
-    """Bias-free conv, padded by k // 2, He-initialized."""
-
-    def __init__(self, in_ch, out_ch, kernel, stride, rng):
-        std = np.sqrt(2.0 / (in_ch * kernel[0] * kernel[1] * kernel[2]))
-        self.stride = stride
-        self.padding = tuple(k // 2 for k in kernel)
-        self.weight = Tensor(rng.standard_normal((out_ch, in_ch, *kernel)) * std,
-                             requires_grad=True)
-
-    def __call__(self, x):
-        return tt.conv3d(x, self.weight, self.stride, self.padding)
-
-    def named_params(self, prefix):
-        yield f"{prefix}.weight", self.weight
+def _step_ops(step: ConvStep, conv_kind: str, conv: str, norm: str):
+    """The (conv part, weight name, norm name) ops one step runs, in draw and
+    checkpoint order. Under (2+1)D the spatial conv is normalized by
+    `<conv>.mid_bn` and only the temporal conv by the step's own norm."""
+    parts = st_conv_parts(step, conv_kind)
+    if len(parts) == 1:
+        return ((step, conv, norm),)
+    spatial, temporal = parts
+    return ((spatial, f"{conv}.spatial", f"{conv}.mid_bn"),
+            (temporal, f"{conv}.temporal", norm))
 
 
-class BatchNorm3dLayer:
-    def __init__(self, channels):
-        self.gamma = Tensor(np.ones(channels), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels), requires_grad=True)
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
+class _Store:
+    """Parameters {checkpoint name: Tensor} and batch-norm buffers
+    {name: ndarray}, in draw order. A conv op draws its weights here and runs
+    against them: a bias-free He-initialized conv padded by k // 2, then batch
+    norm (and the part's relu)."""
 
-    def __call__(self, x, training, relu=False):
-        # batch_norm consumes x; here x is always a fresh conv output that
-        # nothing else reads (the stem, mid_bn, every step's norm and down_bn)
-        return tt.batch_norm(x, self.gamma, self.beta, self.running_mean,
-                             self.running_var, training, relu=relu)
+    def __init__(self):
+        self.params: dict[str, Tensor] = {}
+        self.buffers: dict[str, np.ndarray] = {}
 
-    def named_params(self, prefix):
-        yield f"{prefix}.gamma", self.gamma
-        yield f"{prefix}.beta", self.beta
+    def _add_op(self, op, rng):
+        part, conv, norm = op
+        kt, kh, kw = part.kernel
+        std = np.sqrt(2.0 / (part.in_ch * kt * kh * kw))
+        self.params[f"{conv}.weight"] = Tensor(
+            rng.standard_normal((part.out_ch, part.in_ch, kt, kh, kw)) * std, requires_grad=True)
+        self.params[f"{norm}.gamma"] = Tensor(np.ones(part.out_ch), requires_grad=True)
+        self.params[f"{norm}.beta"] = Tensor(np.zeros(part.out_ch), requires_grad=True)
+        self.buffers[f"{norm}.running_mean"] = np.zeros(part.out_ch)
+        self.buffers[f"{norm}.running_var"] = np.ones(part.out_ch)
 
-    def named_buffers(self, prefix):
-        yield f"{prefix}.running_mean", self.running_mean
-        yield f"{prefix}.running_var", self.running_var
+    def _run_op(self, op, x, training):
+        part, conv, norm = op
+        h = tt.conv3d(x, self.params[f"{conv}.weight"], part.stride,
+                      tuple(k // 2 for k in part.kernel))
+        # batch_norm consumes h, a fresh conv output that nothing else reads
+        return tt.batch_norm(h, self.params[f"{norm}.gamma"], self.params[f"{norm}.beta"],
+                             self.buffers[f"{norm}.running_mean"],
+                             self.buffers[f"{norm}.running_var"], training, relu=part.relu)
 
+    def named_params(self):
+        yield from self.params.items()
 
-class STConv:
-    """The weights of one conv step: a full conv, or the (2+1)D pair with a
-    norm between them (see `st_conv_parts`)."""
-
-    def __init__(self, step: ConvStep, conv_kind, rng):
-        convs = [Conv3dLayer(p.in_ch, p.out_ch, p.kernel, p.stride, rng)
-                 for p in st_conv_parts(step, conv_kind)]
-        self.factorized = len(convs) == 2
-        if self.factorized:
-            self.spatial, self.temporal = convs
-            self.mid_bn = BatchNorm3dLayer(step.out_ch)
-        else:
-            (self.conv,) = convs
-
-    def __call__(self, x, training):
-        if self.factorized:
-            return self.temporal(self.mid_bn(self.spatial(x), training, relu=True))
-        return self.conv(x)
-
-    def named_params(self, prefix):
-        if self.factorized:
-            yield from self.spatial.named_params(f"{prefix}.spatial")
-            yield from self.mid_bn.named_params(f"{prefix}.mid_bn")
-            yield from self.temporal.named_params(f"{prefix}.temporal")
-        else:
-            yield from self.conv.named_params(prefix)
-
-    def named_buffers(self, prefix):
-        if self.factorized:
-            yield from self.mid_bn.named_buffers(f"{prefix}.mid_bn")
-
-
-class SrtgUnit:
-    """Owns the recurrent parameters for one insertion point."""
-
-    def __init__(self, channels, gate_active, fusion_mode, rng):
-        self.gate_active = gate_active
-        self.fusion_mode = fusion_mode
-        self.params = init_lstm_params(channels, num_layers=2, rng=rng)
-
-    def __call__(self, x, gate_log, layer_name):
-        out, decisions = srtg_unit(x, self.params, self.gate_active, self.fusion_mode)
-        gate_log.append((layer_name, decisions))
-        return out
-
-    def named_params(self, prefix):
-        yield from self.params.named(f"{prefix}.lstm")
+    def named_buffers(self):
+        yield from self.buffers.items()
 
 
 # ---------------------------------------------------------------------------
@@ -288,52 +251,43 @@ class SrtgUnit:
 # ---------------------------------------------------------------------------
 
 
-class Block:
-    """A residual block instantiated from its layout: an STConv and a norm
-    per step (named convN/bnN on the main path, down_conv/down_bn on the
-    skip), then the gated unit as `srtg`. Weights are drawn in that order."""
+class Block(_Store):
+    """A residual block instantiated from its layout. Its weights are named
+    `<name>.convN`/`bnN` on the main path, `down_conv`/`down_bn` on the skip
+    and `srtg.lstm` for the gated unit, and drawn in that order."""
 
     def __init__(self, spec: BlockSpec, rng, name="block"):
+        super().__init__()
         self.spec = spec
         self.name = name
         self.layout = layout = block_layout(spec)
-        self._parts = []  # (tag, layer) in named_params order
-        self._layers = {}  # step tag -> (STConv, norm)
-        for i, step in enumerate(layout.convs, start=1):
-            self._add_step(step, step.tag, f"bn{i}", rng)
+        steps = [(step, step.tag, f"bn{i}") for i, step in enumerate(layout.convs, start=1)]
         if layout.skip is not None:
-            self._add_step(layout.skip, "down_conv", "down_bn", rng)
-        self.srtg = None
+            steps.append((layout.skip, "down_conv", "down_bn"))
+        self._ops = {}  # step tag -> its ops
+        for step, conv, norm in steps:
+            ops = _step_ops(step, spec.conv_kind, f"{name}.{conv}", f"{name}.{norm}")
+            self._ops[step.tag] = ops
+            for op in ops:
+                self._add_op(op, rng)
+        self.lstm = None
         if layout.gate_at is not None:
-            self.srtg = SrtgUnit(layout.gate_channels, spec.gate_active,
-                                 spec.fusion_mode, rng)
-            self._parts.append(("srtg", self.srtg))
-
-    def _add_step(self, step, conv_tag, bn_tag, rng):
-        layers = (STConv(step, self.spec.conv_kind, rng), BatchNorm3dLayer(step.out_ch))
-        self._layers[step.tag] = layers
-        for tag, layer in zip((conv_tag, bn_tag), layers):
-            setattr(self, tag, layer)
-            self._parts.append((tag, layer))
+            self.lstm = init_lstm_params(layout.gate_channels, num_layers=2, rng=rng)
+            self.params.update(self.lstm.named(f"{name}.srtg.lstm"))
 
     def forward(self, x, training, gate_log):
         def conv(step, h):
-            st_conv, bn = self._layers[step.tag]
-            return bn(st_conv(h, training), training, relu=step.relu)
+            for op in self._ops[step.tag]:
+                h = self._run_op(op, h, training)
+            return h
 
         def gate(h):
-            return self.srtg(h, gate_log, f"{self.name}.srtg")
+            out, decisions = srtg_unit(h, self.lstm, self.spec.gate_active,
+                                       self.spec.fusion_mode)
+            gate_log.append((f"{self.name}.srtg", decisions))
+            return out
 
         return route(self.layout, x, conv, gate, lambda z, skip: tt.relu(tt.add(z, skip)))
-
-    def named_params(self, prefix):
-        for tag, part in self._parts:
-            yield from part.named_params(f"{prefix}.{tag}")
-
-    def named_buffers(self, prefix):
-        for tag, part in self._parts:
-            if hasattr(part, "named_buffers"):
-                yield from part.named_buffers(f"{prefix}.{tag}")
 
 
 def build_block(spec: BlockSpec, rng=None, name="block"):
@@ -345,21 +299,26 @@ def build_block(spec: BlockSpec, rng=None, name="block"):
 # ---------------------------------------------------------------------------
 
 
-class Network:
-    """Stem conv -> stages of residual blocks -> global average pool -> linear."""
+class Network(_Store):
+    """Stem conv -> stages of residual blocks -> global average pool -> linear.
+    The store holds the stem's weights, each block's store and the head's."""
 
     def __init__(self, spec: NetworkSpec, seed=0):
+        super().__init__()
         self.spec = spec
         rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
-        self.stem_conv = Conv3dLayer(spec.in_channels, spec.stem_channels,
-                                     spec.stem_kernel, spec.stem_stride, rng)
-        self.stem_bn = BatchNorm3dLayer(spec.stem_channels)
+        self._stem = (ConvStep("stem", spec.in_channels, spec.stem_channels,
+                               spec.stem_kernel, spec.stem_stride), "stem.conv", "stem.bn")
+        self._add_op(self._stem, rng)
         self.blocks = [build_block(bspec, rng, name) for name, bspec in block_specs(spec)]
+        for block in self.blocks:
+            self.params.update(block.params)
+            self.buffers.update(block.buffers)
         in_ch = self.blocks[-1].spec.out_channels
         bound = 1.0 / np.sqrt(in_ch)
-        self.head_w = Tensor(rng.uniform(-bound, bound, size=(spec.num_classes, in_ch)),
-                             requires_grad=True)
-        self.head_b = Tensor(np.zeros(spec.num_classes), requires_grad=True)
+        self.params["head.weight"] = Tensor(
+            rng.uniform(-bound, bound, size=(spec.num_classes, in_ch)), requires_grad=True)
+        self.params["head.bias"] = Tensor(np.zeros(spec.num_classes), requires_grad=True)
 
     def forward(self, batch, training=False):
         """batch: (N, C, T, H, W) Tensor or array. Returns (logits, gate log),
@@ -371,7 +330,7 @@ class Network:
                 f"got {x.data.shape}"
             )
         gate_log = []
-        h = self.stem_bn(self.stem_conv(x), training, relu=True)
+        h = self._run_op(self._stem, x, training)
         if self.spec.stem_pool_kernel is not None:
             k = self.spec.stem_pool_kernel
             h = tt.max_pool3d(h, k, self.spec.stem_pool_stride,
@@ -379,21 +338,8 @@ class Network:
         for block in self.blocks:
             h = block.forward(h, training, gate_log)
         pooled = tt.global_avg_pool(h)
-        logits = tt.affine(pooled, self.head_w, self.head_b)
+        logits = tt.affine(pooled, self.params["head.weight"], self.params["head.bias"])
         return logits, gate_log
 
-    def named_params(self):
-        yield from self.stem_conv.named_params("stem.conv")
-        yield from self.stem_bn.named_params("stem.bn")
-        for block in self.blocks:
-            yield from block.named_params(block.name)
-        yield "head.weight", self.head_w
-        yield "head.bias", self.head_b
-
-    def named_buffers(self):
-        yield from self.stem_bn.named_buffers("stem.bn")
-        for block in self.blocks:
-            yield from block.named_buffers(block.name)
-
     def srtg_unit_names(self):
-        return [f"{block.name}.srtg" for block in self.blocks if block.srtg is not None]
+        return [f"{block.name}.srtg" for block in self.blocks if block.lstm is not None]

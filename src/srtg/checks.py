@@ -19,15 +19,6 @@ from srtg.tensor import Tensor, grad_check
 
 __all__ = ["CHECK_TOLERANCES", "run_checks"]
 
-CHECK_TOLERANCES = {
-    "primitives": 1e-5,
-    "lstm_layer": 1e-4,
-    "srtg_unit_multiplicative": 1e-4,
-    "srtg_unit_additive": 1e-4,
-    "simple_block_final": 1e-4,
-    "bottleneck_block_final": 1e-4,
-}
-
 
 def _check_primitives():
     rng = np.random.default_rng(0)
@@ -100,7 +91,7 @@ def _check_block(depth_kind):
     )
     block = build_block(spec, np.random.default_rng(5))
     x = Tensor(rng.standard_normal((2, cin, 3, 3, 3)))
-    params = [p for _, p in block.named_params("b")]
+    params = list(block.params.values())
 
     def f():
         return tt.mean_all(tt.tanh(block.forward(x, training=True, gate_log=[])))
@@ -108,20 +99,23 @@ def _check_block(depth_kind):
     return grad_check(f, params)
 
 
+# every check once, in run order: name -> (runner, max relative error allowed)
+_CHECKS = {
+    "primitives": (_check_primitives, 1e-5),
+    "lstm_layer": (_check_lstm_layer, 1e-4),
+    "srtg_unit_multiplicative": (lambda: _check_srtg_unit("multiplicative"), 1e-4),
+    "srtg_unit_additive": (lambda: _check_srtg_unit("additive"), 1e-4),
+    "simple_block_final": (lambda: _check_block("simple"), 1e-4),
+    "bottleneck_block_final": (lambda: _check_block("bottleneck"), 1e-4),
+}
+CHECK_TOLERANCES = {name: tol for name, (_, tol) in _CHECKS.items()}
+
+
 def run_checks(targets=None) -> dict[str, float]:
     """Run the named checks (default: all); returns {name: max rel error}."""
-    runners = {
-        "primitives": _check_primitives,
-        "lstm_layer": _check_lstm_layer,
-        "srtg_unit_multiplicative": lambda: _check_srtg_unit("multiplicative"),
-        "srtg_unit_additive": lambda: _check_srtg_unit("additive"),
-        "simple_block_final": lambda: _check_block("simple"),
-        "bottleneck_block_final": lambda: _check_block("bottleneck"),
-    }
-    names = list(runners) if not targets else list(targets)
     results = {}
-    for name in names:
-        if name not in runners:
+    for name in targets or _CHECKS:
+        if name not in _CHECKS:
             raise ValueError(f"unknown grad-check target {name!r}")
-        results[name] = runners[name]()
+        results[name] = _CHECKS[name][0]()
     return results

@@ -49,14 +49,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _ensure_out(path):
+def _ensure_out(path, cfg=None):
+    """Create the output directory and, given the effective config, write it
+    there as effective.cfg."""
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"cannot create output directory {path}: {e}") from e
     if not os.access(path, os.W_OK):
         raise ConfigError(f"output directory {path} is not writable")
+    if cfg is not None:
+        config.write_config(cfg, os.path.join(path, "effective.cfg"))
     return path
+
+
+def _optional_out(args, cfg=None):
+    """`_ensure_out` for a command whose --out is optional; None without it."""
+    return _ensure_out(args.out, cfg) if args.out else None
 
 
 def _load_cfg(args, seed_section=None):
@@ -66,10 +75,6 @@ def _load_cfg(args, seed_section=None):
     if seed_section and args.seed is not None:
         cfg.setdefault(seed_section, {})["seed"] = str(args.seed)
     return cfg
-
-
-def _persist(cfg, out_dir):
-    config.write_config(cfg, os.path.join(out_dir, "effective.cfg"))
 
 
 def _emit(payload, out_dir, filename):
@@ -89,8 +94,7 @@ def _emit(payload, out_dir, filename):
 def _cmd_gen_data(args):
     cfg = _load_cfg(args, seed_section="synthetic")
     spec = config.synthetic_spec(cfg)
-    out = _ensure_out(args.out)
-    _persist(cfg, out)
+    out = _ensure_out(args.out, cfg)
     train_ds, val_ds = data.generate(spec)
     save_dataset(os.path.join(out, "train.bin"), train_ds)
     save_dataset(os.path.join(out, "val.bin"), val_ds)
@@ -107,13 +111,16 @@ def _cmd_gen_data(args):
     return 0
 
 
-def _check_resumes_this_run(state, path, seed, net_spec):
+def _check_resumes_this_run(state, path, train_cfg, net_spec):
     """A checkpoint of another seed or network restores into equal shapes and
-    would train on silently; checkpoints without net_config skip the second
-    check."""
-    if state["seed"] != seed:
+    would train on silently, and one at or past train.epochs has nothing left
+    to train; checkpoints without net_config skip the network check."""
+    if state["seed"] != train_cfg.seed:
         raise ConfigError(f"{path} was written with train.seed {state['seed']}, "
-                          f"but this run has train.seed {seed}")
+                          f"but this run has train.seed {train_cfg.seed}")
+    if state["epoch"] >= train_cfg.epochs:
+        raise ConfigError(f"{path} is already at epoch {state['epoch']}, "
+                          f"but this run has train.epochs {train_cfg.epochs}")
     if state["net_config"]:
         saved = config.network_spec(state["net_config"])
         changed = [f.name for f in fields(saved)
@@ -131,9 +138,8 @@ def _cmd_train(args):
     # a refused resume writes nothing, not even effective.cfg in --out
     state = checkpoint_load(args.resume) if args.resume else None
     if state:
-        _check_resumes_this_run(state, args.resume, train_cfg.seed, net_spec)
-    out = _ensure_out(args.out)
-    _persist(cfg, out)
+        _check_resumes_this_run(state, args.resume, train_cfg, net_spec)
+    out = _ensure_out(args.out, cfg)
     train_ds = load_dataset(train_path)
     val_ds = load_dataset(val_path)
     net = Network(net_spec, seed=train_cfg.seed)
@@ -182,9 +188,7 @@ def _net_from_checkpoint(args):
 
 def _cmd_evaluate(args):
     net, cfg = _net_from_checkpoint(args)
-    out = _ensure_out(args.out) if args.out else None
-    if out:
-        _persist(cfg, out)
+    out = _optional_out(args, cfg)
     ds = load_dataset(args.data)
     metrics = evaluate(net, ds)
     _emit(
@@ -205,9 +209,7 @@ def _cmd_count_ops(args):
     cfg = _load_cfg(args)
     net_spec = config.network_spec(cfg)
     input_shape = config.parse_shape(args.input)
-    out = _ensure_out(args.out) if args.out else None
-    if out:
-        _persist(cfg, out)
+    out = _optional_out(args, cfg)
     counts = opcount.count_macs(net_spec, input_shape)
     report = opcount.report_dict(counts, input_shape)
     _emit(report, out, "opcount.json")
@@ -216,9 +218,7 @@ def _cmd_count_ops(args):
 
 def _cmd_gate_analyze(args):
     net, cfg = _net_from_checkpoint(args)
-    out = _ensure_out(args.out) if args.out else None
-    if out:
-        _persist(cfg, out)
+    out = _optional_out(args, cfg)
     ds = load_dataset(args.data)
 
     records, log = [], []
@@ -251,7 +251,7 @@ def _cmd_grad_check(args):
         "tolerances": {k: checks.CHECK_TOLERANCES[k] for k in results},
         "passed": not failed,
     }
-    out = _ensure_out(args.out) if args.out else None
+    out = _optional_out(args)
     _emit(payload, out, "grad_check.json")
     return 0 if not failed else 2
 

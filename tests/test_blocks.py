@@ -1,6 +1,9 @@
 """Residual block and network tests: placement wiring, shape preservation,
 identity paths, and gradient flow."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from srtg.blocks import (
     Network,
     build_block,
 )
-from srtg.config import NetworkSpec, StageSpec
+from srtg.config import NetworkSpec, StageSpec, apply_overrides, network_spec, read_config
 from srtg.gate import GateVerdict
 from srtg.tensor import Tensor, backward, grad_check
 
@@ -76,8 +79,8 @@ def test_residual_identity_with_zero_convs():
     # weights zeroed, placement none, matching channels: pure skip path
     x = np.abs(np.random.default_rng(2).standard_normal((1, 4, 3, 4, 4)))
     block = build_block(_spec(placement="none"), np.random.default_rng(3))
-    block.conv1.conv.weight.data[:] = 0.0
-    block.conv2.conv.weight.data[:] = 0.0
+    block.params["block.conv1.weight"].data[:] = 0.0
+    block.params["block.conv2.weight"].data[:] = 0.0
     out = block.forward(Tensor(x), training=False, gate_log=[])
     np.testing.assert_array_equal(out.data, x)
 
@@ -89,7 +92,7 @@ def test_final_placement_closed_clip_matches_plain_block_bitexact():
     gated = build_block(_spec(placement="final"), np.random.default_rng(5))
     # same init seed -> identical conv/bn weights; force the gate shut by
     # zeroing the recurrent weights (degenerate filtered stream ties to 0)
-    for layer in gated.srtg.params.layers:
+    for layer in gated.lstm.layers:
         for t in (layer.w_f, layer.w_i, layer.w_c, layer.w_a,
                   layer.b_f, layer.b_i, layer.b_c, layer.b_a):
             t.data[:] = 0.0
@@ -148,14 +151,20 @@ def test_strided_block_downsamples_skip():
     assert out.data.shape == (1, 8, 2, 4, 4)
 
 
-def test_grad_check_simple_block_final():
+# the (2+1)D cases widen and stride, so the spatial, mid_bn, temporal,
+# down_conv and down_bn weights are checked too
+@pytest.mark.parametrize("conv,cout,stride", [
+    ("full_3d", 3, (1, 1, 1)),
+    ("two_plus_one_d", 4, (2, 2, 2)),
+], ids=["full_3d", "two_plus_one_d_projection"])
+def test_grad_check_simple_block_final(conv, cout, stride):
     rng = np.random.default_rng(14)
     x = Tensor(rng.standard_normal((1, 3, 3, 3, 3)))
     block = build_block(
-        _spec(placement="final", cin=3, cout=3, gate=False),
+        _spec(conv=conv, placement="final", cin=3, cout=cout, stride=stride, gate=False),
         np.random.default_rng(15),
     )
-    params = [p for _, p in block.named_params("b")]
+    params = list(block.params.values())
 
     def f():
         return tt.mean_all(tt.tanh(block.forward(x, training=True, gate_log=[])))
@@ -163,14 +172,19 @@ def test_grad_check_simple_block_final():
     assert grad_check(f, params) <= 1e-4
 
 
-def test_grad_check_bottleneck_block_final():
+@pytest.mark.parametrize("conv,cout,stride", [
+    ("full_3d", 4, (1, 1, 1)),
+    ("two_plus_one_d", 8, (2, 2, 2)),
+], ids=["full_3d", "two_plus_one_d_projection"])
+def test_grad_check_bottleneck_block_final(conv, cout, stride):
     rng = np.random.default_rng(16)
     x = Tensor(rng.standard_normal((1, 4, 3, 3, 3)))
     block = build_block(
-        _spec(depth="bottleneck", placement="final", cin=4, cout=4, gate=False),
+        _spec(depth="bottleneck", conv=conv, placement="final", cin=4, cout=cout,
+              stride=stride, gate=False),
         np.random.default_rng(17),
     )
-    params = [p for _, p in block.named_params("b")]
+    params = list(block.params.values())
 
     def f():
         return tt.mean_all(tt.tanh(block.forward(x, training=True, gate_log=[])))
@@ -185,8 +199,8 @@ def test_grad_check_bottleneck_block_final():
 
 def test_network_zero_head_uniform_logits():
     net = Network(_mini_network_spec(), seed=0)
-    net.head_w.data[:] = 0.0
-    net.head_b.data[:] = 0.0
+    net.params["head.weight"].data[:] = 0.0
+    net.params["head.bias"].data[:] = 0.0
     x = np.random.default_rng(18).standard_normal((2, 1, 8, 16, 16))
     logits, _ = net.forward(x)
     np.testing.assert_array_equal(logits.data, np.zeros((2, 2)))
@@ -262,3 +276,27 @@ def test_network_seed_determinism():
     b = Network(_mini_network_spec(), seed=7)
     for (_, pa), (_, pb) in zip(a.named_params(), b.named_params()):
         assert np.array_equal(pa.data, pb.data)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# the network of the long_clip_gate benchmark workload: a (2+1)D bottleneck
+# with the unit at `mid` and a projection skip opening each stage
+LONG_CLIP_GATE = (
+    "network.depth_kind=bottleneck", "network.conv_kind=two_plus_one_d",
+    "network.placement=mid", "network.gate_active=false", "network.stem_stride=1x1x1",
+    "stage1.channels=8", "stage2.channels=8", "stage1.blocks=2", "stage2.blocks=2",
+)
+
+
+@pytest.mark.parametrize("name,overrides", [("toy", ()), ("long_clip_gate", LONG_CLIP_GATE)],
+                         ids=["toy", "long_clip_gate"])
+def test_checkpoint_array_table_matches_golden(name, overrides):
+    # the names, shapes and order of the arrays a checkpoint stores
+    cfg = apply_overrides(read_config(str(CONFIGS / "toy.cfg")), overrides)
+    net = Network(network_spec(cfg), seed=0)
+    table = {
+        "params": [[n, list(p.data.shape)] for n, p in net.named_params()],
+        "buffers": [[n, list(b.shape)] for n, b in net.named_buffers()],
+    }
+    assert table == json.loads((GOLDEN / "checkpoint_arrays.json").read_text())[name]

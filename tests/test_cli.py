@@ -115,7 +115,8 @@ def test_resume_matches_uninterrupted(tmp_path):
     (["--seed", "99"], "written with train.seed 7, but this run has train.seed 99"),
     (["--set", "network.fusion_mode=additive", "--set", "network.gate_active=false"],
      "written for another network: gate_active, fusion_mode differ"),
-], ids=["seed", "network"])
+    (["--set", "train.epochs=1"], "is already at epoch 1, but this run has train.epochs 1"),
+], ids=["seed", "network", "epochs_done"])
 def test_resume_from_another_run_exits_1_before_any_epoch(tmp_path, capsys, extra, message):
     # same parameter shapes, so without the checks the run would train on;
     # resuming into the checkpoint's own run directory must leave it as it was

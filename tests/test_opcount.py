@@ -101,7 +101,7 @@ def test_counter_head_width_agrees_with_forward():
             net = Network(spec, seed=0)
             logits, _ = net.forward(np.zeros((1, 1, 8, 16, 16)))
             assert logits.data.shape == (1, 2)
-            assert head.macs == net.head_w.data.shape[1] * 2
+            assert head.macs == net.params["head.weight"].data.shape[1] * 2
 
 
 def test_placement_cost_equivalence_same_insertion_width():

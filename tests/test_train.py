@@ -136,8 +136,8 @@ def test_top5_with_two_classes_is_one():
 
 def test_constant_logits_tie_rule_gives_class_zero():
     net = Network(_tiny_net_spec(num_classes=4), seed=1)
-    net.head_w.data[:] = 0.0
-    net.head_b.data[:] = 0.0
+    net.params["head.weight"].data[:] = 0.0
+    net.params["head.bias"].data[:] = 0.0
     # balanced 4-class labels over 8 clips
     _, val = _tiny_data(n_val=8)
     ds = Dataset(val.clips, np.arange(8, dtype=np.int64) % 4, {})
@@ -205,7 +205,7 @@ def test_two_seeded_runs_identical_history_and_csv(tmp_path):
 def test_divergence_aborts_with_epoch():
     train_ds, val_ds = _tiny_data()
     net = Network(_tiny_net_spec(), seed=12)
-    net.head_w.data[:] = np.inf
+    net.params["head.weight"].data[:] = np.inf
     with pytest.raises(TrainingDivergedError, match="epoch 1"):
         train(net, train_ds, val_ds, _cfg())
 
