@@ -109,6 +109,20 @@ def test_save_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_file_bytes_match_the_documented_format(tmp_path):
+    # README: the SRTGDATA magic, version 1 and the header length as <IQ, the
+    # JSON header with sorted keys, then the <f8 clips and the <i8 labels
+    clips = np.arange(12, dtype=np.float64).reshape(2, 1, 2, 1, 3) / 7 - 0.5
+    ds = Dataset(clips, np.array([1, 0], dtype=np.int64), {"seed": 4, "family": "translate"})
+    header = json.dumps({"meta": {"family": "translate", "seed": 4}, "dtype": "float64",
+                         "count": 2, "shape": [1, 2, 1, 3]}, sort_keys=True).encode()
+    expected = (b"SRTGDATA" + struct.pack("<IQ", 1, len(header)) + header
+                + struct.pack("<12d", *clips.ravel()) + struct.pack("<2q", 1, 0))
+    path = tmp_path / "tiny.bin"
+    save_dataset(path, ds)
+    assert path.read_bytes() == expected
+
+
 def test_truncated_file_rejected(tmp_path):
     train, _ = generate(_spec())
     path = tmp_path / "train.bin"

@@ -248,6 +248,30 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_checkpoint_bytes_match_the_documented_format(tmp_path):
+    # README: the SRTGCKPT magic, version 1 and the header length as <IQ, the
+    # JSON header with sorted keys naming every array (parameters, batch-norm
+    # buffers, then momentum by sorted name), the <f8 payload in that order,
+    # then the SHA-256 of everything before it
+    net = Network(_tiny_net_spec(), seed=21)
+    opt = SGD(net.named_params())
+    arrays = [(f"param.{name}", p.data) for name, p in net.named_params()]
+    arrays += [(f"buffer.{name}", b) for name, b in net.named_buffers()]
+    arrays += [(f"velocity.{name}", opt.velocity[name]) for name in sorted(opt.velocity)]
+    for i, (name, arr) in enumerate(arrays):
+        if not name.startswith("param."):  # make every array's bytes distinct
+            arr[...] = i + np.arange(arr.size).reshape(arr.shape) / arr.size
+    net_config = {"network": {"depth_kind": "simple"}}
+    header = json.dumps({"epoch": 3, "seed": 7, "net_config": net_config,
+                         "arrays": [[name, list(arr.shape)] for name, arr in arrays]},
+                        sort_keys=True).encode()
+    body = b"SRTGCKPT" + struct.pack("<IQ", 1, len(header)) + header
+    body += b"".join(struct.pack(f"<{arr.size}d", *arr.ravel()) for _, arr in arrays)
+    path = tmp_path / "tiny.ckpt"
+    checkpoint_save(path, net, opt, epoch=3, seed=7, net_config=net_config)
+    assert path.read_bytes() == body + hashlib.sha256(body).digest()
+
+
 @pytest.mark.parametrize("kind", ["buffer", "velocity"])
 def test_checkpoint_restore_checks_buffer_and_velocity_shapes(tmp_path, kind):
     net = Network(_tiny_net_spec(), seed=17)
