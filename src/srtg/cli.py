@@ -111,16 +111,18 @@ def _cmd_gen_data(args):
     return 0
 
 
-def _check_resumes_this_run(state, path, train_cfg, net_spec):
+def _check_resumes_this_run(state, path, train_cfg, net_spec, stop_after):
     """A checkpoint of another seed or network restores into equal shapes and
-    would train on silently, and one at or past train.epochs has nothing left
-    to train; checkpoints without net_config skip the network check."""
+    would train on silently, and one at or past this run's last epoch (the
+    smaller of train.epochs and --stop-after) has nothing left to train;
+    checkpoints without net_config skip the network check."""
     if state["seed"] != train_cfg.seed:
         raise ConfigError(f"{path} was written with train.seed {state['seed']}, "
                           f"but this run has train.seed {train_cfg.seed}")
-    if state["epoch"] >= train_cfg.epochs:
+    if state["epoch"] >= min(train_cfg.epochs, stop_after or train_cfg.epochs):
         raise ConfigError(f"{path} is already at epoch {state['epoch']}, "
-                          f"but this run has train.epochs {train_cfg.epochs}")
+                          f"but this run has train.epochs {train_cfg.epochs}"
+                          + (f" and --stop-after {stop_after}" if stop_after else ""))
     if state["net_config"]:
         saved = config.network_spec(state["net_config"])
         changed = [f.name for f in fields(saved)
@@ -138,7 +140,7 @@ def _cmd_train(args):
     # a refused resume writes nothing, not even effective.cfg in --out
     state = checkpoint_load(args.resume) if args.resume else None
     if state:
-        _check_resumes_this_run(state, args.resume, train_cfg, net_spec)
+        _check_resumes_this_run(state, args.resume, train_cfg, net_spec, args.stop_after)
     out = _ensure_out(args.out, cfg)
     train_ds = load_dataset(train_path)
     val_ds = load_dataset(val_path)

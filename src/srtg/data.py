@@ -1,4 +1,5 @@
-"""Synthetic moving-pattern clip generation and the binary dataset format.
+"""Synthetic moving-pattern clip generation, the binary dataset format, and
+the file frame and atomic write that datasets and checkpoints share.
 
 Clips are float64 volumes (C, T, H, W) with a Gaussian blob moving on a
 wrapping canvas. Classes differ by motion: per-class translation direction,
@@ -15,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -122,48 +124,72 @@ def generate(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
 
 
 # ---------------------------------------------------------------------------
-# on-disk format: magic, version, json header, raw clips, raw labels
+# file frame, shared with checkpoints: magic, <IQ version and header length,
+# sorted-JSON header, then the payload
 # ---------------------------------------------------------------------------
 
 
-def save_dataset(path, ds: Dataset):
-    header = {
-        "count": int(len(ds)),
-        "shape": [int(v) for v in ds.clips.shape[1:]],
-        "dtype": "float64",
-        "meta": ds.meta,
-    }
+def frame_bytes(magic: bytes, header: dict) -> bytes:
     hjson = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IQ", _VERSION, len(hjson)))
-        fh.write(hjson)
-        fh.write(np.ascontiguousarray(ds.clips, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(ds.labels, dtype="<i8").tobytes())
+    return magic + struct.pack("<IQ", _VERSION, len(hjson)) + hjson
+
+
+def read_frame(raw: bytes, magic: bytes, path, error) -> tuple[dict, int]:
+    """Check the frame's magic, header length, version and JSON object;
+    returns (header, payload offset) or raises `error` with one line."""
+    if raw[: len(magic)] != magic:
+        raise error(f"{path}: not a {magic.decode()} file (bad magic)")
+    off = len(magic) + struct.calcsize("<IQ")
+    # a file too short for the version and length fails the length check
+    version, hlen = struct.unpack_from("<IQ", raw, len(magic)) if len(raw) >= off else (0, 0)
+    if len(raw) < off + hlen:
+        raise error(f"{path}: truncated header")
+    if version != _VERSION:
+        raise error(f"{path}: unsupported version {version}")
+    try:
+        header = json.loads(raw[off : off + hlen].decode())
+    except ValueError as e:  # bad UTF-8 included
+        raise error(f"{path}: header is not JSON ({e})") from e
+    if not isinstance(header, dict):
+        raise error(f"{path}: header is not a JSON object")
+    return header, off + hlen
+
+
+def read_file(path, error) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as e:
+        raise error(f"cannot read {path}: {e}") from e
+
+
+def write_atomic(path, parts):
+    """Stream the bytes-like parts to <path>.tmp and swap it in, so a crash
+    mid-write keeps the previous file and leaves no .tmp behind."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for part in parts:
+                fh.write(part)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def save_dataset(path, ds: Dataset):
+    header = {"count": int(len(ds)), "shape": [int(v) for v in ds.clips.shape[1:]],
+              "dtype": "float64", "meta": ds.meta}
+    write_atomic(path, [frame_bytes(_MAGIC, header),
+                        np.ascontiguousarray(ds.clips, dtype="<f8"),
+                        np.ascontiguousarray(ds.labels, dtype="<i8")])
 
 
 def load_dataset(path) -> Dataset:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as e:
-        raise DatasetFormatError(f"cannot read dataset {path}: {e}") from e
-    if raw[: len(_MAGIC)] != _MAGIC:
-        raise DatasetFormatError(f"{path}: not a dataset file (bad magic)")
-    off = len(_MAGIC)
-    if len(raw) < off + struct.calcsize("<IQ"):
-        raise DatasetFormatError(f"{path}: truncated header")
-    version, hlen = struct.unpack_from("<IQ", raw, off)
-    off += struct.calcsize("<IQ")
-    if version != _VERSION:
-        raise DatasetFormatError(f"{path}: unsupported dataset version {version}")
-    try:
-        header = json.loads(raw[off : off + hlen].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise DatasetFormatError(f"{path}: corrupt header") from e
-    off += hlen
-    fields = header if isinstance(header, dict) else {}
-    count, shape = fields.get("count"), fields.get("shape")
+    raw = read_file(path, DatasetFormatError)
+    header, off = read_frame(raw, _MAGIC, path, DatasetFormatError)
+    count, shape = header.get("count"), header.get("shape")
     # JSON integers only; type() and not isinstance(), so true and false fail
     if not isinstance(shape, list) or any(type(v) is not int for v in [count, *shape]):
         raise DatasetFormatError(f"{path}: header lacks a valid count and shape (JSON integers)")

@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
-import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +19,7 @@ import numpy as np
 from srtg import tensor as tt
 from srtg.blocks import Network
 from srtg.config import TrainConfig
-from srtg.data import Dataset
+from srtg.data import Dataset, frame_bytes, read_file, read_frame, write_atomic
 from srtg.tensor import backward, no_grad
 
 __all__ = [
@@ -41,7 +38,6 @@ __all__ = [
 ]
 
 _CKPT_MAGIC = b"SRTGCKPT"
-_CKPT_VERSION = 1
 
 
 class TrainingDivergedError(RuntimeError):
@@ -165,15 +161,16 @@ def _history_columns(unit_names):
 
 
 def _drop_rows_after(path, epoch):
-    """Cut a metrics file after its last complete row for an epoch <= epoch.
-    The row of epoch k is written before checkpoint k, so a crash between the
-    two leaves a row that the run resumed from checkpoint k-1 writes again."""
+    """Cut a metrics file after its last complete row for an epoch <= epoch,
+    or empty it at epoch 0. The row of epoch k is written before checkpoint k,
+    so a crash between the two leaves a row that the run resumed from
+    checkpoint k-1 writes again."""
     try:
         fh = open(path, "r+b")
     except FileNotFoundError:
         return
     with fh:
-        keep = len(fh.readline())  # column names
+        keep = len(fh.readline()) if epoch else 0  # column names
         for line in fh:
             first = line.split(b",", 1)[0]
             if not (line.endswith(b"\n") and first.isdigit() and int(first) <= epoch):
@@ -202,8 +199,8 @@ def train(
 
     History rows hold the epoch's mean train loss, val top-1/top-5, the lr
     used, and per-unit gate-open rates on the val split. Rows are appended to
-    metrics_path as they are produced, after dropping any past start_epoch;
-    a checkpoint (when requested) is rewritten after every epoch.
+    metrics_path (column row first if empty) after dropping any past
+    start_epoch; a checkpoint (when requested) is rewritten after every epoch.
     """
     optimizer = optimizer or SGD(net.named_params(), cfg.momentum, cfg.weight_decay)
     unit_names = net.srtg_unit_names()
@@ -212,13 +209,11 @@ def train(
     writer = None
     fh = None
     if metrics_path is not None:
-        if start_epoch:
-            _drop_rows_after(metrics_path, start_epoch)
-        fh = open(metrics_path, "w" if start_epoch == 0 else "a", newline="")
+        _drop_rows_after(metrics_path, start_epoch)
+        fh = open(metrics_path, "a", newline="")
         writer = csv.writer(fh)
-        if start_epoch == 0:
+        if fh.tell() == 0:  # a new file, or a resume into a fresh directory
             writer.writerow(columns)
-            fh.flush()
     last_epoch = cfg.epochs if stop_after is None else min(cfg.epochs, stop_after)
     try:
         n = len(train_ds)
@@ -269,10 +264,13 @@ def train(
 # ---------------------------------------------------------------------------
 
 
-def _state_arrays(net: Network, optimizer: SGD):
+def _state_arrays(net: Network, optimizer: SGD | None = None):
+    """The checkpoint's array table: (name, live array) in file order, the
+    momentum entries only when an optimizer is given."""
     arrays = [(f"param.{name}", p.data) for name, p in net.named_params()]
     arrays += [(f"buffer.{name}", b) for name, b in net.named_buffers()]
-    arrays += [(f"velocity.{name}", v) for name, v in sorted(optimizer.velocity.items())]
+    if optimizer is not None:
+        arrays += [(f"velocity.{name}", v) for name, v in sorted(optimizer.velocity.items())]
     return arrays
 
 
@@ -286,52 +284,25 @@ def checkpoint_save(path, net: Network, optimizer: SGD, epoch: int, seed=0, net_
         "net_config": net_config,
         "arrays": [[name, list(arr.shape)] for name, arr in arrays],
     }
-    hjson = json.dumps(header, sort_keys=True).encode()
-    body = bytearray()
-    body += _CKPT_MAGIC
-    body += struct.pack("<IQ", _CKPT_VERSION, len(hjson))
-    body += hjson
-    for _, arr in arrays:
-        body += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    digest = hashlib.sha256(bytes(body)).digest()
-    # write beside the target and swap it in, so a crash mid-write keeps the
-    # previous checkpoint
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(bytes(body))
-            fh.write(digest)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    parts = [frame_bytes(_CKPT_MAGIC, header)]
+    parts += [np.ascontiguousarray(arr, dtype="<f8") for _, arr in arrays]
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    write_atomic(path, [*parts, digest.digest()])
 
 
 def checkpoint_load(path) -> dict:
-    """Return {"epoch", "seed", "arrays": {name: ndarray}}; verifies checksum."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as e:
-        raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
+    """Return {"epoch", "seed", "net_config", "arrays": {name: ndarray}};
+    verifies the magic and checksum before it parses the header."""
+    raw = read_file(path, CheckpointError)
     if len(raw) < len(_CKPT_MAGIC) + 32 or raw[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     body, digest = raw[:-32], raw[-32:]
     if hashlib.sha256(body).digest() != digest:
         raise CheckpointError(f"{path}: checksum mismatch (truncated or corrupt)")
-    off = len(_CKPT_MAGIC)
-    if len(body) < off + struct.calcsize("<IQ"):
-        raise CheckpointError(f"{path}: header truncated")
-    version, hlen = struct.unpack_from("<IQ", body, off)
-    off += struct.calcsize("<IQ")
-    if version != _CKPT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    try:
-        header = json.loads(body[off : off + hlen].decode())
-    except ValueError as e:
-        raise CheckpointError(f"{path}: header is not JSON ({e})") from e
-    if not isinstance(header, dict) or not {"epoch", "seed", "arrays"} <= header.keys():
+    header, off = read_frame(body, _CKPT_MAGIC, path, CheckpointError)
+    if not {"epoch", "seed", "arrays"} <= header.keys():
         raise CheckpointError(f"{path}: header is not an object with epoch, seed and arrays")
     if any(type(header[k]) is not int or header[k] < 0 for k in ("epoch", "seed")):
         raise CheckpointError(f"{path}: header epoch and seed must be non-negative JSON integers")
@@ -344,7 +315,6 @@ def checkpoint_load(path) -> dict:
         )
     ):
         raise CheckpointError(f"{path}: net_config is not an object of sections of strings")
-    off += hlen
     arrays = {}
     try:
         for name, shape in header["arrays"]:
@@ -367,8 +337,7 @@ def checkpoint_load(path) -> dict:
 def apply_checkpoint(net: Network, optimizer: SGD | None, state: dict):
     """Restore parameters, batch-norm buffers and (if given) momentum in place."""
     arrays = state["arrays"]
-
-    def restore(key, dest):
+    for key, dest in _state_arrays(net, optimizer):
         if key not in arrays:
             raise CheckpointError(f"checkpoint missing array {key}")
         if arrays[key].shape != dest.shape:
@@ -377,11 +346,3 @@ def apply_checkpoint(net: Network, optimizer: SGD | None, state: dict):
                 f"model {dest.shape}"
             )
         dest[:] = arrays[key]
-
-    for name, p in net.named_params():
-        restore(f"param.{name}", p.data)
-    for name, b in net.named_buffers():
-        restore(f"buffer.{name}", b)
-    if optimizer is not None:
-        for name, v in optimizer.velocity.items():
-            restore(f"velocity.{name}", v)

@@ -342,7 +342,7 @@ def test_criterion_7_determinism_and_resume(tmp_path):
     resumed = run("resumed", ["--resume", str(part / "checkpoint.bin")])
     full_rows = (run_a / "metrics.csv").read_text().strip().splitlines()
     resumed_rows = (resumed / "metrics.csv").read_text().strip().splitlines()
-    resume_exact = resumed_rows == full_rows[3:] and (
+    resume_exact = resumed_rows == full_rows[:1] + full_rows[3:] and (
         (run_a / "checkpoint.bin").read_bytes() == (resumed / "checkpoint.bin").read_bytes()
     )
 

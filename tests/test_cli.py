@@ -107,7 +107,7 @@ def test_resume_matches_uninterrupted(tmp_path):
 
     full_rows = (full / "metrics.csv").read_text().strip().splitlines()
     resumed_rows = (resumed / "metrics.csv").read_text().strip().splitlines()
-    assert resumed_rows == full_rows[3:]  # epochs 3 and 4, bit-exact
+    assert resumed_rows == full_rows[:1] + full_rows[3:]  # columns, epochs 3 and 4, bit-exact
     assert (full / "checkpoint.bin").read_bytes() == (resumed / "checkpoint.bin").read_bytes()
 
 
@@ -116,7 +116,9 @@ def test_resume_matches_uninterrupted(tmp_path):
     (["--set", "network.fusion_mode=additive", "--set", "network.gate_active=false"],
      "written for another network: gate_active, fusion_mode differ"),
     (["--set", "train.epochs=1"], "is already at epoch 1, but this run has train.epochs 1"),
-], ids=["seed", "network", "epochs_done"])
+    (["--stop-after", "1"], "is already at epoch 1, but this run has train.epochs 2 "
+                            "and --stop-after 1"),
+], ids=["seed", "network", "epochs_done", "stop_after_done"])
 def test_resume_from_another_run_exits_1_before_any_epoch(tmp_path, capsys, extra, message):
     # same parameter shapes, so without the checks the run would train on;
     # resuming into the checkpoint's own run directory must leave it as it was

@@ -16,7 +16,7 @@ import srtg.train
 from srtg import tensor as tt
 from srtg.blocks import Network
 from srtg.config import NetworkSpec, StageSpec, TrainConfig
-from srtg.data import Dataset, generate
+from srtg.data import Dataset, generate, save_dataset
 from srtg.config import SyntheticSpec
 from srtg.tensor import Tensor, backward
 from srtg.train import (
@@ -285,21 +285,31 @@ def test_checkpoint_restore_checks_buffer_and_velocity_shapes(tmp_path, kind):
         apply_checkpoint(Network(_tiny_net_spec(), seed=18), SGD(net.named_params()), state)
 
 
-def test_checkpoint_save_keeps_previous_file_when_write_fails(tmp_path, monkeypatch):
+def _save_checkpoint_of_epoch(path, epoch):
     net = Network(_tiny_net_spec(), seed=19)
-    opt = SGD(net.named_params())
-    path = tmp_path / "checkpoint.bin"
-    checkpoint_save(path, net, opt, epoch=1)
+    checkpoint_save(path, net, SGD(net.named_params()), epoch=epoch)
+
+
+def _save_dataset_of_seed(path, seed):
+    save_dataset(path, _tiny_data(n_train=4, n_val=2, seed=seed)[0])
+
+
+@pytest.mark.parametrize("save", [_save_checkpoint_of_epoch, _save_dataset_of_seed],
+                         ids=["checkpoint_save", "save_dataset"])
+def test_save_keeps_previous_file_when_write_fails(tmp_path, monkeypatch, save):
+    path = tmp_path / "file.bin"
+    save(path, 1)
     before = path.read_bytes()
 
     def crash(src, dst):
         raise OSError("simulated crash before the swap")
 
-    monkeypatch.setattr(srtg.train.os, "replace", crash)
+    monkeypatch.setattr(os, "replace", crash)
     with pytest.raises(OSError, match="simulated"):
-        checkpoint_save(path, net, opt, epoch=2)
+        save(path, 2)
+    monkeypatch.undo()
     assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file.bin"]
 
 
 def test_checkpoint_truncation_detected(tmp_path):
