@@ -168,3 +168,78 @@ def separated_embedding(rng, t_len, c_len, min_dist=2.0, scale=4.0):
         d[np.diag_indices(t_len)] = np.inf
         if d.min() > min_dist:
             return e
+
+
+# ---------------------------------------------------------------------------
+# synthetic clips and training frame samples, one frame or clip at a time
+# ---------------------------------------------------------------------------
+
+_DIRECTIONS = [(0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (-1, -1), (1, -1), (-1, 1)]
+
+
+def _blob_oracle(height, width, cy, cx, sigma):
+    ys = np.arange(height)[:, None]
+    xs = np.arange(width)[None, :]
+    return np.exp(-(((ys - cy) ** 2) + ((xs - cx) ** 2)) / (2.0 * sigma * sigma))
+
+
+def _translate_clip_oracle(spec, rng, velocity):
+    cy = float(rng.uniform(2, spec.height - 2))
+    cx = float(rng.uniform(2, spec.width - 2))
+    amp = float(rng.uniform(0.8, 1.2))
+    base = amp * _blob_oracle(spec.height, spec.width, cy, cx,
+                              sigma=max(spec.height, spec.width) / 10)
+    vy, vx = velocity
+    clip = np.zeros((spec.channels, spec.frames, spec.height, spec.width))
+    for t in range(spec.frames):
+        clip[:, t] = np.roll(base, (t * vy, t * vx), axis=(0, 1))
+    if spec.noise > 0:
+        clip += spec.noise * rng.standard_normal(clip.shape)
+    return clip
+
+
+def _oscillate_clip_oracle(spec, rng, phase):
+    cy = float(rng.uniform(2, spec.height - 2))
+    cx = float(rng.uniform(2, spec.width - 2))
+    base = _blob_oracle(spec.height, spec.width, cy, cx, sigma=max(spec.height, spec.width) / 10)
+    clip = np.zeros((spec.channels, spec.frames, spec.height, spec.width))
+    for t in range(spec.frames):
+        gain = 0.75 + 0.25 * np.sin(2.0 * np.pi * t / spec.frames + phase)
+        clip[:, t] = gain * base
+    if spec.noise > 0:
+        clip += spec.noise * rng.standard_normal(clip.shape)
+    return clip
+
+
+def clip_oracle(spec, label, rng):
+    """One clip of the spec's family, built frame by frame from `rng`."""
+    if spec.family == "translate":
+        vy, vx = _DIRECTIONS[label % len(_DIRECTIONS)]
+        speed = 1 + label // len(_DIRECTIONS)
+        return _translate_clip_oracle(spec, rng, (vy * speed, vx * speed))
+    if spec.family == "oscillate":
+        return _oscillate_clip_oracle(spec, rng, 2.0 * np.pi * label / spec.num_classes)
+    speed = int(rng.integers(1, 3))
+    clip = _translate_clip_oracle(spec, rng, (0, speed))
+    return clip[:, ::-1].copy() if label == 1 else clip
+
+
+def split_oracle(spec, split_id, count):
+    """(clips, labels) of one split, clip by clip from (seed, split, clip)."""
+    clips, labels = [], []
+    for idx in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, split_id, idx]))
+        clips.append(clip_oracle(spec, idx % spec.num_classes, rng))
+        labels.append(idx % spec.num_classes)
+    return np.stack(clips), np.array(labels, dtype=np.int64)
+
+
+def frame_sample_oracle(clip, seed, epoch, clip_idx, frames_per_clip):
+    """The training frame sample of one (C, T, H, W) clip: sorted frame
+    indices drawn without replacement from its (seed, 3, epoch, clip)
+    generator, or the whole clip when it is no longer than frames_per_clip."""
+    t = clip.shape[1]
+    if t <= frames_per_clip:
+        return clip
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 3, epoch, clip_idx]))
+    return clip[:, np.sort(rng.choice(t, size=frames_per_clip, replace=False))]

@@ -17,6 +17,7 @@ from srtg.data import (
     load_dataset,
     save_dataset,
 )
+from oracles import split_oracle
 
 
 def _spec(**kw):
@@ -38,6 +39,20 @@ def test_translate_noise_free_frames_are_rolled_copies():
             np.testing.assert_array_equal(
                 clip[0, t], np.roll(clip[0, 0], (t * vy, t * vx), axis=(0, 1))
             )
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+@pytest.mark.parametrize("family,classes", [("translate", 16), ("oscillate", 3),
+                                            ("reversed_pair", 2)])
+def test_generate_matches_frame_loop_oracle(family, classes, noise, channels):
+    # odd canvas, both translate speeds, both reversed_pair speeds and labels
+    spec = _spec(family=family, num_classes=classes, noise=noise, channels=channels,
+                 frames=5, height=13, width=9, train_clips=16, val_clips=5, seed=21)
+    for split_id, ds in enumerate(generate(spec)):
+        clips, labels = split_oracle(spec, split_id, len(ds))
+        np.testing.assert_array_equal(ds.clips, clips)
+        np.testing.assert_array_equal(ds.labels, labels)
 
 
 def test_same_seed_bit_identical():

@@ -31,6 +31,7 @@ from srtg.train import (
     top_k_hits,
     train,
 )
+from oracles import frame_sample_oracle
 
 
 def _tiny_net_spec(num_classes=2, gate=True, placement="final"):
@@ -216,8 +217,20 @@ def test_frame_subsampling_applied_when_clips_longer():
     train_ds, val_ds = generate(spec)
     net = Network(_tiny_net_spec(), seed=13)
     cfg = _cfg(epochs=1, frames_per_clip=4)
+    seen = []
+    forward = net.forward
+
+    def capture(clips, training):
+        if training:
+            seen.append(clips.copy())
+        return forward(clips, training=training)
+
+    net.forward = capture
     _, history = train(net, train_ds, val_ds, cfg)
-    assert len(history) == 1  # subsampled batches must flow through cleanly
+    assert len(history) == 1
+    order = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, 1])).permutation(8)
+    expected = [frame_sample_oracle(train_ds.clips[i], cfg.seed, 1, int(i), 4) for i in order]
+    np.testing.assert_array_equal(np.concatenate(seen), np.stack(expected))
 
 
 def test_lr_schedule_steps_down():
