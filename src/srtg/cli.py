@@ -229,12 +229,13 @@ def _cmd_gate_analyze(args):
         records += [decision.to_record(layer, int(idx[pos]))
                     for layer, decisions in gate_log
                     for pos, decision in enumerate(decisions)]
-    lines = "\n".join(json.dumps(r, sort_keys=True) for r in records)
+    # one line per record: no records, no lines
+    lines = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
     if out:
         with open(os.path.join(out, "gates.jsonl"), "w") as fh:
-            fh.write(lines + "\n")
+            fh.write(lines)
     else:
-        print(lines)
+        print(lines, end="")
     _emit({"open_rates": training.gate_rates(log), "clips": len(ds)},
           out, "gate_summary.json")
     return 0

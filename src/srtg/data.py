@@ -46,55 +46,36 @@ class Dataset:
         return self.clips.shape[0]
 
 
-def _blob(height, width, cy, cx, sigma):
-    ys = np.arange(height)[:, None]
-    xs = np.arange(width)[None, :]
-    return np.exp(-(((ys - cy) ** 2) + ((xs - cx) ** 2)) / (2.0 * sigma * sigma))
-
-
-def _translate_clip(spec, rng, velocity):
-    """Frame t is frame 0 rolled by t*velocity (wrapping), plus noise."""
-    cy = float(rng.uniform(2, spec.height - 2))
-    cx = float(rng.uniform(2, spec.width - 2))
-    amp = float(rng.uniform(0.8, 1.2))
-    base = amp * _blob(spec.height, spec.width, cy, cx, sigma=max(spec.height, spec.width) / 10)
-    vy, vx = velocity
-    clip = np.zeros((spec.channels, spec.frames, spec.height, spec.width))
-    for t in range(spec.frames):
-        frame = np.roll(base, (t * vy, t * vx), axis=(0, 1))
-        clip[:, t] = frame
-    if spec.noise > 0:
-        clip += spec.noise * rng.standard_normal(clip.shape)
-    return clip
-
-
-def _oscillate_clip(spec, rng, phase):
-    cy = float(rng.uniform(2, spec.height - 2))
-    cx = float(rng.uniform(2, spec.width - 2))
-    base = _blob(spec.height, spec.width, cy, cx, sigma=max(spec.height, spec.width) / 10)
-    clip = np.zeros((spec.channels, spec.frames, spec.height, spec.width))
-    for t in range(spec.frames):
-        gain = 0.75 + 0.25 * np.sin(2.0 * np.pi * t / spec.frames + phase)
-        clip[:, t] = gain * base
-    if spec.noise > 0:
-        clip += spec.noise * rng.standard_normal(clip.shape)
-    return clip
-
-
 def _make_clip(spec, label, rng):
-    if spec.family == "translate":
-        velocity = _DIRECTIONS[label % len(_DIRECTIONS)]
+    """All T frames of one clip at once: frame t is the blob rolled by
+    t*velocity on the wrapping canvas (translate, reversed_pair) or scaled by
+    a per-frame gain (oscillate), tiled over the channels, plus noise."""
+    height, width = spec.height, spec.width
+    if spec.family == "reversed_pair":
+        vy, vx = 0, int(rng.integers(1, 3))
+    elif spec.family == "translate":
         speed = 1 + label // len(_DIRECTIONS)
-        return _translate_clip(spec, rng, (velocity[0] * speed, velocity[1] * speed))
+        vy, vx = (speed * v for v in _DIRECTIONS[label % len(_DIRECTIONS)])
+    cy = float(rng.uniform(2, height - 2))
+    cx = float(rng.uniform(2, width - 2))
+    ys, xs = np.arange(height)[:, None], np.arange(width)[None, :]
+    sigma = max(height, width) / 10
+    base = np.exp(-(((ys - cy) ** 2) + ((xs - cx) ** 2)) / (2.0 * sigma * sigma))
+    t = np.arange(spec.frames)[:, None, None]
     if spec.family == "oscillate":
-        return _oscillate_clip(spec, rng, 2.0 * np.pi * label / spec.num_classes)
+        phase = 2.0 * np.pi * label / spec.num_classes
+        frames = (0.75 + 0.25 * np.sin(2.0 * np.pi * t / spec.frames + phase)) * base
+    else:
+        base = float(rng.uniform(0.8, 1.2)) * base
+        frames = base[(ys - t * vy) % height, (xs - t * vx) % width]
+    shape = (spec.channels,) + frames.shape
+    if spec.noise > 0:
+        clip = frames + spec.noise * rng.standard_normal(shape)
+    else:
+        clip = np.broadcast_to(frames, shape)
     # reversed_pair: class 1 plays a class-0-style clip backwards, so the two
     # classes share frame multisets and only temporal order separates them
-    speed = int(rng.integers(1, 3))
-    clip = _translate_clip(spec, rng, (0, speed))
-    if label == 1:
-        clip = clip[:, ::-1].copy()
-    return clip
+    return clip[:, ::-1] if spec.family == "reversed_pair" and label == 1 else clip
 
 
 def _split(spec: SyntheticSpec, split_id: int, count: int) -> Dataset:
@@ -134,9 +115,10 @@ def frame_bytes(magic: bytes, header: dict) -> bytes:
     return magic + struct.pack("<IQ", _VERSION, len(hjson)) + hjson
 
 
-def read_frame(raw: bytes, magic: bytes, path, error) -> tuple[dict, int]:
-    """Check the frame's magic, header length, version and JSON object;
-    returns (header, payload offset) or raises `error` with one line."""
+def read_frame(raw, magic: bytes, path, error) -> tuple[dict, int]:
+    """Check the frame's magic, header length, version and JSON object in the
+    bytes-like raw; returns (header, payload offset) or raises `error` with
+    one line."""
     if raw[: len(magic)] != magic:
         raise error(f"{path}: not a {magic.decode()} file (bad magic)")
     off = len(magic) + struct.calcsize("<IQ")
@@ -147,7 +129,7 @@ def read_frame(raw: bytes, magic: bytes, path, error) -> tuple[dict, int]:
     if version != _VERSION:
         raise error(f"{path}: unsupported version {version}")
     try:
-        header = json.loads(raw[off : off + hlen].decode())
+        header = json.loads(str(raw[off : off + hlen], "utf-8"))
     except ValueError as e:  # bad UTF-8 included
         raise error(f"{path}: header is not JSON ({e})") from e
     if not isinstance(header, dict):
@@ -208,7 +190,8 @@ def load_dataset(path) -> Dataset:
     clips = np.frombuffer(raw, dtype="<f8", count=nclip, offset=off).reshape((count,) + shape)
     off += nclip * 8
     labels = np.frombuffer(raw, dtype="<i8", count=count, offset=off)
-    return Dataset(clips.copy(), labels.astype(np.int64), header.get("meta", {}))
+    # read-only views of the one read buffer: the file is held once
+    return Dataset(clips, labels, header.get("meta", {}))
 
 
 def dataset_digest(ds: Dataset) -> str:

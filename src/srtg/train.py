@@ -127,14 +127,6 @@ def eval_batches(net: Network, ds: Dataset, batch_size: int):
             yield idx, logits, gate_log
 
 
-def _subsample_frames(clip, frames_per_clip, rng):
-    t = clip.shape[1]
-    if t <= frames_per_clip:
-        return clip
-    keep = np.sort(rng.choice(t, size=frames_per_clip, replace=False))
-    return clip[:, keep]
-
-
 def evaluate(net: Network, ds: Dataset, batch_size=16) -> Metrics:
     """Forward the whole split in eval mode; top-k uses the documented tie
     rule and gate-open rates aggregate the per-clip decisions per unit."""
@@ -225,14 +217,16 @@ def train(
             loss_sum = 0.0
             for batch in _batches(n, cfg.batch_size, order):
                 clips = train_ds.clips[batch]
-                if clips.shape[2] > cfg.frames_per_clip:
-                    sub = []
-                    for pos, clip_idx in enumerate(batch):
-                        rng = np.random.default_rng(
+                frames = clips.shape[2]
+                if frames > cfg.frames_per_clip:
+                    # each clip's sorted frame sample comes from its own generator
+                    keep = np.array([
+                        np.sort(np.random.default_rng(
                             np.random.SeedSequence([cfg.seed, 3, epoch, int(clip_idx)])
-                        )
-                        sub.append(_subsample_frames(clips[pos], cfg.frames_per_clip, rng))
-                    clips = np.stack(sub)
+                        ).choice(frames, size=cfg.frames_per_clip, replace=False))
+                        for clip_idx in batch
+                    ])
+                    clips = np.take_along_axis(clips, keep[:, None, :, None, None], axis=2)
                 logits, _ = net.forward(clips, training=True)
                 loss = tt.softmax_cross_entropy(logits, train_ds.labels[batch])
                 if not np.isfinite(loss.data):
@@ -293,12 +287,12 @@ def checkpoint_save(path, net: Network, optimizer: SGD, epoch: int, seed=0, net_
 
 
 def checkpoint_load(path) -> dict:
-    """Return {"epoch", "seed", "net_config", "arrays": {name: ndarray}};
-    verifies the magic and checksum before it parses the header."""
+    """Return {"epoch", "seed", "net_config", "arrays": {name: read-only
+    ndarray}}; verifies the magic and checksum before it parses the header."""
     raw = read_file(path, CheckpointError)
     if len(raw) < len(_CKPT_MAGIC) + 32 or raw[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    body, digest = raw[:-32], raw[-32:]
+    body, digest = memoryview(raw)[:-32], raw[-32:]
     if hashlib.sha256(body).digest() != digest:
         raise CheckpointError(f"{path}: checksum mismatch (truncated or corrupt)")
     header, off = read_frame(body, _CKPT_MAGIC, path, CheckpointError)
@@ -319,8 +313,8 @@ def checkpoint_load(path) -> dict:
     try:
         for name, shape in header["arrays"]:
             count = math.prod(shape)
-            arr = np.frombuffer(body, dtype="<f8", count=count, offset=off).reshape(shape)
-            arrays[name] = arr.copy()
+            # a read-only view of the one read buffer; apply_checkpoint copies
+            arrays[name] = np.frombuffer(body, dtype="<f8", count=count, offset=off).reshape(shape)
             off += count * 8
     except (TypeError, ValueError, OverflowError) as e:
         raise CheckpointError(f"{path}: bad array table in header ({e})") from e

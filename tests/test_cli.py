@@ -211,21 +211,26 @@ def test_count_ops_writes_report_file(tmp_path, capsys):
     assert report["totals"]["total"] > 0
 
 
-def test_gate_analyze_jsonl(tmp_path, capsys):
+@pytest.mark.parametrize("placement", ["final", "none"])
+def test_gate_analyze_jsonl(tmp_path, capsys, placement):
+    units = 0 if placement == "none" else 2
     data = _gen(tmp_path)
     run = tmp_path / "run"
-    assert main(_train_args(data, run)) == 0
+    assert main(_train_args(data, run, extra=("--set", f"network.placement={placement}"))) == 0
     capsys.readouterr()
     out = tmp_path / "gates"
-    rc = main([
-        "gate-analyze", "--config", str(run / "effective.cfg"),
-        "--checkpoint", str(run / "checkpoint.bin"),
-        "--data", str(data / "val.bin"), "--out", str(out),
-    ])
-    assert rc == 0
-    lines = (out / "gates.jsonl").read_text().strip().splitlines()
-    records = [json.loads(l) for l in lines]
-    assert len(records) == 6 * 2  # six clips, two gated units
+    args = ["gate-analyze", "--config", str(run / "effective.cfg"),
+            "--checkpoint", str(run / "checkpoint.bin"), "--data", str(data / "val.bin")]
+    assert main(args + ["--out", str(out)]) == 0
+    text = (out / "gates.jsonl").read_text()
+    if not units:
+        assert text == ""  # no records, so no lines
+    records = [json.loads(l) for l in text.splitlines()]  # strict JSON lines
+    capsys.readouterr()
+    assert main(args) == 0  # stdout: the same lines, then the summary
+    printed = capsys.readouterr().out
+    assert printed.startswith(text) and printed[len(text)] == "{"
+    assert len(records) == 6 * units  # six clips
     for rec in records:
         assert set(rec) == {"layer", "clip_id", "verdict", "match_indices_fwd",
                             "match_indices_bwd"}
@@ -433,6 +438,7 @@ def test_evaluate_label_outside_classes_exits_2(tmp_path, capsys):
     run = tmp_path / "run"
     assert main(_train_args(data, run, epochs=1)) == 0
     val = load_dataset(data / "val.bin")
+    val.labels = val.labels.copy()  # a loaded dataset is a read-only view
     for label in (5, -1):
         val.labels[-1] = label
         save_dataset(tmp_path / "bad.bin", val)

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,20 @@ def test_roundtrip_preserves_bits(tmp_path):
     np.testing.assert_array_equal(loaded.clips, train.clips)
     np.testing.assert_array_equal(loaded.labels, train.labels)
     assert loaded.meta["family"] == "reversed_pair"
+
+
+def test_load_keeps_one_copy_as_read_only_views(tmp_path):
+    train, _ = generate(_spec(train_clips=64))
+    path = tmp_path / "d.bin"
+    save_dataset(path, train)
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * path.stat().st_size
+    assert not loaded.clips.flags.writeable and not loaded.labels.flags.writeable
 
 
 def test_save_is_deterministic(tmp_path):

@@ -1,11 +1,13 @@
 """Optimizer, metrics, training-loop and checkpoint tests."""
 
+import dataclasses
 import hashlib
 import json
 import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,7 +216,7 @@ def test_divergence_aborts_with_epoch():
 def test_frame_subsampling_applied_when_clips_longer():
     spec = SyntheticSpec(num_classes=2, family="reversed_pair", channels=1, frames=6,
                          height=8, width=8, noise=0.02, train_clips=8, val_clips=4, seed=6)
-    train_ds, val_ds = generate(spec)
+    train_ds, val_ds = generate(spec)  # 8 clips: one epoch permutes range(8)
     net = Network(_tiny_net_spec(), seed=13)
     cfg = _cfg(epochs=1, frames_per_clip=4)
     seen = []
@@ -229,7 +231,8 @@ def test_frame_subsampling_applied_when_clips_longer():
     _, history = train(net, train_ds, val_ds, cfg)
     assert len(history) == 1
     order = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, 1])).permutation(8)
-    expected = [frame_sample_oracle(train_ds.clips[i], cfg.seed, 1, int(i), 4) for i in order]
+    expected = [frame_sample_oracle(train_ds.clips[i], cfg.seed, 1, int(i), cfg.frames_per_clip)
+                for i in order]
     np.testing.assert_array_equal(np.concatenate(seen), np.stack(expected))
 
 
@@ -259,6 +262,25 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path):
     apply_checkpoint(net2, opt2, state)
     checkpoint_save(p2, net2, opt2, epoch=3, seed=7)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_load_keeps_one_copy(tmp_path):
+    spec = dataclasses.replace(_tiny_net_spec(), stem_channels=16,
+                               stages=[StageSpec(blocks=1, channels=16, stride=(1, 2, 2))])
+    net = Network(spec, seed=22)
+    path = tmp_path / "c.ckpt"
+    checkpoint_save(path, net, SGD(net.named_params()), epoch=1)
+    tracemalloc.start()
+    try:
+        state = checkpoint_load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * path.stat().st_size
+    net2 = Network(spec, seed=23)
+    apply_checkpoint(net2, None, state)  # copies out of the read-only views
+    for (_, a), (_, b) in zip(net.named_params(), net2.named_params()):
+        np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_checkpoint_bytes_match_the_documented_format(tmp_path):
