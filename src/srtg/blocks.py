@@ -30,8 +30,6 @@ from srtg.tensor import Tensor
 __all__ = [
     "BlockSpecError",
     "BlockSpec",
-    "SIMPLE_PLACEMENTS",
-    "BOTTLENECK_PLACEMENTS",
     "ConvStep",
     "BlockLayout",
     "block_layout",
@@ -39,12 +37,9 @@ __all__ = [
     "route",
     "block_specs",
     "Block",
-    "build_block",
     "Network",
 ]
 
-SIMPLE_PLACEMENTS = PLACEMENTS["simple"]
-BOTTLENECK_PLACEMENTS = PLACEMENTS["bottleneck"]
 BOTTLENECK_EXPANSION = 4
 
 
@@ -272,7 +267,7 @@ class Block(_Store):
                 self._add_op(op, rng)
         self.lstm = None
         if layout.gate_at is not None:
-            self.lstm = init_lstm_params(layout.gate_channels, num_layers=2, rng=rng)
+            self.lstm = init_lstm_params(layout.gate_channels, 2, rng)
             self.params.update(self.lstm.named(f"{name}.srtg.lstm"))
 
     def forward(self, x, training, gate_log):
@@ -288,10 +283,6 @@ class Block(_Store):
             return out
 
         return route(self.layout, x, conv, gate, lambda z, skip: tt.relu(tt.add(z, skip)))
-
-
-def build_block(spec: BlockSpec, rng=None, name="block"):
-    return Block(spec, rng or np.random.default_rng(), name)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +301,7 @@ class Network(_Store):
         self._stem = (ConvStep("stem", spec.in_channels, spec.stem_channels,
                                spec.stem_kernel, spec.stem_stride), "stem.conv", "stem.bn")
         self._add_op(self._stem, rng)
-        self.blocks = [build_block(bspec, rng, name) for name, bspec in block_specs(spec)]
+        self.blocks = [Block(bspec, rng, name) for name, bspec in block_specs(spec)]
         for block in self.blocks:
             self.params.update(block.params)
             self.buffers.update(block.buffers)

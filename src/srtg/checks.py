@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from srtg import tensor as tt
-from srtg.blocks import BlockSpec, build_block
+from srtg.blocks import Block, BlockSpec
 from srtg.gate import init_lstm_params, recursion, srtg_unit
 from srtg.tensor import Tensor, grad_check
 
@@ -56,7 +56,7 @@ def _check_lstm_layer():
     # one layer, N=2, T=4, C=2; the input is a parameter so the hand-written
     # BPTT's input gradient is checked too
     rng = np.random.default_rng(1)
-    params = init_lstm_params(2, num_layers=1, rng=rng)
+    params = init_lstm_params(2, 1, rng)
     leaves = [p for _, p in params.named("l")]
     for bias in leaves[4:]:
         bias.data += rng.standard_normal(2) * 0.5
@@ -67,7 +67,7 @@ def _check_lstm_layer():
 def _check_srtg_unit(mode):
     rng = np.random.default_rng(2)
     x = Tensor(rng.standard_normal((1, 3, 4, 2, 2)))
-    params = init_lstm_params(3, rng=np.random.default_rng(3))
+    params = init_lstm_params(3, 2, np.random.default_rng(3))
 
     def f():
         out, _ = srtg_unit(x, params, gate_active=False, mode=mode)
@@ -89,7 +89,7 @@ def _check_block(depth_kind):
         fusion_mode="multiplicative",
         gate_active=False,
     )
-    block = build_block(spec, np.random.default_rng(5))
+    block = Block(spec, np.random.default_rng(5))
     x = Tensor(rng.standard_normal((2, cin, 3, 3, 3)))
     params = list(block.params.values())
 

@@ -155,6 +155,8 @@ class SyntheticSpec:
             raise ConfigError("synthetic: need at least two classes")
         if self.family == "reversed_pair" and self.num_classes != 2:
             raise ConfigError("synthetic: reversed_pair is a two-class family")
+        if self.family == "translate" and self.num_classes > 16:  # 8 directions, 2 speeds
+            raise ConfigError("synthetic: translate family supports at most 16 classes")
         if self.noise < 0:
             raise ConfigError("synthetic: negative noise level")
         if min(self.train_clips, self.val_clips) < 1:

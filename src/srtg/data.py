@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from srtg.config import ConfigError, SyntheticSpec
+from srtg.config import SyntheticSpec
 
 __all__ = ["Dataset", "DatasetFormatError", "generate", "save_dataset", "load_dataset"]
 
@@ -99,8 +99,6 @@ def _split(spec: SyntheticSpec, split_id: int, count: int) -> Dataset:
 
 def generate(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     """Deterministic (train, val) datasets for the spec."""
-    if spec.family == "translate" and spec.num_classes > 2 * len(_DIRECTIONS):
-        raise ConfigError(f"translate family supports at most {2 * len(_DIRECTIONS)} classes")
     return _split(spec, 0, spec.train_clips), _split(spec, 1, spec.val_clips)
 
 

@@ -96,13 +96,12 @@ class LstmParams:
             yield from layer.named(f"{prefix}.layer{li}")
 
 
-def init_lstm_params(channels: int, num_layers: int = 2, rng=None) -> LstmParams:
+def init_lstm_params(channels: int, num_layers: int, rng: np.random.Generator) -> LstmParams:
     """Uniform(+-1/sqrt(C)) weights, zero biases, forget bias +1.
 
     The hidden width equals the channel count so the filtered stream can be
     fused back per channel; every layer therefore has C_in = C.
     """
-    rng = rng or np.random.default_rng()
     bound = 1.0 / np.sqrt(channels)
     layers = []
     for _ in range(num_layers):
@@ -143,61 +142,51 @@ def recursion(embedding: Tensor, params: LstmParams) -> Tensor:
 
 
 def _squared_distances(name: str, query, reference) -> np.ndarray:
-    """(..., C) queries against (..., T, C) references -> (..., T) squared L2;
-    leading axes broadcast, so one (T, C) reference serves every query."""
+    """(N, Q, C) queries against (N, T, C) references -> (N, Q, T) squared L2;
+    the queries of clip n meet clip n's reference only."""
     query = np.asarray(query, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
-    if reference.ndim < 2 or reference.shape[-2] == 0:
-        raise ShapeError(f"{name}: reference must be a non-empty (..., T, C) array")
-    if query.ndim == 0 or query.shape[-1] != reference.shape[-1]:
-        raise ShapeError(f"{name}: query dim {query.shape} vs reference C {reference.shape[-1]}")
-    return ((reference - query[..., None, :]) ** 2).sum(axis=-1)
+    if (query.ndim != 3 or reference.ndim != 3 or reference.shape[1] == 0
+            or query.shape[::2] != reference.shape[::2]):
+        raise ShapeError(f"{name}: need (N, Q, C) queries and a non-empty (N, T, C) "
+                         f"reference, got {query.shape} and {reference.shape}")
+    return ((reference[:, None] - query[:, :, None]) ** 2).sum(axis=-1)
 
 
 def soft_match_weights(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Softmax over i of -||query - reference_i||^2, one (..., T) row per
-    query of a (..., C) stack; each row sums to 1."""
+    """Softmax over i of -||query - reference_i||^2: (N, Q, T), each row
+    sums to 1."""
     return tt.stable_softmax(-_squared_distances("soft_match_weights", query, reference))
 
 
 def soft_nearest_neighbor(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Distance-softmax weighted blend of reference frames, one per query."""
-    reference = np.asarray(reference, dtype=np.float64)
-    # a stack of row vectors keeps each blend's sum order that of a lone query
-    return (soft_match_weights(query, reference)[..., None, :] @ reference)[..., 0, :]
+    """Distance-softmax weighted blend of reference frames: (N, Q, C)."""
+    weights = soft_match_weights(query, reference)
+    # one (1, T) @ (T, C) product per query keeps each blend's sum order
+    return (weights[..., None, :] @ np.asarray(reference, dtype=np.float64)[:, None])[..., 0, :]
 
 
-def nearest_frame_index(soft_match: np.ndarray, reference: np.ndarray) -> int | list[int]:
-    """Index of the reference frame nearest to the soft match (L2); ties go to
-    the smallest index. An int for one match, a list of ints for a stack."""
+def nearest_frame_index(soft_match: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """(N, Q) index of the reference frame nearest to each soft match (L2);
+    ties go to the smallest index."""
     d2 = _squared_distances("nearest_frame_index", soft_match, reference)
-    return np.argmin(d2, axis=-1).tolist()  # argmin returns the first minimum
+    return np.argmin(d2, axis=-1)  # argmin returns the first minimum
 
 
-def cycle_consistent(a: np.ndarray, b: np.ndarray) -> GateDecision | list[GateDecision]:
-    """Check that every frame of each embedding resolves back to its own index
-    through the other embedding; open only if all 2T checks pass.
-
-    One clip's (T, C) pair gives one decision; an (N, T, C) pair of stacks
-    gives a list of N, the same as N one-clip calls.
-    """
+def cycle_consistent(a: np.ndarray, b: np.ndarray) -> list[GateDecision]:
+    """Check that every frame of each clip's embedding resolves back to its
+    own index through the other embedding; a clip opens only if all 2T
+    checks pass. Takes an equal (N, T, C) pair, returns N decisions."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim not in (2, 3):
-        raise ShapeError(f"cycle_consistent: embeddings must be equal (T, C) or (N, T, C) "
-                         f"arrays, got {a.shape} and {b.shape}")
-
-    def matches(query, reference):  # (N, T) match indices, one row per clip
-        # frames to the front: frame t of every clip meets its own clip's reference
-        soft = soft_nearest_neighbor(np.moveaxis(query, -2, 0), reference)
-        return np.array(nearest_frame_index(soft, reference)).T.reshape(-1, query.shape[-2])
-
-    frames = list(range(a.shape[-2]))
-    decisions = [
-        GateDecision(GateVerdict.OPEN if fwd == bwd == frames else GateVerdict.CLOSED, fwd, bwd)
-        for fwd, bwd in zip(matches(a, b).tolist(), matches(b, a).tolist())
-    ]
-    return decisions if a.ndim == 3 else decisions[0]
+    if a.shape != b.shape or a.ndim != 3:
+        raise ShapeError(f"cycle_consistent: embeddings must be an equal (N, T, C) pair, "
+                         f"got {a.shape} and {b.shape}")
+    fwd = nearest_frame_index(soft_nearest_neighbor(a, b), b)
+    bwd = nearest_frame_index(soft_nearest_neighbor(b, a), a)
+    frames = list(range(a.shape[1]))
+    return [GateDecision(GateVerdict.OPEN if f == g == frames else GateVerdict.CLOSED, f, g)
+            for f, g in zip(fwd.tolist(), bwd.tolist())]
 
 
 def fuse(main: Tensor, recurrent: Tensor, mode: str = "multiplicative") -> Tensor:

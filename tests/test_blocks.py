@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from srtg import tensor as tt
-from srtg.blocks import (
-    BOTTLENECK_PLACEMENTS,
-    SIMPLE_PLACEMENTS,
-    BlockSpec,
-    BlockSpecError,
-    Network,
-    build_block,
+from srtg.blocks import Block, BlockSpec, BlockSpecError, Network
+from srtg.config import (
+    PLACEMENTS,
+    NetworkSpec,
+    StageSpec,
+    apply_overrides,
+    network_spec,
+    read_config,
 )
-from srtg.config import NetworkSpec, StageSpec, apply_overrides, network_spec, read_config
 from srtg.gate import GateVerdict
 from srtg.tensor import Tensor, backward, grad_check
 
@@ -57,7 +57,7 @@ def test_simple_block_rejects_top_and_end():
 
 
 def test_bottleneck_accepts_all_placements():
-    for placement in BOTTLENECK_PLACEMENTS:
+    for placement in PLACEMENTS["bottleneck"]:
         _spec(depth="bottleneck", placement=placement, cout=8)
 
 
@@ -69,7 +69,7 @@ def test_bottleneck_width_divisibility():
 def test_placement_none_equals_plain_block():
     rng = np.random.default_rng(0)
     x = np.abs(rng.standard_normal((2, 4, 4, 6, 6)))
-    block = build_block(_spec(placement="none"), np.random.default_rng(1))
+    block = Block(_spec(placement="none"), np.random.default_rng(1))
     out = block.forward(Tensor(x), training=True, gate_log=[])
     assert out.data.shape == x.shape
     assert np.isfinite(out.data).all()
@@ -78,7 +78,7 @@ def test_placement_none_equals_plain_block():
 def test_residual_identity_with_zero_convs():
     # weights zeroed, placement none, matching channels: pure skip path
     x = np.abs(np.random.default_rng(2).standard_normal((1, 4, 3, 4, 4)))
-    block = build_block(_spec(placement="none"), np.random.default_rng(3))
+    block = Block(_spec(placement="none"), np.random.default_rng(3))
     block.params["block.conv1.weight"].data[:] = 0.0
     block.params["block.conv2.weight"].data[:] = 0.0
     out = block.forward(Tensor(x), training=False, gate_log=[])
@@ -88,8 +88,8 @@ def test_residual_identity_with_zero_convs():
 def test_final_placement_closed_clip_matches_plain_block_bitexact():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((2, 4, 3, 4, 4))
-    plain = build_block(_spec(placement="none"), np.random.default_rng(5))
-    gated = build_block(_spec(placement="final"), np.random.default_rng(5))
+    plain = Block(_spec(placement="none"), np.random.default_rng(5))
+    gated = Block(_spec(placement="final"), np.random.default_rng(5))
     # same init seed -> identical conv/bn weights; force the gate shut by
     # zeroing the recurrent weights (degenerate filtered stream ties to 0)
     for layer in gated.lstm.layers:
@@ -108,18 +108,17 @@ def test_final_placement_closed_clip_matches_plain_block_bitexact():
 @pytest.mark.parametrize("conv_kind", ["full_3d", "two_plus_one_d"])
 @pytest.mark.parametrize(
     "depth,placement",
-    [("simple", p) for p in SIMPLE_PLACEMENTS]
-    + [("bottleneck", p) for p in BOTTLENECK_PLACEMENTS],
+    [(depth, p) for depth, placements in PLACEMENTS.items() for p in placements],
 )
 def test_all_valid_configurations_preserve_plain_shape(depth, placement, conv_kind):
     rng = np.random.default_rng(6)
     x = rng.standard_normal((1, 8, 4, 8, 8))
-    plain = build_block(
+    plain = Block(
         _spec(depth=depth, conv=conv_kind, placement="none", cin=8, cout=8),
         np.random.default_rng(7),
     )
     ref_shape = plain.forward(Tensor(x), training=True, gate_log=[]).data.shape
-    block = build_block(
+    block = Block(
         _spec(depth=depth, conv=conv_kind, placement=placement, cin=8, cout=8),
         np.random.default_rng(8),
     )
@@ -134,9 +133,9 @@ def test_factorized_and_full_blocks_same_shapes():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((1, 4, 5, 8, 8))
     for stride in [(1, 1, 1), (2, 2, 2), (1, 2, 2)]:
-        full = build_block(_spec(conv="full_3d", cin=4, cout=6, stride=stride),
+        full = Block(_spec(conv="full_3d", cin=4, cout=6, stride=stride),
                            np.random.default_rng(10))
-        fact = build_block(_spec(conv="two_plus_one_d", cin=4, cout=6, stride=stride),
+        fact = Block(_spec(conv="two_plus_one_d", cin=4, cout=6, stride=stride),
                            np.random.default_rng(11))
         a = full.forward(Tensor(x), training=True, gate_log=[])
         b = fact.forward(Tensor(x), training=True, gate_log=[])
@@ -146,7 +145,7 @@ def test_factorized_and_full_blocks_same_shapes():
 def test_strided_block_downsamples_skip():
     rng = np.random.default_rng(12)
     x = rng.standard_normal((1, 4, 4, 8, 8))
-    block = build_block(_spec(cin=4, cout=8, stride=(2, 2, 2)), np.random.default_rng(13))
+    block = Block(_spec(cin=4, cout=8, stride=(2, 2, 2)), np.random.default_rng(13))
     out = block.forward(Tensor(x), training=True, gate_log=[])
     assert out.data.shape == (1, 8, 2, 4, 4)
 
@@ -160,7 +159,7 @@ def test_strided_block_downsamples_skip():
 def test_grad_check_simple_block_final(conv, cout, stride):
     rng = np.random.default_rng(14)
     x = Tensor(rng.standard_normal((1, 3, 3, 3, 3)))
-    block = build_block(
+    block = Block(
         _spec(conv=conv, placement="final", cin=3, cout=cout, stride=stride, gate=False),
         np.random.default_rng(15),
     )
@@ -179,7 +178,7 @@ def test_grad_check_simple_block_final(conv, cout, stride):
 def test_grad_check_bottleneck_block_final(conv, cout, stride):
     rng = np.random.default_rng(16)
     x = Tensor(rng.standard_normal((1, 4, 3, 3, 3)))
-    block = build_block(
+    block = Block(
         _spec(depth="bottleneck", conv=conv, placement="final", cin=4, cout=cout,
               stride=stride, gate=False),
         np.random.default_rng(17),

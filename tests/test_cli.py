@@ -333,6 +333,17 @@ def test_negative_seed_exits_1_before_any_output(tmp_path, capsys, command, conf
     assert not out.exists()  # no run directory, no effective.cfg
 
 
+def test_translate_beyond_16_classes_exits_1_before_any_output(tmp_path, capsys):
+    out = tmp_path / "data"
+    rc = main(["gen-data", "--config", str(CONFIGS / "toy_data.cfg"), "--out", str(out),
+               "--set", "synthetic.family=translate", "--set", "synthetic.num_classes=17"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "at most 16 classes" in err
+    assert not out.exists()  # no data directory, no effective.cfg
+
+
 @pytest.mark.parametrize("argv", [
     ["evaluate", "--checkpoint", "c.bin", "--data", "v.bin", "--seed", "1"],
     ["count-ops", "--net", str(CONFIGS / "toy.cfg"), "--input", "1x8x16x16",

@@ -169,7 +169,7 @@ import hashlib, numpy as np
 from srtg import tensor as tt
 from srtg.gate import cycle_consistent, init_lstm_params, recursion
 rng = np.random.default_rng(23)
-params = init_lstm_params(8, rng=rng)
+params = init_lstm_params(8, 2, rng)
 xd, g = rng.standard_normal((8, 32, 8)), rng.standard_normal((8, 32, 8))
 for _ in range(3):
     x = tt.Tensor(xd, requires_grad=True)
@@ -203,7 +203,7 @@ def test_recursion_bit_identical_across_runs_with_unpinned_blas():
 
 
 def test_recursion_dimension_mismatch():
-    params = init_lstm_params(3, rng=np.random.default_rng(4))
+    params = init_lstm_params(3, 2, np.random.default_rng(4))
     with pytest.raises(ShapeError):
         sg.recursion(Tensor(np.zeros((1, 2, 5))), params)
 
@@ -214,43 +214,46 @@ def test_recursion_dimension_mismatch():
 
 
 def test_soft_nn_dominant_weight():
-    got = soft_nearest_neighbor(np.array([0.0]), np.array([[0.0], [10.0]]))
-    assert abs(got[0]) < 1e-40
+    got = soft_nearest_neighbor(np.array([[[0.0]]]), np.array([[[0.0], [10.0]]]))
+    assert got.shape == (1, 1, 1)
+    assert abs(got[0, 0, 0]) < 1e-40
 
 
 def test_soft_nn_hand_computed_fixture():
     # weights [1, e^-1] / (1 + e^-1) -> blend = e^-1 / (1 + e^-1)
-    got = soft_nearest_neighbor(np.array([0.0]), np.array([[0.0], [1.0]]))
+    got = soft_nearest_neighbor(np.array([[[0.0]]]), np.array([[[0.0], [1.0]]]))
     expect = math.exp(-1) / (1 + math.exp(-1))
-    assert abs(got[0] - expect) < 1e-12
-    assert abs(got[0] - 0.26894) < 1e-5
+    assert abs(got[0, 0, 0] - expect) < 1e-12
+    assert abs(got[0, 0, 0] - 0.26894) < 1e-5
 
 
 def test_soft_nn_identical_frames_uniform():
-    ref = np.tile([1.5, -2.0], (4, 1))
-    z = soft_match_weights(np.array([1.5, -2.0]), ref)
-    np.testing.assert_allclose(z, np.full(4, 0.25), atol=1e-15)
-    np.testing.assert_allclose(soft_nearest_neighbor(np.array([1.5, -2.0]), ref), [1.5, -2.0])
+    ref = np.tile([1.5, -2.0], (1, 4, 1))
+    query = np.array([[[1.5, -2.0]]])
+    np.testing.assert_allclose(soft_match_weights(query, ref), np.full((1, 1, 4), 0.25),
+                               atol=1e-15)
+    np.testing.assert_allclose(soft_nearest_neighbor(query, ref), query)
 
 
 def test_soft_nn_empty_reference():
     with pytest.raises(ShapeError):
-        soft_nearest_neighbor(np.array([0.0]), np.zeros((0, 1)))
+        soft_nearest_neighbor(np.array([[[0.0]]]), np.zeros((1, 0, 1)))
 
 
 def test_nearest_index_hand_fixture():
-    soft = soft_nearest_neighbor(np.array([0.0]), np.array([[0.0], [1.0]]))
-    assert nearest_frame_index(soft, np.array([[0.0], [1.0]])) == 0
+    ref = np.array([[[0.0], [1.0]]])
+    soft = soft_nearest_neighbor(np.array([[[0.0]]]), ref)
+    assert nearest_frame_index(soft, ref).tolist() == [[0]]
 
 
 def test_nearest_index_exact_frame():
-    ref = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
-    assert nearest_frame_index(ref[1], ref) == 1
+    ref = np.array([[[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]])
+    assert nearest_frame_index(ref[:, 1:2], ref).tolist() == [[1]]
 
 
 def test_nearest_index_tie_goes_low():
-    ref = np.array([[1.0], [-1.0]])
-    assert nearest_frame_index(np.array([0.0]), ref) == 0
+    ref = np.array([[[1.0], [-1.0]]])
+    assert nearest_frame_index(np.array([[[0.0]]]), ref).tolist() == [[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +261,15 @@ def test_nearest_index_tie_goes_low():
 # ---------------------------------------------------------------------------
 
 
+def _one_clip(a, b):
+    """The decision for one clip's (T, C) pair, checked as a batch of one."""
+    (decision,) = cycle_consistent(a[None], b[None])
+    return decision
+
+
 def test_cycle_self_identity():
     e = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
-    d = cycle_consistent(e, e)
+    d = _one_clip(e, e)
     assert d.verdict is GateVerdict.OPEN
     assert d.match_indices_fwd == [0, 1, 2]
     assert d.match_indices_bwd == [0, 1, 2]
@@ -269,7 +278,7 @@ def test_cycle_self_identity():
 def test_cycle_temporal_reversal_closed():
     a = np.array([[0.0], [10.0]])
     b = np.array([[10.0], [0.0]])
-    d = cycle_consistent(a, b)
+    d = _one_clip(a, b)
     assert d.verdict is GateVerdict.CLOSED
     assert d.match_indices_fwd == [1, 0]
     assert d.match_indices_bwd == [1, 0]
@@ -278,28 +287,35 @@ def test_cycle_temporal_reversal_closed():
 
 
 def test_cycle_t1_always_open():
-    d = cycle_consistent(np.array([[3.0, 4.0]]), np.array([[-1.0, 2.0]]))
+    d = _one_clip(np.array([[3.0, 4.0]]), np.array([[-1.0, 2.0]]))
     assert d.verdict is GateVerdict.OPEN
 
 
 def test_cycle_shape_mismatch():
     with pytest.raises(ShapeError):
-        cycle_consistent(np.zeros((2, 3)), np.zeros((3, 3)))
+        cycle_consistent(np.zeros((1, 2, 3)), np.zeros((1, 3, 3)))
+
+
+def _assert_matches_oracle_clip_by_clip(a, b):
+    decisions = cycle_consistent(a, b)
+    assert len(decisions) == len(a)
+    for d, x, y in zip(decisions, a, b):
+        ok, fwd, bwd = cycle_oracle(x.tolist(), y.tolist())
+        assert (d.verdict is GateVerdict.OPEN) == ok
+        assert d.match_indices_fwd == fwd
+        assert d.match_indices_bwd == bwd
 
 
 def test_cycle_matches_bruteforce_oracle():
     rng = np.random.default_rng(5)
     for trial in range(60):
+        n = int(rng.integers(2, 5))
         t_len = int(rng.integers(1, 9))
         c_len = int(rng.integers(1, 17))
         scale = [0.3, 1.0, 4.0][trial % 3]  # mix blended and separated regimes
-        a = rng.standard_normal((t_len, c_len)) * scale
-        b = rng.standard_normal((t_len, c_len)) * scale
-        d = cycle_consistent(a, b)
-        ok, fwd, bwd = cycle_oracle(a.tolist(), b.tolist())
-        assert (d.verdict is GateVerdict.OPEN) == ok
-        assert d.match_indices_fwd == fwd
-        assert d.match_indices_bwd == bwd
+        a = rng.standard_normal((n, t_len, c_len)) * scale
+        b = rng.standard_normal((n, t_len, c_len)) * scale
+        _assert_matches_oracle_clip_by_clip(a, b)
 
 
 def test_cycle_symmetry_of_verdict():
@@ -309,14 +325,14 @@ def test_cycle_symmetry_of_verdict():
         c_len = int(rng.integers(1, 9))
         a = rng.standard_normal((t_len, c_len))
         b = rng.standard_normal((t_len, c_len))
-        assert cycle_consistent(a, b).verdict is cycle_consistent(b, a).verdict
+        assert _one_clip(a, b).verdict is _one_clip(b, a).verdict
 
 
 def test_cycle_self_consistency_separated_frames():
     rng = np.random.default_rng(7)
     for _ in range(100):
         e = separated_embedding(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9)))
-        d = cycle_consistent(e, e)
+        d = _one_clip(e, e)
         assert d.verdict is GateVerdict.OPEN
         assert d.match_indices_fwd == list(range(e.shape[0]))
 
@@ -329,41 +345,44 @@ def test_cycle_permutation_detection():
         perm = rng.permutation(t_len)
         while (perm == np.arange(t_len)).all():
             perm = rng.permutation(t_len)
-        assert cycle_consistent(e, e[perm]).verdict is GateVerdict.CLOSED
+        assert _one_clip(e, e[perm]).verdict is GateVerdict.CLOSED
 
 
 @pytest.mark.parametrize("scale", [0.3, 1.0, 4.0])
 def test_stacked_queries_equal_per_row_calls(scale):
+    # a stack of Q queries gives the bits of Q one-query calls
     rng = np.random.default_rng(int(scale * 10) + 20)
     for _ in range(30):
         t_len, c_len = int(rng.integers(1, 33)), int(rng.integers(1, 17))
-        queries = rng.standard_normal((int(rng.integers(1, 33)), c_len)) * scale
-        ref = rng.standard_normal((t_len, c_len)) * scale
+        queries = rng.standard_normal((1, int(rng.integers(1, 33)), c_len)) * scale
+        ref = rng.standard_normal((1, t_len, c_len)) * scale
+        rows = [queries[:, [q]] for q in range(queries.shape[1])]
         weights = soft_match_weights(queries, ref)
-        assert np.array_equal(weights, np.stack([soft_match_weights(q, ref) for q in queries]))
+        assert np.array_equal(weights, np.hstack([soft_match_weights(r, ref) for r in rows]))
         soft = soft_nearest_neighbor(queries, ref)
-        assert np.array_equal(soft, np.stack([soft_nearest_neighbor(q, ref) for q in queries]))
+        assert np.array_equal(soft, np.hstack([soft_nearest_neighbor(r, ref) for r in rows]))
         idx = nearest_frame_index(soft, ref)
-        assert idx == [nearest_frame_index(s, ref) for s in soft]
-        assert all(type(i) is int for i in idx)
-        # any number of leading axes: each 2-D slice is its own stack
-        deep = np.stack([queries, queries[::-1]])
-        assert np.array_equal(soft_nearest_neighbor(deep, ref),
-                              np.stack([soft, soft_nearest_neighbor(queries[::-1], ref)]))
-        assert nearest_frame_index(deep, ref) == [nearest_frame_index(d, ref) for d in deep]
+        assert idx.shape == queries.shape[:2] and idx.dtype.kind == "i"
+        assert np.array_equal(idx, np.hstack([nearest_frame_index(soft[:, [q]], ref)
+                                              for q in range(soft.shape[1])]))
 
 
 def test_stacked_nearest_index_ties_go_low_per_row():
-    ref = np.array([[3.0], [1.0], [-1.0], [1.0]])
+    ref = np.array([[[3.0], [1.0], [-1.0], [1.0]]])
     # 0.0 ties frames 1, 2, 3; 2.0 ties 0, 1, 3; 1.0 sits on 1 and 3
-    assert nearest_frame_index(np.array([[0.0], [2.0], [1.0]]), ref) == [1, 0, 1]
+    assert nearest_frame_index(np.array([[[0.0], [2.0], [1.0]]]), ref).tolist() == [[1, 0, 1]]
 
 
 @pytest.mark.parametrize("helper", [soft_match_weights, soft_nearest_neighbor,
                                     nearest_frame_index])
 def test_stacked_query_dim_mismatch(helper):
-    with pytest.raises(ShapeError, match="query dim"):
-        helper(np.zeros((3, 2)), np.zeros((4, 3)))
+    # and every other pair than (N, Q, C) queries against an (N, T, C) reference:
+    # a lone query, one clip's (T, C) pair, a rank-2 reference, unequal batches
+    for query_shape, reference_shape in [((1, 3, 2), (1, 4, 3)), ((3,), (1, 4, 3)),
+                                         ((2, 3), (4, 3)), ((1, 2, 3), (4, 3)),
+                                         ((2, 2, 3), (3, 4, 3))]:
+        with pytest.raises(ShapeError, match="N, Q, C"):
+            helper(np.zeros(query_shape), np.zeros(reference_shape))
 
 
 @pytest.mark.parametrize("scale", [0.3, 1.0, 4.0])
@@ -380,7 +399,7 @@ def test_cycle_batch_equals_per_clip_calls(scale):
         a[0, :, 0] = b[0, :, 0] = 5.0 * np.arange(t_len)
         got = cycle_consistent(a, b)
         assert isinstance(got, list)
-        assert got == [cycle_consistent(x, y) for x, y in zip(a, b)]
+        assert got == [cycle_consistent(a[[i]], b[[i]])[0] for i in range(n)]
         verdicts.update(d.verdict for d in got)
     assert verdicts == {GateVerdict.OPEN, GateVerdict.CLOSED}
 
@@ -388,23 +407,24 @@ def test_cycle_batch_equals_per_clip_calls(scale):
 @pytest.mark.parametrize("helper", [soft_match_weights, soft_nearest_neighbor,
                                     nearest_frame_index])
 def test_helpers_with_stacked_references_equal_per_clip_calls(helper):
-    # a (Q, N, C) query stack against (N, T, C) references: query column i
-    # meets reference i only
+    # an (N, Q, C) query stack against (N, T, C) references: clip n's queries
+    # meet reference n only, with the bits of a (1, Q, C) call
     rng = np.random.default_rng(43)
     for trial in range(30):
         q, n, t_len, c_len = (int(v) for v in rng.integers(1, [9, 9, 33, 17]))
         scale = [0.3, 1.0, 4.0][trial % 3]
-        queries = rng.standard_normal((q, n, c_len)) * scale
+        queries = rng.standard_normal((n, q, c_len)) * scale
         refs = rng.standard_normal((n, t_len, c_len)) * scale
-        expect = np.stack([helper(queries[:, i], refs[i]) for i in range(n)], axis=1)
-        assert np.array_equal(np.asarray(helper(queries, refs)), expect)
+        expect = np.concatenate([helper(queries[[i]], refs[[i]]) for i in range(n)])
+        assert np.array_equal(helper(queries, refs), expect)
 
 
 @pytest.mark.parametrize("a_shape, b_shape", [
     ((4,), (4,)),
+    ((4, 3), (4, 3)),
     ((2, 2, 4, 3), (2, 2, 4, 3)),
     ((2, 4, 3), (3, 4, 3)),
-], ids=["rank1", "rank4", "batch_mismatch"])
+], ids=["rank1", "one_clip", "rank4", "batch_mismatch"])
 def test_cycle_rejects_other_ranks_and_unequal_stacks(a_shape, b_shape):
     with pytest.raises(ShapeError, match="cycle_consistent"):
         cycle_consistent(np.zeros(a_shape), np.zeros(b_shape))
@@ -415,15 +435,11 @@ def test_cycle_matches_bruteforce_oracle_at_t32():
     for trial in range(12):
         c_len = int(rng.integers(1, 17))
         scale = [0.3, 1.0, 4.0][trial % 3]
-        a = rng.standard_normal((32, c_len)) * scale
-        b = rng.standard_normal((32, c_len)) * scale
-        d = cycle_consistent(a, b)
-        ok, fwd, bwd = cycle_oracle(a.tolist(), b.tolist())
-        assert (d.verdict is GateVerdict.OPEN) == ok
-        assert d.match_indices_fwd == fwd
-        assert d.match_indices_bwd == bwd
+        a = rng.standard_normal((3, 32, c_len)) * scale
+        b = rng.standard_normal((3, 32, c_len)) * scale
+        _assert_matches_oracle_clip_by_clip(a, b)
     e = separated_embedding(rng, 32, 8)
-    assert cycle_consistent(e, e).verdict is GateVerdict.OPEN
+    assert _one_clip(e, e).verdict is GateVerdict.OPEN
 
 
 @settings(deadline=None, max_examples=60)
@@ -435,13 +451,12 @@ def test_cycle_matches_bruteforce_oracle_at_t32():
 )
 def test_soft_weights_translation_invariant(t_len, c_len, shift, seed):
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((t_len, c_len))
-    b = rng.standard_normal((t_len, c_len))
+    a = rng.standard_normal((1, t_len, c_len))
+    b = rng.standard_normal((1, t_len, c_len))
     off = np.full(c_len, shift)
-    for t in range(t_len):
-        z0 = soft_match_weights(a[t], b)
-        z1 = soft_match_weights(a[t] + off, b + off)
-        np.testing.assert_allclose(z1, z0, rtol=0, atol=1e-12)
+    z0 = soft_match_weights(a, b)
+    z1 = soft_match_weights(a + off, b + off)
+    np.testing.assert_allclose(z1, z0, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +535,7 @@ def test_unit_inactive_additive_zero_lstm_identity():
 
 def test_unit_t1_gate_active_always_open_and_fused():
     rng = np.random.default_rng(14)
-    params = init_lstm_params(3, rng=rng)
+    params = init_lstm_params(3, 2, rng)
     x = rng.standard_normal((2, 3, 1, 2, 2))
     out, decisions = srtg_unit(Tensor(x), params, gate_active=True)
     for d in decisions:
@@ -541,7 +556,7 @@ def test_unit_closed_clip_bit_identical_open_clip_fused():
 
 def test_unit_gradients_flow_through_fused_path():
     rng = np.random.default_rng(16)
-    params = init_lstm_params(2, rng=rng)
+    params = init_lstm_params(2, 2, rng)
     x = Tensor(rng.standard_normal((1, 2, 3, 2, 2)), requires_grad=True)
     out, _ = srtg_unit(x, params, gate_active=False)
     backward(tt.sum_all(out))
@@ -554,7 +569,7 @@ def test_unit_grad_check_both_modes():
     rng = np.random.default_rng(17)
     x = Tensor(rng.standard_normal((1, 3, 4, 2, 2)))
     for mode in ("multiplicative", "additive"):
-        params = init_lstm_params(3, rng=np.random.default_rng(18))
+        params = init_lstm_params(3, 2, np.random.default_rng(18))
         names_params = list(params.named("lstm"))
 
         def f():
@@ -570,7 +585,7 @@ def test_unit_checks_the_batch_in_one_call(monkeypatch):
     real = sg.cycle_consistent
     monkeypatch.setattr(sg, "cycle_consistent",
                         lambda a, b: calls.append(a.shape) or real(a, b))
-    params = init_lstm_params(3, rng=np.random.default_rng(19))
+    params = init_lstm_params(3, 2, np.random.default_rng(19))
     x = np.random.default_rng(20).standard_normal((4, 3, 5, 2, 2))
     _, active = srtg_unit(Tensor(x), params, gate_active=True)
     _, inactive = srtg_unit(Tensor(x), params, gate_active=False)
@@ -581,7 +596,7 @@ def test_unit_checks_the_batch_in_one_call(monkeypatch):
 
 
 def test_gate_decision_record_schema():
-    d = cycle_consistent(np.array([[0.0], [9.0]]), np.array([[0.0], [9.0]]))
+    d = _one_clip(np.array([[0.0], [9.0]]), np.array([[0.0], [9.0]]))
     rec = d.to_record("stage1.block0.srtg", 3)
     assert rec == {
         "layer": "stage1.block0.srtg",

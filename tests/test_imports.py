@@ -1,5 +1,7 @@
 """Static checks on the package source: every module uses what it imports,
-and every module-level private name is referenced somewhere in the package.
+every module-level private name is referenced somewhere in the package, every
+`__all__` entry is defined in its module, and every name the package
+re-exports is in its module's `__all__`.
 
 Parsed with the standard library's `ast`, so no linter has to be installed.
 `__init__.py` is exempt from the import check (its imports are re-exports),
@@ -31,17 +33,19 @@ def test_every_imported_name_is_used(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
-def _private_definitions(tree):
-    """Module-level `_name` functions, classes and assigned constants."""
+def _module_definitions(tree):
+    """Names a module-level def, class or assignment binds."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
+            yield node.name
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def _private_definitions(tree):
+    """Module-level `_name` functions, classes and assigned constants."""
+    return (n for n in _module_definitions(tree) if n.startswith("_") and not n.startswith("__"))
 
 
 def _references(tree):
@@ -62,3 +66,29 @@ def test_every_private_module_name_is_referenced():
                           for path, tree in trees.items()
                           for name in _private_definitions(tree) if name not in referenced)
     assert not unreferenced, f"private names nothing in the package uses: {unreferenced}"
+
+
+def _all_entries(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(SRC).as_posix())
+def test_every_all_entry_is_defined_in_its_module(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    stale = sorted(set(_all_entries(tree)) - set(_module_definitions(tree)))
+    assert not stale, f"{path.name} lists names in __all__ it never defines: {stale}"
+
+
+def test_every_package_reexport_is_in_its_modules_all():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    missing = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("srtg."):
+            module = SRC.joinpath(*node.module.split(".")[1:]).with_suffix(".py")
+            entries = _all_entries(ast.parse(module.read_text()))
+            missing += [f"{node.module}.{a.name}" for a in node.names if a.name not in entries]
+    assert not missing, f"srtg/__init__.py re-exports names outside __all__: {missing}"

@@ -10,9 +10,9 @@ import pytest
 
 from srtg import blocks
 from srtg import tensor as tt
-from srtg.blocks import BOTTLENECK_PLACEMENTS, SIMPLE_PLACEMENTS, Network
+from srtg.blocks import Network
 from srtg.cli import main as cli_main
-from srtg.config import NetworkSpec, StageSpec, read_config, network_spec
+from srtg.config import PLACEMENTS, NetworkSpec, StageSpec, read_config, network_spec
 from srtg.opcount import OpCount, _conv, count_macs, report_dict
 
 
@@ -173,8 +173,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 @pytest.mark.parametrize("conv", ["full_3d", "two_plus_one_d"])
 @pytest.mark.parametrize(
     "depth,placement",
-    [("simple", p) for p in SIMPLE_PLACEMENTS]
-    + [("bottleneck", p) for p in BOTTLENECK_PLACEMENTS],
+    [(depth, p) for depth, placements in PLACEMENTS.items() for p in placements],
 )
 def test_counted_macs_match_the_forward_pass(monkeypatch, depth, conv, placement):
     spec = _mini_spec(placement=placement, depth=depth, conv=conv)
