@@ -282,7 +282,7 @@ class Block(_Store):
             gate_log.append((f"{self.name}.srtg", decisions))
             return out
 
-        return route(self.layout, x, conv, gate, lambda z, skip: tt.relu(tt.add(z, skip)))
+        return route(self.layout, x, conv, gate, tt.add_relu)
 
 
 # ---------------------------------------------------------------------------

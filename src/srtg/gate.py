@@ -6,13 +6,15 @@ into the volume. When the gate is active, fusion happens only if the squeezed
 and filtered embeddings are cycle-consistent: every frame's soft nearest
 neighbor in the other embedding must resolve back to the same temporal index,
 in both directions. The verdict is a hard, per-clip routing decision;
-gradients flow through whichever branch was taken.
+gradients flow through whichever branch was taken. An inactive gate always
+fuses, so it runs the check only when a clip's match indices are first read.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,30 +45,43 @@ class GateVerdict(str, enum.Enum):
     INACTIVE = "inactive"  # gate bypassed, streams always fused
 
 
-@dataclass
 class GateDecision:
     """Outcome of one clip's consistency check.
 
     match_indices_fwd[t] is where frame t of the squeezed embedding resolved
-    inside the filtered one; _bwd is the reverse direction.
+    inside the filtered one; _bwd is the reverse direction. An inactive gate
+    leaves them `pending=(check, clip)`: the first read takes row `clip` of
+    check(), one cached check of the unit's whole batch.
     """
 
-    verdict: GateVerdict
-    match_indices_fwd: list[int]
-    match_indices_bwd: list[int]
+    def __init__(self, verdict: GateVerdict, match_indices_fwd=None, match_indices_bwd=None,
+                 pending=None):
+        self.verdict = verdict
+        self._indices = match_indices_fwd, match_indices_bwd
+        self._pending = pending
+
+    def _read(self):
+        if self._pending is not None:
+            check, clip = self._pending
+            self._indices, self._pending = check()[clip]._indices, None
+        return self._indices
+
+    match_indices_fwd = property(lambda self: self._read()[0])
+    match_indices_bwd = property(lambda self: self._read()[1])
+
+    def __eq__(self, other):
+        if not isinstance(other, GateDecision):
+            return NotImplemented
+        return (self.verdict, self._read()) == (other.verdict, other._read())
 
     @property
     def fused(self) -> bool:
         return self.verdict in (GateVerdict.OPEN, GateVerdict.INACTIVE)
 
     def to_record(self, layer: str, clip_id: int) -> dict:
-        return {
-            "layer": layer,
-            "clip_id": clip_id,
-            "verdict": self.verdict.value,
-            "match_indices_fwd": self.match_indices_fwd,
-            "match_indices_bwd": self.match_indices_bwd,
-        }
+        fwd, bwd = self._read()
+        return {"layer": layer, "clip_id": clip_id, "verdict": self.verdict.value,
+                "match_indices_fwd": fwd, "match_indices_bwd": bwd}
 
 
 @dataclass
@@ -103,22 +118,18 @@ def init_lstm_params(channels: int, num_layers: int, rng: np.random.Generator) -
     fused back per channel; every layer therefore has C_in = C.
     """
     bound = 1.0 / np.sqrt(channels)
-    layers = []
-    for _ in range(num_layers):
-        def w():
-            return Tensor(rng.uniform(-bound, bound, size=(channels, 2 * channels)),
-                          requires_grad=True)
 
-        layers.append(
-            LstmLayerParams(
-                w_f=w(), w_i=w(), w_c=w(), w_a=w(),
-                b_f=Tensor(np.ones(channels), requires_grad=True),
-                b_i=Tensor(np.zeros(channels), requires_grad=True),
-                b_c=Tensor(np.zeros(channels), requires_grad=True),
-                b_a=Tensor(np.zeros(channels), requires_grad=True),
-            )
-        )
-    return LstmParams(layers)
+    def w():
+        return Tensor(rng.uniform(-bound, bound, size=(channels, 2 * channels)),
+                      requires_grad=True)
+
+    def b(value):
+        return Tensor(np.full(channels, value), requires_grad=True)
+
+    # keyword order is draw order: the four weights, then the biases
+    return LstmParams([LstmLayerParams(w_f=w(), w_i=w(), w_c=w(), w_a=w(), b_f=b(1.0),
+                                       b_i=b(0.0), b_c=b(0.0), b_a=b(0.0))
+                       for _ in range(num_layers)])
 
 
 def squeeze(volume: Tensor) -> Tensor:
@@ -208,17 +219,21 @@ def srtg_unit(
     """Full squeeze -> recursion -> gate -> fuse unit.
 
     One cycle check covers the batch, but each clip is gated independently;
-    clips whose gate closes pass through bit-identically. Returns (output
-    volume, per-clip decisions).
+    clips whose gate closes pass through bit-identically. An inactive gate
+    fuses every clip and leaves the check to the first read of its indices.
+    Returns (output volume, per-clip decisions).
     """
     emb = squeeze(volume)
     filtered = recursion(emb, params)
-    decisions = cycle_consistent(emb.data, filtered.data)
     if not gate_active:
-        decisions = [replace(d, verdict=GateVerdict.INACTIVE) for d in decisions]
+        pair = emb.data, filtered.data
+        check = functools.cache(lambda: cycle_consistent(*pair))
+        decisions = [GateDecision(GateVerdict.INACTIVE, pending=(check, clip))
+                     for clip in range(len(pair[0]))]
+        return fuse(volume, filtered, mode), decisions
+    decisions = cycle_consistent(emb.data, filtered.data)
     fused = fuse(volume, filtered, mode)
     mask = np.array([d.fused for d in decisions], dtype=bool)
     if mask.all():
         return fused, decisions
-    out = tt.select_clips(mask, fused, volume)
-    return out, decisions
+    return tt.select_clips(mask, fused, volume), decisions

@@ -21,12 +21,11 @@ __all__ = [
     "no_grad",
     "backward",
     "grad_check",
-    "add",
+    "add_relu",
     "mul",
     "affine",
     "sigmoid",
     "tanh",
-    "relu",
     "stable_softmax",
     "sum_all",
     "mean_all",
@@ -180,9 +179,18 @@ def _check_same_shape(a, b, op):
         raise ShapeError(f"{op}: operand shapes {a.data.shape} vs {b.data.shape} differ")
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
-    return _result(a.data + b.data, (a, b), lambda g: [(a, g), (b, g)])
+def add_relu(a: Tensor, b: Tensor) -> Tensor:
+    """relu(a + b) in one node, the residual join: the sum is clamped in place
+    and both summands receive g * (out > 0)."""
+    _check_same_shape(a, b, "add_relu")
+    out = a.data + b.data
+    np.maximum(out, 0.0, out=out)
+
+    def bwd(g):
+        gm = g * (out > 0.0)
+        return [(a, gm), (b, gm)]
+
+    return _result(out, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -220,11 +228,6 @@ def sigmoid(x: Tensor) -> Tensor:
 def tanh(x: Tensor) -> Tensor:
     t = np.tanh(x.data)
     return _result(t, (x,), lambda g: [(x, g * (1.0 - t * t))])
-
-
-def relu(x: Tensor) -> Tensor:
-    xd = x.data
-    return _result(np.maximum(xd, 0.0), (x,), lambda g: [(x, g * (xd > 0.0))])
 
 
 def stable_softmax(v: np.ndarray, axis=-1) -> np.ndarray:
@@ -561,7 +564,7 @@ def batch_norm(
 
     def bwd(g):
         g3 = g.reshape(n, c, -1)
-        if relu:  # multiply, as relu's backward does, so zeros keep their sign
+        if relu:  # multiply, as add_relu's backward does, so zeros keep their sign
             g3 = g3 * (out > 0.0)
         dbeta = g3.sum(axis=(0, 2))
         dgamma = np.einsum("ncm,ncm->c", g3, xhat)

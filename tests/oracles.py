@@ -80,6 +80,17 @@ def pool_oracle(x):
     return out
 
 
+def relu_oracle(x):
+    """max(x, 0) elementwise."""
+    return np.maximum(x, 0.0)
+
+
+def relu_grad_oracle(x, g):
+    """What relu at x passes back of an incoming g: g * (x > 0), so a zero
+    keeps the sign of g * 0."""
+    return g * (x > 0.0)
+
+
 def batch_norm_oracle(x, gamma, beta, running_mean, running_var, training,
                       momentum=0.1, eps=1e-5):
     """Per-channel loops over (N, T, H, W): (out, new running mean, new

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import srtg
+from srtg import gate as sg
 from srtg.cli import main
 from srtg.data import load_dataset, save_dataset
 
@@ -190,6 +191,27 @@ def test_evaluate_and_gate_analyze_without_config(tmp_path, capsys):
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert any('"verdict"' in l for l in lines)
+
+
+def test_inactive_gate_checks_only_when_gate_analyze_reads_indices(tmp_path, capsys,
+                                                                    monkeypatch):
+    calls = []
+    real = sg.cycle_consistent
+    monkeypatch.setattr(sg, "cycle_consistent",
+                        lambda a, b: calls.append(a.shape) or real(a, b))
+    data = _gen(tmp_path)
+    run = tmp_path / "run"
+    assert main(_train_args(data, run, extra=("--set", "network.gate_active=false"))) == 0
+    assert main(["evaluate", "--checkpoint", str(run / "checkpoint.bin"),
+                 "--data", str(data / "val.bin")]) == 0
+    assert calls == []  # train steps, per-epoch evaluation and evaluate
+    capsys.readouterr()
+    assert main(["gate-analyze", "--checkpoint", str(run / "checkpoint.bin"),
+                 "--data", str(data / "val.bin"), "--batch-size", "4"]) == 0
+    # one per unit (T=4 at C=8, T=2 at C=16) and batch (6 clips: 4, then 2)
+    assert sorted(calls) == [(2, 2, 16), (2, 4, 8), (4, 2, 16), (4, 4, 8)]
+    lines = capsys.readouterr().out.splitlines()
+    assert sum('"verdict": "inactive"' in line for line in lines) == 12
 
 
 def test_count_ops_report(tmp_path, capsys):

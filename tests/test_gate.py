@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from srtg import gate as sg
 from srtg import tensor as tt
 from srtg.gate import (
+    GateDecision,
     GateVerdict,
     LstmLayerParams,
     LstmParams,
@@ -580,19 +581,43 @@ def test_unit_grad_check_both_modes():
         assert err <= 1e-4, f"mode={mode}: {err}"
 
 
-def test_unit_checks_the_batch_in_one_call(monkeypatch):
+def _count_checks(monkeypatch):
+    """Shapes of the (N, T, C) pairs passed to the gate's cycle check."""
     calls = []
     real = sg.cycle_consistent
     monkeypatch.setattr(sg, "cycle_consistent",
                         lambda a, b: calls.append(a.shape) or real(a, b))
+    return calls
+
+
+def test_unit_checks_the_batch_in_one_call(monkeypatch):
+    calls = _count_checks(monkeypatch)
     params = init_lstm_params(3, 2, np.random.default_rng(19))
     x = np.random.default_rng(20).standard_normal((4, 3, 5, 2, 2))
     _, active = srtg_unit(Tensor(x), params, gate_active=True)
+    assert calls == [(4, 5, 3)]
     _, inactive = srtg_unit(Tensor(x), params, gate_active=False)
-    assert calls == [(4, 5, 3), (4, 5, 3)]
-    assert [d.verdict for d in inactive] == [GateVerdict.INACTIVE] * 4
+    # routing an inactive unit needs no check
+    assert [(d.verdict, d.fused) for d in inactive] == [(GateVerdict.INACTIVE, True)] * 4
+    assert calls == [(4, 5, 3)]
+    # the first read of any clip's indices checks the whole batch once
+    assert inactive[2].match_indices_bwd == active[2].match_indices_bwd
+    assert calls == [(4, 5, 3)] * 2
     assert [(d.match_indices_fwd, d.match_indices_bwd) for d in inactive] == [
         (d.match_indices_fwd, d.match_indices_bwd) for d in active]
+    assert [d.to_record("u", i)["verdict"] for i, d in enumerate(inactive)] == ["inactive"] * 4
+    assert calls == [(4, 5, 3)] * 2
+
+
+def test_inactive_decisions_compare_by_checked_indices():
+    params = init_lstm_params(3, 2, np.random.default_rng(21))
+    x = np.random.default_rng(22).standard_normal((2, 3, 4, 2, 2))
+    _, first = srtg_unit(Tensor(x), params, gate_active=False)
+    _, second = srtg_unit(Tensor(x), params, gate_active=False)
+    _, active = srtg_unit(Tensor(x), params, gate_active=True)
+    assert first == second and first != active  # two pending checks, then the verdicts
+    assert first == [GateDecision(GateVerdict.INACTIVE, d.match_indices_fwd, d.match_indices_bwd)
+                     for d in active]
 
 
 def test_gate_decision_record_schema():

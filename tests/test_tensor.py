@@ -27,7 +27,14 @@ from srtg.tensor import (
     grad_check,
 )
 
-from oracles import batch_norm_oracle, conv3d_grad_oracle, conv3d_oracle, pool_oracle
+from oracles import (
+    batch_norm_oracle,
+    conv3d_grad_oracle,
+    conv3d_oracle,
+    pool_oracle,
+    relu_grad_oracle,
+    relu_oracle,
+)
 
 # ---------------------------------------------------------------------------
 # conv3d
@@ -213,22 +220,52 @@ def test_batch_norm_fused_relu_bit_identical_to_relu_of_batch_norm(training, tap
     gamma, beta, g = rng.standard_normal(4), rng.standard_normal(4), rng.standard_normal(xd.shape)
     running = rng.standard_normal(4), rng.random(4) + 0.5
 
-    def run(op, xdata):
+    def run(fused, xdata):
         leaves = [Tensor(a, requires_grad=True) for a in (xdata, gamma.copy(), beta.copy())]
         stats = [a.copy() for a in running]
         with contextlib.nullcontext() if tape else tt.no_grad():
-            out = op(*leaves, *stats)
+            out = tt.batch_norm(*leaves, *stats, training, relu=fused)
         assert (out._bwd is not None) == tape
+        data = out.data if fused else relu_oracle(out.data)
         grads = []
         if tape:
-            backward(tt.sum_all(tt.mul(out, Tensor(g))))
+            # unfused, the relu's backward hands g * (x > 0) to the norm
+            upstream = g if fused else relu_grad_oracle(out.data, g)
+            backward(tt.sum_all(tt.mul(out, Tensor(upstream))))
             grads = [t.grad.tobytes() for t in leaves]
-        return [out.data.tobytes(), *(a.tobytes() for a in stats), *grads]
+        return [data.tobytes(), *(a.tobytes() for a in stats), *grads]
 
-    fused = run(lambda x, ga, be, *st: tt.batch_norm(x, ga, be, *st, training, relu=True),
-                xd.copy())
-    assert run(lambda x, ga, be, *st: tt.relu(tt.batch_norm(x, ga, be, *st, training)),
-               xd.copy()) == fused
+    assert run(False, xd.copy()) == run(True, xd.copy())
+
+
+# ---------------------------------------------------------------------------
+# residual join
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("tape", [True, False], ids=["tape", "no_grad"])
+def test_add_relu_bit_identical_to_numpy_oracle(tape):
+    rng = np.random.default_rng(29)
+    a, b, g = (rng.standard_normal((3, 4, 2, 3, 5)) for _ in range(3))
+    b.flat[::7] = -a.flat[::7]  # sums of exactly +0
+    a.flat[1::11] = b.flat[1::11] = -0.0  # and of -0
+    s = a + b
+    assert (s == 0.0).sum() > 10 and (g.flat[::7] < 0).any()
+    leaves = [Tensor(x.copy(), requires_grad=True) for x in (a, b)]
+    with contextlib.nullcontext() if tape else tt.no_grad():
+        out = tt.add_relu(*leaves)
+    assert (out._bwd is not None) == tape
+    assert out.data.tobytes() == relu_oracle(s).tobytes()
+    assert [t.data.tobytes() for t in leaves] == [a.tobytes(), b.tobytes()]
+    if tape:
+        backward(tt.sum_all(tt.mul(out, Tensor(g))))
+        want = relu_grad_oracle(s, g).tobytes()
+        assert [t.grad.tobytes() for t in leaves] == [want, want]
+
+
+def test_add_relu_rejects_unequal_shapes():
+    with pytest.raises(ShapeError, match="add_relu"):
+        tt.add_relu(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +350,7 @@ def test_backward_sigmoid_at_zero():
 
 def test_backward_fanout_accumulates():
     x = Tensor(np.array([2.0]), requires_grad=True)
-    y = tt.add(tt.mul(x, x), x)  # x^2 + x -> grad 2x + 1 = 5
+    y = tt.add_relu(tt.mul(x, x), x)  # x^2 + x = 6 > 0 -> grad 2x + 1 = 5
     backward(tt.sum_all(y))
     np.testing.assert_allclose(x.grad, [5.0])
 
@@ -416,7 +453,8 @@ def test_grad_check_every_primitive_small_shapes():
     cases = []
 
     a, b = _rand_params(rng, (3, 4), (3, 4))
-    cases.append((lambda: tt.sum_all(tt.mul(tt.add(a, b), tt.mul(a, b))), [a, b]))
+    b.data += np.sign(a.data + b.data) * 0.2  # keep a + b away from the relu kink
+    cases.append((lambda: tt.sum_all(tt.mul(tt.add_relu(a, b), tt.mul(a, b))), [a, b]))
 
     ax, aw, ab = _rand_params(rng, (3, 4), (2, 4), (2,))
     cases.append((lambda: tt.sum_all(tt.tanh(tt.affine(ax, aw, ab))), [ax, aw, ab]))
@@ -426,7 +464,7 @@ def test_grad_check_every_primitive_small_shapes():
 
     r = Tensor(rng.standard_normal((2, 5)) + np.sign(rng.standard_normal((2, 5))) * 0.2,
                requires_grad=True)  # keep away from the relu kink
-    cases.append((lambda: tt.sum_all(tt.relu(r)), [r]))
+    cases.append((lambda: tt.sum_all(tt.add_relu(r, r)), [r]))  # both parents one leaf
 
     sm = _rand_params(rng, (3, 4))[0]
     labels = np.array([0, 3, 1])

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import srtg.train
+from srtg import gate as sg
 from srtg import tensor as tt
 from srtg.blocks import Network
 from srtg.config import NetworkSpec, StageSpec, TrainConfig
@@ -159,6 +160,52 @@ def test_gate_open_rate_is_one_when_inactive():
     _, val = _tiny_data()
     m = evaluate(net, val)
     assert list(m.gate_open_rates.values()) == [1.0]
+
+
+def _count_checks(monkeypatch):
+    """Shapes of the (N, T, C) pairs passed to the gate's cycle check."""
+    calls = []
+    real = sg.cycle_consistent
+    monkeypatch.setattr(sg, "cycle_consistent",
+                        lambda a, b: calls.append(a.shape) or real(a, b))
+    return calls
+
+
+@pytest.mark.parametrize("gate, want", [(False, []), (True, [(4, 4, 4)] * 2)],
+                         ids=["inactive", "active"])
+def test_evaluate_checks_only_an_active_gate(monkeypatch, gate, want):
+    # eval reads .fused alone; an active unit checks once per batch to route
+    calls = _count_checks(monkeypatch)
+    _, val = _tiny_data()
+    evaluate(Network(_tiny_net_spec(gate=gate), seed=3), val, batch_size=4)
+    assert calls == want
+
+
+def test_deferred_indices_match_a_check_of_the_units_own_arrays(monkeypatch):
+    # the indices are read after the whole forward and backward, which must
+    # leave each inactive unit's embeddings as the unit made them
+    pairs = []
+    real = sg.recursion
+
+    def recursion(embedding, params):
+        filtered = real(embedding, params)
+        pairs.append((embedding.data.copy(), filtered.data.copy()))
+        return filtered
+
+    monkeypatch.setattr(sg, "recursion", recursion)
+    spec = dataclasses.replace(_tiny_net_spec(gate=False, placement="start"),
+                               stages=[StageSpec(blocks=2, channels=4, stride=(1, 2, 2))])
+    calls = _count_checks(monkeypatch)
+    train_ds, _ = _tiny_data()
+    logits, gate_log = Network(spec, seed=4).forward(train_ds.clips[:4], training=True)
+    backward(tt.softmax_cross_entropy(logits, train_ds.labels[:4]))
+    assert calls == [] and len(gate_log) == len(pairs) == 2
+    for (emb, filtered), (_, decisions) in zip(pairs, gate_log):
+        got = [(d.match_indices_fwd, d.match_indices_bwd) for d in decisions]
+        want = [(d.match_indices_fwd, d.match_indices_bwd)
+                for d in sg.cycle_consistent(emb, filtered)]
+        assert got == want
+    assert calls == [(4, 4, 4)] * 4  # one per unit on read, one per unit for `want`
 
 
 def test_metrics_invariant_guard():
