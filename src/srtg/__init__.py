@@ -17,7 +17,7 @@ from srtg.config import (
 )
 from srtg.data import Dataset, generate, load_dataset, save_dataset
 from srtg.gate import (
-    GateDecision,
+    GateRecord,
     GateVerdict,
     LstmParams,
     cycle_consistent,

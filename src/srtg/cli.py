@@ -226,9 +226,11 @@ def _cmd_gate_analyze(args):
     records, log = [], []
     for idx, _, gate_log in training.eval_batches(net, ds, args.batch_size):
         log += gate_log
-        records += [decision.to_record(layer, int(idx[pos]))
-                    for layer, decisions in gate_log
-                    for pos, decision in enumerate(decisions)]
+        for layer, record in gate_log:
+            fwd, bwd = record.match_indices()
+            records += [{"layer": layer, "clip_id": int(clip), "verdict": verdict.value,
+                         "match_indices_fwd": f.tolist(), "match_indices_bwd": b.tolist()}
+                        for clip, verdict, f, b in zip(idx, record, fwd, bwd)]
     # one line per record: no records, no lines
     lines = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
     if out:

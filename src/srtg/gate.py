@@ -7,13 +7,13 @@ and filtered embeddings are cycle-consistent: every frame's soft nearest
 neighbor in the other embedding must resolve back to the same temporal index,
 in both directions. The verdict is a hard, per-clip routing decision;
 gradients flow through whichever branch was taken. An inactive gate always
-fuses, so it runs the check only when a clip's match indices are first read.
+fuses and runs no check. Each call returns one `GateRecord`: the verdicts and
+the two embeddings, from which the match indices can be recomputed.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +24,7 @@ from srtg.tensor import ShapeError, Tensor
 
 __all__ = [
     "GateVerdict",
-    "GateDecision",
+    "GateRecord",
     "LstmLayerParams",
     "LstmParams",
     "init_lstm_params",
@@ -44,44 +44,32 @@ class GateVerdict(str, enum.Enum):
     CLOSED = "closed"
     INACTIVE = "inactive"  # gate bypassed, streams always fused
 
-
-class GateDecision:
-    """Outcome of one clip's consistency check.
-
-    match_indices_fwd[t] is where frame t of the squeezed embedding resolved
-    inside the filtered one; _bwd is the reverse direction. An inactive gate
-    leaves them `pending=(check, clip)`: the first read takes row `clip` of
-    check(), one cached check of the unit's whole batch.
-    """
-
-    def __init__(self, verdict: GateVerdict, match_indices_fwd=None, match_indices_bwd=None,
-                 pending=None):
-        self.verdict = verdict
-        self._indices = match_indices_fwd, match_indices_bwd
-        self._pending = pending
-
-    def _read(self):
-        if self._pending is not None:
-            check, clip = self._pending
-            self._indices, self._pending = check()[clip]._indices, None
-        return self._indices
-
-    match_indices_fwd = property(lambda self: self._read()[0])
-    match_indices_bwd = property(lambda self: self._read()[1])
-
-    def __eq__(self, other):
-        if not isinstance(other, GateDecision):
-            return NotImplemented
-        return (self.verdict, self._read()) == (other.verdict, other._read())
-
     @property
     def fused(self) -> bool:
-        return self.verdict in (GateVerdict.OPEN, GateVerdict.INACTIVE)
+        return self is not GateVerdict.CLOSED
 
-    def to_record(self, layer: str, clip_id: int) -> dict:
-        fwd, bwd = self._read()
-        return {"layer": layer, "clip_id": clip_id, "verdict": self.verdict.value,
-                "match_indices_fwd": fwd, "match_indices_bwd": bwd}
+
+@dataclass(frozen=True)
+class GateRecord:
+    """One unit's gate state for a batch: a verdict per clip, and the squeezed
+    (`emb`) and LSTM-filtered (`filtered`) (N, T, C) embeddings the check
+    compares. Iterating it yields the verdicts."""
+
+    verdicts: tuple[GateVerdict, ...]
+    emb: Tensor
+    filtered: Tensor
+
+    def __len__(self):
+        return len(self.verdicts)
+
+    def __iter__(self):
+        return iter(self.verdicts)
+
+    def match_indices(self):
+        """(fwd, bwd) of a fresh check of the two embeddings: (N, T) arrays,
+        fwd[n, t] being where frame t of `emb` resolved inside `filtered`,
+        bwd the reverse direction."""
+        return cycle_consistent(self.emb.data, self.filtered.data)[1:]
 
 
 @dataclass
@@ -184,10 +172,12 @@ def nearest_frame_index(soft_match: np.ndarray, reference: np.ndarray) -> np.nda
     return np.argmin(d2, axis=-1)  # argmin returns the first minimum
 
 
-def cycle_consistent(a: np.ndarray, b: np.ndarray) -> list[GateDecision]:
+def cycle_consistent(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check that every frame of each clip's embedding resolves back to its
-    own index through the other embedding; a clip opens only if all 2T
-    checks pass. Takes an equal (N, T, C) pair, returns N decisions."""
+    own index through the other embedding. Takes an equal (N, T, C) pair and
+    returns (passed, fwd, bwd): an (N,) mask of the clips whose 2T checks all
+    pass, and the (N, T) indices where each frame of `a` resolved inside `b`
+    (fwd) and each frame of `b` inside `a` (bwd)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 3:
@@ -195,9 +185,8 @@ def cycle_consistent(a: np.ndarray, b: np.ndarray) -> list[GateDecision]:
                          f"got {a.shape} and {b.shape}")
     fwd = nearest_frame_index(soft_nearest_neighbor(a, b), b)
     bwd = nearest_frame_index(soft_nearest_neighbor(b, a), a)
-    frames = list(range(a.shape[1]))
-    return [GateDecision(GateVerdict.OPEN if f == g == frames else GateVerdict.CLOSED, f, g)
-            for f, g in zip(fwd.tolist(), bwd.tolist())]
+    frames = np.arange(a.shape[1])
+    return ((fwd == frames) & (bwd == frames)).all(axis=1), fwd, bwd
 
 
 def fuse(main: Tensor, recurrent: Tensor, mode: str = "multiplicative") -> Tensor:
@@ -220,20 +209,16 @@ def srtg_unit(
 
     One cycle check covers the batch, but each clip is gated independently;
     clips whose gate closes pass through bit-identically. An inactive gate
-    fuses every clip and leaves the check to the first read of its indices.
-    Returns (output volume, per-clip decisions).
+    fuses every clip and runs no check. Returns (output volume, the unit's
+    GateRecord).
     """
     emb = squeeze(volume)
     filtered = recursion(emb, params)
     if not gate_active:
-        pair = emb.data, filtered.data
-        check = functools.cache(lambda: cycle_consistent(*pair))
-        decisions = [GateDecision(GateVerdict.INACTIVE, pending=(check, clip))
-                     for clip in range(len(pair[0]))]
-        return fuse(volume, filtered, mode), decisions
-    decisions = cycle_consistent(emb.data, filtered.data)
+        record = GateRecord((GateVerdict.INACTIVE,) * len(emb.data), emb, filtered)
+        return fuse(volume, filtered, mode), record
+    passed = cycle_consistent(emb.data, filtered.data)[0]
     fused = fuse(volume, filtered, mode)
-    mask = np.array([d.fused for d in decisions], dtype=bool)
-    if mask.all():
-        return fused, decisions
-    return tt.select_clips(mask, fused, volume), decisions
+    record = GateRecord(tuple(GateVerdict.OPEN if p else GateVerdict.CLOSED for p in passed),
+                        emb, filtered)
+    return (fused if passed.all() else tt.select_clips(passed, fused, volume)), record

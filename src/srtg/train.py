@@ -107,13 +107,13 @@ def _batches(n, batch_size, order=None):
 
 
 def gate_rates(gate_log) -> dict:
-    """Per unit, the share of clip decisions that fused, over a gate log's
-    (unit, decisions) pairs gathered from any number of batches."""
+    """Per unit, the share of clip verdicts that fused, over a gate log's
+    (unit, record) pairs gathered from any number of batches."""
     tally = {}
-    for name, decisions in gate_log:
+    for name, record in gate_log:
         acc = tally.setdefault(name, [0, 0])
-        acc[0] += sum(1 for d in decisions if d.fused)
-        acc[1] += len(decisions)
+        acc[0] += sum(1 for v in record if v.fused)
+        acc[1] += len(record)
     return {name: fused / n for name, (fused, n) in tally.items()}
 
 
@@ -129,7 +129,7 @@ def eval_batches(net: Network, ds: Dataset, batch_size: int):
 
 def evaluate(net: Network, ds: Dataset, batch_size=16) -> Metrics:
     """Forward the whole split in eval mode; top-k uses the documented tie
-    rule and gate-open rates aggregate the per-clip decisions per unit."""
+    rule and gate-open rates aggregate the per-clip verdicts per unit."""
     if len(ds) == 0:
         raise ValueError("evaluate: empty split")
     hits1 = hits5 = 0
@@ -238,7 +238,7 @@ def train(
             optimizer.zero_grad()
             metrics = evaluate(net, val_ds, batch_size=cfg.batch_size)
             row = [epoch, loss_sum / n, metrics.top1, metrics.top5, lr] + [
-                metrics.gate_open_rates.get(name, 1.0) for name in unit_names
+                metrics.gate_open_rates[name] for name in unit_names
             ]
             history.append(dict(zip(columns, row)))
             if writer is not None:

@@ -99,9 +99,10 @@ def test_final_placement_closed_clip_matches_plain_block_bitexact():
     log = []
     out_gated = gated.forward(Tensor(x), training=True, gate_log=log)
     out_plain = plain.forward(Tensor(x), training=True, gate_log=[])
-    (_, decisions), = log
-    for clip, d in enumerate(decisions):
-        assert d.verdict is GateVerdict.CLOSED
+    (_, record), = log
+    assert len(record) == 2
+    for clip, verdict in enumerate(record):
+        assert verdict is GateVerdict.CLOSED
         assert np.array_equal(out_gated.data[clip], out_plain.data[clip])
 
 
@@ -222,7 +223,7 @@ def test_network_identical_clips_identical_logits():
 ], ids=["toy_gated", "bottleneck_2plus1d_mid"])
 def test_network_eval_without_tape_matches_eval_with_tape(spec):
     # without a tape every batch norm writes its output over the conv output;
-    # the logits, the gate decisions and the caller's clips must not notice
+    # the logits, the gate records and the caller's clips must not notice
     net = Network(spec, seed=8)
     x = np.random.default_rng(24).standard_normal((2, 1, 8, 16, 16))
     clips = x.copy()
@@ -232,7 +233,12 @@ def test_network_eval_without_tape_matches_eval_with_tape(spec):
         untaped, untaped_log = net.forward(x)
     assert untaped._bwd is None and x.tobytes() == clips.tobytes()
     assert untaped.data.tobytes() == taped.data.tobytes()
-    assert taped_log and untaped_log == taped_log
+
+    def seen(log):
+        return [(name, record.verdicts, [a.tolist() for a in record.match_indices()])
+                for name, record in log]
+
+    assert taped_log and seen(untaped_log) == seen(taped_log)
 
 
 def test_network_smoke_backward_populates_all_grads():
@@ -257,9 +263,9 @@ def test_network_gate_inactive_logs_inactive():
     net = Network(_mini_network_spec(gate=False), seed=4)
     x = np.random.default_rng(21).standard_normal((1, 1, 8, 16, 16))
     _, gate_log = net.forward(x)
-    for _, decisions in gate_log:
-        for d in decisions:
-            assert d.verdict is GateVerdict.INACTIVE
+    assert gate_log
+    for _, record in gate_log:
+        assert record.verdicts == (GateVerdict.INACTIVE,)
 
 
 def test_network_param_names_unique_and_stable():

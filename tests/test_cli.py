@@ -19,6 +19,8 @@ from srtg import gate as sg
 from srtg.cli import main
 from srtg.data import load_dataset, save_dataset
 
+from oracles import cycle_oracle
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 _SMALL_DATA = [
@@ -193,12 +195,24 @@ def test_evaluate_and_gate_analyze_without_config(tmp_path, capsys):
     assert any('"verdict"' in l for l in lines)
 
 
-def test_inactive_gate_checks_only_when_gate_analyze_reads_indices(tmp_path, capsys,
-                                                                    monkeypatch):
+def _count_checks(monkeypatch):
+    """Shapes of the (N, T, C) pairs passed to the gate's cycle check."""
     calls = []
     real = sg.cycle_consistent
     monkeypatch.setattr(sg, "cycle_consistent",
                         lambda a, b: calls.append(a.shape) or real(a, b))
+    return calls
+
+
+# one cycle check's (N, T, C) per unit (T=4 at C=8, T=2 at C=16) and batch,
+# for the six val clips: one batch of six, or batches of four and two
+_ONE_BATCH = [(6, 2, 16), (6, 4, 8)]
+_TWO_BATCHES = [(2, 2, 16), (2, 4, 8), (4, 2, 16), (4, 4, 8)]
+
+
+def test_inactive_gate_checks_only_when_gate_analyze_reads_indices(tmp_path, capsys,
+                                                                    monkeypatch):
+    calls = _count_checks(monkeypatch)
     data = _gen(tmp_path)
     run = tmp_path / "run"
     assert main(_train_args(data, run, extra=("--set", "network.gate_active=false"))) == 0
@@ -208,10 +222,61 @@ def test_inactive_gate_checks_only_when_gate_analyze_reads_indices(tmp_path, cap
     capsys.readouterr()
     assert main(["gate-analyze", "--checkpoint", str(run / "checkpoint.bin"),
                  "--data", str(data / "val.bin"), "--batch-size", "4"]) == 0
-    # one per unit (T=4 at C=8, T=2 at C=16) and batch (6 clips: 4, then 2)
-    assert sorted(calls) == [(2, 2, 16), (2, 4, 8), (4, 2, 16), (4, 4, 8)]
+    # one per unit and batch, when the indices are read
+    assert sorted(calls) == _TWO_BATCHES
     lines = capsys.readouterr().out.splitlines()
     assert sum('"verdict": "inactive"' in line for line in lines) == 12
+
+
+def test_active_gate_checks_to_route_and_again_when_gate_analyze_reads(tmp_path, capsys,
+                                                                         monkeypatch):
+    data = _gen(tmp_path)
+    run = tmp_path / "run"
+    assert main(_train_args(data, run)) == 0
+    calls = _count_checks(monkeypatch)
+    assert main(["evaluate", "--checkpoint", str(run / "checkpoint.bin"),
+                 "--data", str(data / "val.bin")]) == 0
+    assert sorted(calls) == _ONE_BATCH  # to route, one per unit and batch
+    calls.clear()
+    capsys.readouterr()
+    assert main(["gate-analyze", "--checkpoint", str(run / "checkpoint.bin"),
+                 "--data", str(data / "val.bin"), "--batch-size", "4"]) == 0
+    # one per unit and batch to route, one more when the indices are read
+    assert sorted(calls) == sorted(_TWO_BATCHES * 2)
+
+
+@pytest.mark.parametrize("gate_active", [False, True], ids=["inactive", "active"])
+def test_gate_analyze_records_match_the_oracle_clip_by_clip(tmp_path, capsys, monkeypatch,
+                                                            gate_active):
+    data = _gen(tmp_path)
+    run = tmp_path / "run"
+    gate = ("--set", f"network.gate_active={str(gate_active).lower()}")
+    assert main(_train_args(data, run, extra=gate)) == 0
+    pairs = []  # each unit's (emb, filtered), per batch in call order
+    real = sg.recursion
+
+    def recursion(embedding, params):
+        filtered = real(embedding, params)
+        pairs.append((embedding.data.copy(), filtered.data.copy()))
+        return filtered
+
+    monkeypatch.setattr(sg, "recursion", recursion)
+    out = tmp_path / "gates"
+    assert main(["gate-analyze", "--checkpoint", str(run / "checkpoint.bin"),
+                 "--data", str(data / "val.bin"), "--batch-size", "4",
+                 "--out", str(out)]) == 0
+    records = [json.loads(l) for l in (out / "gates.jsonl").read_text().splitlines()]
+    want = []
+    for emb, filtered in pairs:
+        for e, f in zip(emb, filtered):
+            ok, fwd, bwd = cycle_oracle(e.tolist(), f.tolist())
+            verdict = ("open" if ok else "closed") if gate_active else "inactive"
+            want.append((verdict, fwd, bwd))
+    got = [(r["verdict"], r["match_indices_fwd"], r["match_indices_bwd"]) for r in records]
+    assert len(pairs) == 4 and got == want
+    # per batch, each unit's clips: 0-3 twice, then 4-5 twice
+    assert [r["clip_id"] for r in records] == [0, 1, 2, 3] * 2 + [4, 5] * 2
+    assert ("closed" in [r["verdict"] for r in records]) == gate_active
 
 
 def test_count_ops_report(tmp_path, capsys):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from srtg import gate as sg
 from srtg import tensor as tt
 from srtg.gate import (
-    GateDecision,
+    GateRecord,
     GateVerdict,
     LstmLayerParams,
     LstmParams,
@@ -178,8 +178,8 @@ for _ in range(3):
     tt.backward(tt.sum_all(tt.mul(out, tt.Tensor(g))))
     grads = [x.grad] + [p.grad for _, p in params.named("l")]
     # a batched check blends through BLAS with stacked operands
-    matches = [d.match_indices_fwd + d.match_indices_bwd for d in cycle_consistent(xd, g)]
-    blob = b"".join(a.tobytes() for a in [out.data] + grads + [np.array(matches)])
+    _, fwd, bwd = cycle_consistent(xd, g)
+    blob = b"".join(a.tobytes() for a in [out.data] + grads + [fwd, bwd])
     print(hashlib.sha256(blob).hexdigest())
     for _, p in params.named("l"):
         p.zero_grad()
@@ -263,33 +263,28 @@ def test_nearest_index_tie_goes_low():
 
 
 def _one_clip(a, b):
-    """The decision for one clip's (T, C) pair, checked as a batch of one."""
-    (decision,) = cycle_consistent(a[None], b[None])
-    return decision
+    """(passed, fwd, bwd) for one clip's (T, C) pair, checked as a batch of
+    one, as a bool and two index lists like cycle_oracle's."""
+    passed, fwd, bwd = cycle_consistent(a[None], b[None])
+    return bool(passed[0]), fwd[0].tolist(), bwd[0].tolist()
 
 
 def test_cycle_self_identity():
     e = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
-    d = _one_clip(e, e)
-    assert d.verdict is GateVerdict.OPEN
-    assert d.match_indices_fwd == [0, 1, 2]
-    assert d.match_indices_bwd == [0, 1, 2]
+    assert _one_clip(e, e) == (True, [0, 1, 2], [0, 1, 2])
 
 
 def test_cycle_temporal_reversal_closed():
     a = np.array([[0.0], [10.0]])
     b = np.array([[10.0], [0.0]])
-    d = _one_clip(a, b)
-    assert d.verdict is GateVerdict.CLOSED
-    assert d.match_indices_fwd == [1, 0]
-    assert d.match_indices_bwd == [1, 0]
+    assert _one_clip(a, b) == (False, [1, 0], [1, 0])
     ok, fwd, bwd = cycle_oracle(a.tolist(), b.tolist())
     assert not ok and fwd == [1, 0] and bwd == [1, 0]
 
 
 def test_cycle_t1_always_open():
-    d = _one_clip(np.array([[3.0, 4.0]]), np.array([[-1.0, 2.0]]))
-    assert d.verdict is GateVerdict.OPEN
+    passed, _, _ = _one_clip(np.array([[3.0, 4.0]]), np.array([[-1.0, 2.0]]))
+    assert passed
 
 
 def test_cycle_shape_mismatch():
@@ -298,13 +293,11 @@ def test_cycle_shape_mismatch():
 
 
 def _assert_matches_oracle_clip_by_clip(a, b):
-    decisions = cycle_consistent(a, b)
-    assert len(decisions) == len(a)
-    for d, x, y in zip(decisions, a, b):
-        ok, fwd, bwd = cycle_oracle(x.tolist(), y.tolist())
-        assert (d.verdict is GateVerdict.OPEN) == ok
-        assert d.match_indices_fwd == fwd
-        assert d.match_indices_bwd == bwd
+    passed, fwd, bwd = cycle_consistent(a, b)
+    assert passed.shape == (len(a),) and passed.dtype == bool
+    assert fwd.shape == bwd.shape == a.shape[:2] and fwd.dtype.kind == bwd.dtype.kind == "i"
+    for p, f, g, x, y in zip(passed, fwd, bwd, a, b):
+        assert (bool(p), f.tolist(), g.tolist()) == cycle_oracle(x.tolist(), y.tolist())
 
 
 def test_cycle_matches_bruteforce_oracle():
@@ -326,16 +319,16 @@ def test_cycle_symmetry_of_verdict():
         c_len = int(rng.integers(1, 9))
         a = rng.standard_normal((t_len, c_len))
         b = rng.standard_normal((t_len, c_len))
-        assert _one_clip(a, b).verdict is _one_clip(b, a).verdict
+        assert _one_clip(a, b)[0] == _one_clip(b, a)[0]
 
 
 def test_cycle_self_consistency_separated_frames():
     rng = np.random.default_rng(7)
     for _ in range(100):
         e = separated_embedding(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9)))
-        d = _one_clip(e, e)
-        assert d.verdict is GateVerdict.OPEN
-        assert d.match_indices_fwd == list(range(e.shape[0]))
+        passed, fwd, _ = _one_clip(e, e)
+        assert passed
+        assert fwd == list(range(e.shape[0]))
 
 
 def test_cycle_permutation_detection():
@@ -346,7 +339,7 @@ def test_cycle_permutation_detection():
         perm = rng.permutation(t_len)
         while (perm == np.arange(t_len)).all():
             perm = rng.permutation(t_len)
-        assert _one_clip(e, e[perm]).verdict is GateVerdict.CLOSED
+        assert not _one_clip(e, e[perm])[0]
 
 
 @pytest.mark.parametrize("scale", [0.3, 1.0, 4.0])
@@ -399,10 +392,12 @@ def test_cycle_batch_equals_per_clip_calls(scale):
         a[0] = b[0] = 0.0
         a[0, :, 0] = b[0, :, 0] = 5.0 * np.arange(t_len)
         got = cycle_consistent(a, b)
-        assert isinstance(got, list)
-        assert got == [cycle_consistent(a[[i]], b[[i]])[0] for i in range(n)]
-        verdicts.update(d.verdict for d in got)
-    assert verdicts == {GateVerdict.OPEN, GateVerdict.CLOSED}
+        assert [x.shape for x in got] == [(n,), (n, t_len), (n, t_len)]
+        per_clip = [cycle_consistent(a[[i]], b[[i]]) for i in range(n)]
+        for part, want in zip(got, zip(*per_clip)):
+            assert np.array_equal(part, np.concatenate(want))
+        verdicts.update(got[0].tolist())
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("helper", [soft_match_weights, soft_nearest_neighbor,
@@ -440,7 +435,7 @@ def test_cycle_matches_bruteforce_oracle_at_t32():
         b = rng.standard_normal((3, 32, c_len)) * scale
         _assert_matches_oracle_clip_by_clip(a, b)
     e = separated_embedding(rng, 32, 8)
-    assert _one_clip(e, e).verdict is GateVerdict.OPEN
+    assert _one_clip(e, e)[0]
 
 
 @settings(deadline=None, max_examples=60)
@@ -517,11 +512,11 @@ def test_unit_zero_lstm_gate_active_closes_to_identity():
     rng = np.random.default_rng(12)
     params = LstmParams([_zero_layer(3), _zero_layer(3)])
     x = rng.standard_normal((2, 3, 4, 2, 2))
-    out, decisions = srtg_unit(Tensor(x), params, gate_active=True)
-    for d in decisions:
-        assert d.verdict is GateVerdict.CLOSED
+    out, record = srtg_unit(Tensor(x), params, gate_active=True)
+    for verdict, fwd in zip(record, record.match_indices()[0], strict=True):
+        assert verdict is GateVerdict.CLOSED
         # all-zero filtered frames tie; every index resolves to 0
-        assert d.match_indices_fwd == [0, 0, 0, 0]
+        assert fwd.tolist() == [0, 0, 0, 0]
     assert np.array_equal(out.data, x)
 
 
@@ -529,8 +524,8 @@ def test_unit_inactive_additive_zero_lstm_identity():
     rng = np.random.default_rng(13)
     params = LstmParams([_zero_layer(3), _zero_layer(3)])
     x = rng.standard_normal((1, 3, 4, 2, 2))
-    out, decisions = srtg_unit(Tensor(x), params, gate_active=False, mode="additive")
-    assert decisions[0].verdict is GateVerdict.INACTIVE
+    out, record = srtg_unit(Tensor(x), params, gate_active=False, mode="additive")
+    assert record.verdicts == (GateVerdict.INACTIVE,)
     np.testing.assert_array_equal(out.data, x)
 
 
@@ -538,9 +533,8 @@ def test_unit_t1_gate_active_always_open_and_fused():
     rng = np.random.default_rng(14)
     params = init_lstm_params(3, 2, rng)
     x = rng.standard_normal((2, 3, 1, 2, 2))
-    out, decisions = srtg_unit(Tensor(x), params, gate_active=True)
-    for d in decisions:
-        assert d.verdict is GateVerdict.OPEN
+    out, record = srtg_unit(Tensor(x), params, gate_active=True)
+    assert record.verdicts == (GateVerdict.OPEN,) * 2
     assert not np.array_equal(out.data, x)
 
 
@@ -549,9 +543,10 @@ def test_unit_closed_clip_bit_identical_open_clip_fused():
     rng = np.random.default_rng(15)
     params = LstmParams([_zero_layer(2), _zero_layer(2)])
     x = rng.standard_normal((3, 2, 3, 2, 2))
-    out, decisions = srtg_unit(Tensor(x), params, gate_active=True)
-    for clip, d in enumerate(decisions):
-        assert d.verdict is GateVerdict.CLOSED
+    out, record = srtg_unit(Tensor(x), params, gate_active=True)
+    assert len(record) == 3
+    for clip, verdict in enumerate(record):
+        assert verdict is GateVerdict.CLOSED
         assert np.array_equal(out.data[clip], x[clip])
 
 
@@ -598,35 +593,42 @@ def test_unit_checks_the_batch_in_one_call(monkeypatch):
     assert calls == [(4, 5, 3)]
     _, inactive = srtg_unit(Tensor(x), params, gate_active=False)
     # routing an inactive unit needs no check
-    assert [(d.verdict, d.fused) for d in inactive] == [(GateVerdict.INACTIVE, True)] * 4
+    assert [(v, v.fused) for v in inactive] == [(GateVerdict.INACTIVE, True)] * 4
+    assert [v.value for v in inactive] == ["inactive"] * 4
     assert calls == [(4, 5, 3)]
-    # the first read of any clip's indices checks the whole batch once
-    assert inactive[2].match_indices_bwd == active[2].match_indices_bwd
+    # each read of the indices checks the whole batch once, with no cache
+    got = inactive.match_indices()
     assert calls == [(4, 5, 3)] * 2
-    assert [(d.match_indices_fwd, d.match_indices_bwd) for d in inactive] == [
-        (d.match_indices_fwd, d.match_indices_bwd) for d in active]
-    assert [d.to_record("u", i)["verdict"] for i, d in enumerate(inactive)] == ["inactive"] * 4
-    assert calls == [(4, 5, 3)] * 2
+    want = active.match_indices()
+    assert calls == [(4, 5, 3)] * 3
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+    assert [a.tolist() for a in inactive.match_indices()] == [a.tolist() for a in got]
+    assert calls == [(4, 5, 3)] * 4
 
 
-def test_inactive_decisions_compare_by_checked_indices():
-    params = init_lstm_params(3, 2, np.random.default_rng(21))
-    x = np.random.default_rng(22).standard_normal((2, 3, 4, 2, 2))
-    _, first = srtg_unit(Tensor(x), params, gate_active=False)
-    _, second = srtg_unit(Tensor(x), params, gate_active=False)
-    _, active = srtg_unit(Tensor(x), params, gate_active=True)
-    assert first == second and first != active  # two pending checks, then the verdicts
-    assert first == [GateDecision(GateVerdict.INACTIVE, d.match_indices_fwd, d.match_indices_bwd)
-                     for d in active]
+# ---------------------------------------------------------------------------
+# the unit's gate record
+# ---------------------------------------------------------------------------
 
 
-def test_gate_decision_record_schema():
-    d = _one_clip(np.array([[0.0], [9.0]]), np.array([[0.0], [9.0]]))
-    rec = d.to_record("stage1.block0.srtg", 3)
-    assert rec == {
-        "layer": "stage1.block0.srtg",
-        "clip_id": 3,
-        "verdict": "open",
-        "match_indices_fwd": [0, 1],
-        "match_indices_bwd": [0, 1],
-    }
+def test_verdict_fused_truth_table():
+    assert {v: v.fused for v in GateVerdict} == {
+        GateVerdict.OPEN: True, GateVerdict.CLOSED: False, GateVerdict.INACTIVE: True}
+
+
+@pytest.mark.parametrize("gate_active", [False, True], ids=["inactive", "active"])
+def test_record_holds_the_units_own_embeddings(monkeypatch, gate_active):
+    made = []
+    for name in ("squeeze", "recursion"):
+        real = getattr(sg, name)
+        monkeypatch.setattr(sg, name, lambda *a, real=real: made.append(real(*a)) or made[-1])
+    params = LstmParams([_zero_layer(2), _zero_layer(2)])
+    x = np.random.default_rng(24).standard_normal((3, 2, 4, 2, 2))
+    # zero weights shut an active gate on every clip
+    want = (GateVerdict.CLOSED if gate_active else GateVerdict.INACTIVE,) * 3
+    _, record = srtg_unit(Tensor(x), params, gate_active=gate_active)
+    assert isinstance(record, GateRecord) and len(record) == 3
+    assert tuple(record) == record.verdicts == want
+    emb, filtered = made
+    assert record.emb is emb and record.filtered is filtered
+    assert emb.shape == filtered.shape == (3, 4, 2)

@@ -1,9 +1,10 @@
 """The traced benchmark (`perfbench/run.py --trace 1`) reads the library from
 outside: `spans.Tracer` replaces public functions at the names their callers
-look them up by and counts `srtg_unit`'s decisions through `len` and
-`.fused`, and `replay.replay` rebuilds the recorded op calls. These tests run
-both over one train step and one eval forward of a tiny network, so a change
-to what they wrap or read fails here rather than only under `--trace 1`.
+look them up by and counts the verdicts of `srtg_unit`'s record through
+`len` and `.fused`, and `replay.replay` rebuilds the recorded op calls. These
+tests run both over one train step and one eval forward of a tiny network, so
+a change to what they wrap or read fails here rather than only under
+`--trace 1`.
 """
 
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from srtg import gate
+from srtg import blocks, gate
 from srtg import train as training
 from srtg.blocks import Network
 from srtg.config import NetworkSpec, StageSpec, SyntheticSpec, TrainConfig
@@ -52,14 +53,30 @@ def _traced_epoch(gate_active):
 
 
 @pytest.mark.parametrize("gate_active", [False, True], ids=["inactive", "active"])
-def test_tracer_and_replay_run_over_a_train_step_and_an_eval_forward(gate_active):
+def test_tracer_and_replay_run_over_a_train_step_and_an_eval_forward(monkeypatch,
+                                                                     gate_active):
+    records = []  # the gate records the traced forwards returned
+    real_unit = blocks.srtg_unit
+
+    def unit(*args, **kwargs):
+        out, record = real_unit(*args, **kwargs)
+        records.append(record)
+        return out, record
+
+    monkeypatch.setattr(blocks, "srtg_unit", unit)
     real_check, real_forward = gate.cycle_consistent, Network.forward
     tracer = _traced_epoch(gate_active)
     assert (gate.cycle_consistent, Network.forward) == (real_check, real_forward)
 
     assert tracer.step_kinds == ["train", "eval"]
     assert tracer.decisions == 2 * UNITS * CLIPS  # N decisions per unit and forward
-    if not gate_active:
+    verdicts = [v for record in records for v in record.verdicts]
+    assert len(records) == 2 * UNITS and len(verdicts) == tracer.decisions
+    if gate_active:
+        # the tracer counts fused clips through the record; some clips close
+        assert tracer.fused == verdicts.count(gate.GateVerdict.OPEN)
+        assert gate.GateVerdict.CLOSED in verdicts
+    else:
         assert tracer.fused == tracer.decisions
     names = [name for name, *_ in tracer.spans]
     # an inactive unit fuses without its check; an active one checks to route

@@ -200,10 +200,11 @@ def test_deferred_indices_match_a_check_of_the_units_own_arrays(monkeypatch):
     logits, gate_log = Network(spec, seed=4).forward(train_ds.clips[:4], training=True)
     backward(tt.softmax_cross_entropy(logits, train_ds.labels[:4]))
     assert calls == [] and len(gate_log) == len(pairs) == 2
-    for (emb, filtered), (_, decisions) in zip(pairs, gate_log):
-        got = [(d.match_indices_fwd, d.match_indices_bwd) for d in decisions]
-        want = [(d.match_indices_fwd, d.match_indices_bwd)
-                for d in sg.cycle_consistent(emb, filtered)]
+    for (emb, filtered), (_, record) in zip(pairs, gate_log):
+        assert np.array_equal(record.emb.data, emb)
+        assert np.array_equal(record.filtered.data, filtered)
+        got = [a.tolist() for a in record.match_indices()]
+        want = [a.tolist() for a in sg.cycle_consistent(emb, filtered)[1:]]
         assert got == want
     assert calls == [(4, 4, 4)] * 4  # one per unit on read, one per unit for `want`
 
