@@ -51,13 +51,16 @@ class GateVerdict(str, enum.Enum):
 
 @dataclass(frozen=True)
 class GateRecord:
-    """One unit's gate state for a batch: a verdict per clip, and the squeezed
+    """One unit's gate state for a batch: a verdict per clip, the squeezed
     (`emb`) and LSTM-filtered (`filtered`) (N, T, C) embeddings the check
-    compares. Iterating it yields the verdicts."""
+    compares, and an active gate's routing check's (fwd, bwd) indices
+    (None for an inactive gate, which runs no check). Iterating it yields
+    the verdicts."""
 
     verdicts: tuple[GateVerdict, ...]
     emb: Tensor
     filtered: Tensor
+    indices: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self):
         return len(self.verdicts)
@@ -66,9 +69,12 @@ class GateRecord:
         return iter(self.verdicts)
 
     def match_indices(self):
-        """(fwd, bwd) of a fresh check of the two embeddings: (N, T) arrays,
+        """(fwd, bwd) of the check of the two embeddings: (N, T) arrays,
         fwd[n, t] being where frame t of `emb` resolved inside `filtered`,
-        bwd the reverse direction."""
+        bwd the reverse direction. An active gate's come from its routing
+        check; an inactive gate's are checked afresh on every read."""
+        if self.indices is not None:
+            return self.indices
         return cycle_consistent(self.emb.data, self.filtered.data)[1:]
 
 
@@ -217,8 +223,9 @@ def srtg_unit(
     if not gate_active:
         record = GateRecord((GateVerdict.INACTIVE,) * len(emb.data), emb, filtered)
         return fuse(volume, filtered, mode), record
-    passed = cycle_consistent(emb.data, filtered.data)[0]
+    passed, fwd, bwd = cycle_consistent(emb.data, filtered.data)
+    fwd.flags.writeable = bwd.flags.writeable = False  # the record is frozen
     fused = fuse(volume, filtered, mode)
     record = GateRecord(tuple(GateVerdict.OPEN if p else GateVerdict.CLOSED for p in passed),
-                        emb, filtered)
+                        emb, filtered, (fwd, bwd))
     return (fused if passed.all() else tt.select_clips(passed, fused, volume)), record

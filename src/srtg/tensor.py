@@ -76,6 +76,7 @@ class Tensor:
     Op outputs remember their parents and a backward closure; `backward`
     replays closures in reverse creation order, which is a valid reverse
     topological order because ops only consume already-created tensors.
+    A consumed node forgets both, keeping its data and a consumed mark.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_seq", "_parents", "_bwd", "_consumed")
@@ -135,8 +136,12 @@ def backward(loss: Tensor):
     """Populate .grad on every reachable requires_grad tensor.
 
     The graph is consumed: a second backward through any of its op nodes
-    raises GraphError. Gradients accumulate additively across fan-out and
-    across repeated backward calls on disjoint graphs.
+    raises GraphError. The sweep frees the tape as it goes: each node drops
+    its closure and parents once its closure has run, and the sweep its own
+    reference, so an activation lives only until its readers are done and
+    only the Tensors the caller holds outlive the call. Gradients accumulate
+    additively across fan-out and across repeated backward calls on
+    disjoint graphs.
     """
     if loss.data.shape != ():
         raise GraphError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -156,7 +161,8 @@ def backward(loss: Tensor):
     nodes.sort(key=lambda n: n._seq, reverse=True)
 
     grads = {id(loss): np.ones((), dtype=np.float64)}
-    for node in nodes:
+    for i, node in enumerate(nodes):
+        nodes[i] = None  # the sweep's reference goes, so a spent node can be freed
         grad = grads.pop(id(node), None)
         if grad is None:
             continue
@@ -167,6 +173,7 @@ def backward(loss: Tensor):
                 _accumulate(grads, parent, pgrad)
             node._consumed = True
             node._bwd = None
+            node._parents = ()
 
 
 # ---------------------------------------------------------------------------

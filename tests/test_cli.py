@@ -228,8 +228,8 @@ def test_inactive_gate_checks_only_when_gate_analyze_reads_indices(tmp_path, cap
     assert sum('"verdict": "inactive"' in line for line in lines) == 12
 
 
-def test_active_gate_checks_to_route_and_again_when_gate_analyze_reads(tmp_path, capsys,
-                                                                         monkeypatch):
+def test_active_gate_checks_once_to_route_and_gate_analyze_reads_that_check(tmp_path, capsys,
+                                                                           monkeypatch):
     data = _gen(tmp_path)
     run = tmp_path / "run"
     assert main(_train_args(data, run)) == 0
@@ -241,8 +241,8 @@ def test_active_gate_checks_to_route_and_again_when_gate_analyze_reads(tmp_path,
     capsys.readouterr()
     assert main(["gate-analyze", "--checkpoint", str(run / "checkpoint.bin"),
                  "--data", str(data / "val.bin"), "--batch-size", "4"]) == 0
-    # one per unit and batch to route, one more when the indices are read
-    assert sorted(calls) == sorted(_TWO_BATCHES * 2)
+    # one per unit and batch to route; the record hands its indices on
+    assert sorted(calls) == _TWO_BATCHES
 
 
 @pytest.mark.parametrize("gate_active", [False, True], ids=["inactive", "active"])

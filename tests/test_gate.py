@@ -596,14 +596,17 @@ def test_unit_checks_the_batch_in_one_call(monkeypatch):
     assert [(v, v.fused) for v in inactive] == [(GateVerdict.INACTIVE, True)] * 4
     assert [v.value for v in inactive] == ["inactive"] * 4
     assert calls == [(4, 5, 3)]
-    # each read of the indices checks the whole batch once, with no cache
+    # an active record holds its routing check's indices; an inactive one
+    # checks the whole batch once on every read, with no cache
+    want = active.match_indices()
+    assert calls == [(4, 5, 3)]
     got = inactive.match_indices()
     assert calls == [(4, 5, 3)] * 2
-    want = active.match_indices()
-    assert calls == [(4, 5, 3)] * 3
     assert [a.tolist() for a in got] == [a.tolist() for a in want]
     assert [a.tolist() for a in inactive.match_indices()] == [a.tolist() for a in got]
-    assert calls == [(4, 5, 3)] * 4
+    assert calls == [(4, 5, 3)] * 3
+    assert active.match_indices() is active.indices and calls == [(4, 5, 3)] * 3
+    assert not any(a.flags.writeable for a in active.indices) and inactive.indices is None
 
 
 # ---------------------------------------------------------------------------

@@ -369,6 +369,19 @@ def test_double_backward_rejected():
         backward(loss)
 
 
+def test_graph_built_on_a_consumed_node_is_rejected():
+    # backward frees a consumed node's closure and parents, not its mark or data
+    x = Tensor(np.ones(3), requires_grad=True)
+    h = tt.sigmoid(x)
+    backward(tt.sum_all(h))
+    np.testing.assert_array_equal(h.data, 1.0 / (1.0 + np.exp(-np.ones(3))))
+    w = Tensor(np.full(3, 2.0), requires_grad=True)
+    loss = tt.sum_all(tt.mul(h, w))
+    with pytest.raises(GraphError, match="consumed"):
+        backward(loss)
+    assert w.grad is None
+
+
 def test_forward_rerun_bit_identical():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((1, 2, 3, 4, 4))

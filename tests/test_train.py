@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ import srtg.train
 from srtg import gate as sg
 from srtg import tensor as tt
 from srtg.blocks import Network
-from srtg.config import NetworkSpec, StageSpec, TrainConfig
+from srtg.config import NetworkSpec, StageSpec, TrainConfig, network_spec, read_config
 from srtg.data import Dataset, generate, save_dataset
 from srtg.config import SyntheticSpec
 from srtg.tensor import Tensor, backward
@@ -35,6 +36,8 @@ from srtg.train import (
     train,
 )
 from oracles import frame_sample_oracle
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _tiny_net_spec(num_classes=2, gate=True, placement="final"):
@@ -207,6 +210,55 @@ def test_deferred_indices_match_a_check_of_the_units_own_arrays(monkeypatch):
         want = [a.tolist() for a in sg.cycle_consistent(emb, filtered)[1:]]
         assert got == want
     assert calls == [(4, 4, 4)] * 4  # one per unit on read, one per unit for `want`
+
+
+@pytest.mark.parametrize("gate", [False, True], ids=["inactive", "active"])
+def test_backward_leaves_the_callers_tensors_and_records_intact(gate):
+    # backward frees the tape, not the arrays of the Tensors the caller holds
+    train_ds, _ = _tiny_data()
+    spec = dataclasses.replace(_tiny_net_spec(gate=gate, placement="start"),
+                               stages=[StageSpec(blocks=2, channels=4, stride=(1, 2, 2))])
+    logits, gate_log = Network(spec, seed=4).forward(train_ds.clips[:4], training=True)
+    before = [a.data.copy() for _, r in gate_log for a in (r.emb, r.filtered)]
+    want_logits = logits.data.copy()
+    backward(tt.softmax_cross_entropy(logits, train_ds.labels[:4]))
+    assert np.array_equal(logits.data, want_logits)
+    after = [a.data for _, r in gate_log for a in (r.emb, r.filtered)]
+    assert len(after) == 4 and all(map(np.array_equal, after, before))
+    for i, (_, record) in enumerate(gate_log):
+        want = sg.cycle_consistent(before[2 * i], before[2 * i + 1])[1:]
+        assert [a.tolist() for a in record.match_indices()] == [a.tolist() for a in want]
+
+
+def test_backward_frees_the_last_steps_tape():
+    # the toy network on a (4, 1, 8, 16, 16) batch, stepped as `train` steps
+    # it: the last step's loss and logits stay bound until the next forward
+    # returns, so a tape that outlived its backward would stay traced
+    net = Network(network_spec(read_config(str(CONFIGS / "toy.cfg"))), seed=7)
+    opt = SGD(net.named_params())
+    clips = np.random.default_rng(5).standard_normal((4, 1, 8, 16, 16))
+    labels = np.array([0, 1, 1, 0])
+    param_bytes = sum(p.data.nbytes for _, p in net.named_params())
+    peaks = []
+    try:
+        for step in range(3):  # one untraced warm-up step, then two traced
+            if step == 1:
+                tracemalloc.start()
+            opt.zero_grad()
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            logits, _ = net.forward(clips, training=True)
+            loss = tt.softmax_cross_entropy(logits, labels)
+            backward(loss)
+            kept, peak = tracemalloc.get_traced_memory()
+            opt.step(0.01)
+            if step:
+                # the leaves' gradients and a few small arrays, no activations
+                assert kept - base <= 2 * param_bytes, (kept - base, param_bytes)
+                peaks.append(peak)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_metrics_invariant_guard():
