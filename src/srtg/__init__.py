@@ -7,7 +7,7 @@ volume only when the two embeddings are cycle-consistent. Residual 3D and
 prices everything in exact multiply-accumulates.
 """
 
-from srtg.blocks import Block, BlockSpec, BlockSpecError, Network
+from srtg.blocks import Block, BlockLayout, Network
 from srtg.config import (
     ConfigError,
     NetworkSpec,

@@ -1,14 +1,16 @@
 """Residual blocks with optional gated recurrent units, and small networks.
 
-One weight-free layout per block (`block_layout`) says everything about it:
-the conv steps of the main path, the projection skip, and where the gated
-unit sits and how wide it is. `route` is the only statement of how those
-pieces are wired, and `block_specs` the only loop over stages and blocks.
-`Block.forward` runs `route` on tensors; `srtg.opcount.count_macs` runs it on
-shapes, so the op count prices the network that trains without allocating
-its weights. Each step's op list (`_step_ops`) both draws its weights into a
-flat store keyed by checkpoint name and runs the step, so the store's order
-is the draw order and the checkpoint's array table.
+A block is described once, by its weight-free layout (`block_layout`), cut
+from the validated `NetworkSpec`: the conv steps of the main path, the
+projection skip, where the gated unit sits and how wide it is, and the conv
+kind, gate switch and fusion mode it runs under. `route` is the only
+statement of how those pieces are wired, and `block_layouts` the only loop
+over stages and blocks. `Block.forward` runs `route` on tensors;
+`srtg.opcount.count_macs` runs it on shapes, so the op count prices the
+network that trains without allocating its weights. Each step's op list
+(`_step_ops`) both draws its weights into a flat store keyed by checkpoint
+name and runs the step, so the store's order is the draw order and the
+checkpoint's array table.
 
 Simple blocks run two 3x3x3 convolutions, bottleneck blocks run a 1x1x1
 reduce / 3x3x3 / 1x1x1 expand triple (stride on the middle conv). Either kind
@@ -23,58 +25,22 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from srtg import tensor as tt
-from srtg.config import CONV_KINDS, PLACEMENTS, NetworkSpec
+from srtg.config import NetworkSpec
 from srtg.gate import init_lstm_params, srtg_unit
 from srtg.tensor import Tensor
 
 __all__ = [
-    "BlockSpecError",
-    "BlockSpec",
     "ConvStep",
     "BlockLayout",
     "block_layout",
     "st_conv_parts",
     "route",
-    "block_specs",
+    "block_layouts",
     "Block",
     "Network",
 ]
 
 BOTTLENECK_EXPANSION = 4
-
-
-class BlockSpecError(ValueError):
-    """Invalid block construction descriptor."""
-
-
-@dataclass
-class BlockSpec:
-    depth_kind: str  # simple | bottleneck
-    conv_kind: str  # full_3d | two_plus_one_d
-    placement: str
-    in_channels: int
-    out_channels: int
-    stride: tuple[int, int, int] = (1, 1, 1)
-    fusion_mode: str = "multiplicative"
-    gate_active: bool = True
-
-    def __post_init__(self):
-        if self.depth_kind not in PLACEMENTS:
-            raise BlockSpecError(f"unknown depth_kind {self.depth_kind!r}")
-        if self.conv_kind not in CONV_KINDS:
-            raise BlockSpecError(f"unknown conv_kind {self.conv_kind!r}")
-        allowed = PLACEMENTS[self.depth_kind]
-        if self.placement not in allowed:
-            raise BlockSpecError(
-                f"placement {self.placement!r} not valid for {self.depth_kind} blocks "
-                f"(allowed: {', '.join(allowed)})"
-            )
-        if self.in_channels < 1 or self.out_channels < 1:
-            raise BlockSpecError("channel counts must be positive")
-        if self.depth_kind == "bottleneck" and self.out_channels % BOTTLENECK_EXPANSION:
-            raise BlockSpecError(
-                f"bottleneck out_channels must be divisible by {BOTTLENECK_EXPANSION}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -96,38 +62,43 @@ class ConvStep:
 
 @dataclass(frozen=True)
 class BlockLayout:
-    """Main-path conv steps, the projection skip (None for identity) and the
-    gated unit's place and width. `gate_at` is a main-path position (0 before
-    the first step, i after step i), "res" (on the skip), "final" (after the
-    join) or None (no unit)."""
+    """Main-path conv steps, the projection skip (None for identity), the
+    gated unit's place and width, and the network-wide choices the block runs
+    under. `gate_at` is a main-path position (0 before the first step, i after
+    step i), "res" (on the skip), "final" (after the join) or None (no unit)."""
 
     convs: tuple[ConvStep, ...]
     skip: ConvStep | None
     gate_at: int | str | None
     gate_channels: int
+    conv_kind: str
+    gate_active: bool
+    fusion_mode: str
 
 
-def block_layout(spec: BlockSpec) -> BlockLayout:
-    out = spec.out_channels
+def block_layout(spec: NetworkSpec, in_ch: int, out_ch: int, stride) -> BlockLayout:
+    """The layout of one `in_ch` -> `out_ch` block of `spec`, whose kinds and
+    placement `NetworkSpec` has already checked."""
     if spec.depth_kind == "simple":
         convs = (
-            ConvStep("conv1", spec.in_channels, out, (3, 3, 3), spec.stride),
-            ConvStep("conv2", out, out, (3, 3, 3), relu=False),
+            ConvStep("conv1", in_ch, out_ch, (3, 3, 3), stride),
+            ConvStep("conv2", out_ch, out_ch, (3, 3, 3), relu=False),
         )
     else:
-        mid = out // BOTTLENECK_EXPANSION
+        mid = out_ch // BOTTLENECK_EXPANSION
         convs = (
-            ConvStep("conv1", spec.in_channels, mid, (1, 1, 1)),
-            ConvStep("conv2", mid, mid, (3, 3, 3), spec.stride),
-            ConvStep("conv3", mid, out, (1, 1, 1), relu=False),
+            ConvStep("conv1", in_ch, mid, (1, 1, 1)),
+            ConvStep("conv2", mid, mid, (3, 3, 3), stride),
+            ConvStep("conv3", mid, out_ch, (1, 1, 1), relu=False),
         )
     skip = None
-    if spec.in_channels != out or spec.stride != (1, 1, 1):
-        skip = ConvStep("down", spec.in_channels, out, (1, 1, 1), spec.stride, relu=False)
+    if in_ch != out_ch or stride != (1, 1, 1):
+        skip = ConvStep("down", in_ch, out_ch, (1, 1, 1), stride, relu=False)
     positions = {"none": None, "start": 0, "top": 1, "mid": len(convs) - 1, "end": len(convs)}
     gate_at = positions.get(spec.placement, spec.placement)
     on_main = isinstance(gate_at, int) and gate_at < len(convs)
-    return BlockLayout(convs, skip, gate_at, convs[gate_at].in_ch if on_main else out)
+    return BlockLayout(convs, skip, gate_at, convs[gate_at].in_ch if on_main else out_ch,
+                       spec.conv_kind, spec.gate_active, spec.fusion_mode)
 
 
 def st_conv_parts(step: ConvStep, conv_kind: str) -> tuple[ConvStep, ...]:
@@ -167,23 +138,15 @@ def route(layout: BlockLayout, x, conv, gate, join):
     return out
 
 
-def block_specs(spec: NetworkSpec):
-    """(name, BlockSpec) for every block of the network, in forward order."""
+def block_layouts(spec: NetworkSpec):
+    """(name, BlockLayout) for every block of the network, in forward order."""
     expansion = BOTTLENECK_EXPANSION if spec.depth_kind == "bottleneck" else 1
     in_ch = spec.stem_channels
     for si, stage in enumerate(spec.stages, start=1):
         out_ch = stage.channels * expansion
         for bi in range(stage.blocks):
-            yield f"stage{si}.block{bi}", BlockSpec(
-                depth_kind=spec.depth_kind,
-                conv_kind=spec.conv_kind,
-                placement=spec.placement,
-                in_channels=in_ch,
-                out_channels=out_ch,
-                stride=stage.stride if bi == 0 else (1, 1, 1),
-                fusion_mode=spec.fusion_mode,
-                gate_active=spec.gate_active,
-            )
+            stride = stage.stride if bi == 0 else (1, 1, 1)
+            yield f"stage{si}.block{bi}", block_layout(spec, in_ch, out_ch, stride)
             in_ch = out_ch
 
 
@@ -251,17 +214,16 @@ class Block(_Store):
     `<name>.convN`/`bnN` on the main path, `down_conv`/`down_bn` on the skip
     and `srtg.lstm` for the gated unit, and drawn in that order."""
 
-    def __init__(self, spec: BlockSpec, rng, name="block"):
+    def __init__(self, layout: BlockLayout, rng, name="block"):
         super().__init__()
-        self.spec = spec
+        self.layout = layout
         self.name = name
-        self.layout = layout = block_layout(spec)
         steps = [(step, step.tag, f"bn{i}") for i, step in enumerate(layout.convs, start=1)]
         if layout.skip is not None:
             steps.append((layout.skip, "down_conv", "down_bn"))
         self._ops = {}  # step tag -> its ops
         for step, conv, norm in steps:
-            ops = _step_ops(step, spec.conv_kind, f"{name}.{conv}", f"{name}.{norm}")
+            ops = _step_ops(step, layout.conv_kind, f"{name}.{conv}", f"{name}.{norm}")
             self._ops[step.tag] = ops
             for op in ops:
                 self._add_op(op, rng)
@@ -277,8 +239,8 @@ class Block(_Store):
             return h
 
         def gate(h):
-            out, decisions = srtg_unit(h, self.lstm, self.spec.gate_active,
-                                       self.spec.fusion_mode)
+            out, decisions = srtg_unit(h, self.lstm, self.layout.gate_active,
+                                       self.layout.fusion_mode)
             gate_log.append((f"{self.name}.srtg", decisions))
             return out
 
@@ -301,11 +263,11 @@ class Network(_Store):
         self._stem = (ConvStep("stem", spec.in_channels, spec.stem_channels,
                                spec.stem_kernel, spec.stem_stride), "stem.conv", "stem.bn")
         self._add_op(self._stem, rng)
-        self.blocks = [Block(bspec, rng, name) for name, bspec in block_specs(spec)]
+        self.blocks = [Block(layout, rng, name) for name, layout in block_layouts(spec)]
         for block in self.blocks:
             self.params.update(block.params)
             self.buffers.update(block.buffers)
-        in_ch = self.blocks[-1].spec.out_channels
+        in_ch = self.blocks[-1].layout.convs[-1].out_ch
         bound = 1.0 / np.sqrt(in_ch)
         self.params["head.weight"] = Tensor(
             rng.uniform(-bound, bound, size=(spec.num_classes, in_ch)), requires_grad=True)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from srtg import tensor as tt
-from srtg.blocks import Block, BlockSpec
+from srtg.blocks import Block, block_layouts
+from srtg.config import NetworkSpec, StageSpec
 from srtg.gate import init_lstm_params, recursion, srtg_unit
 from srtg.tensor import Tensor, grad_check
 
@@ -77,19 +78,13 @@ def _check_srtg_unit(mode):
 
 
 def _check_block(depth_kind):
+    # one block of a one-stage network, cin channels in and out
     rng = np.random.default_rng(4)
-    cin = 3 if depth_kind == "simple" else 4
-    spec = BlockSpec(
-        depth_kind=depth_kind,
-        conv_kind="full_3d",
-        placement="final",
-        in_channels=cin,
-        out_channels=cin,
-        stride=(1, 1, 1),
-        fusion_mode="multiplicative",
-        gate_active=False,
-    )
-    block = Block(spec, np.random.default_rng(5))
+    cin, width = (3, 3) if depth_kind == "simple" else (4, 1)  # bottlenecks expand 4x
+    spec = NetworkSpec(num_classes=2, depth_kind=depth_kind, gate_active=False,
+                       stem_channels=cin, stages=[StageSpec(1, width)])
+    (_, layout), = block_layouts(spec)
+    block = Block(layout, np.random.default_rng(5))
     x = Tensor(rng.standard_normal((2, cin, 3, 3, 3)))
     params = list(block.params.values())
 

@@ -119,9 +119,11 @@ class TrainConfig:
             raise ConfigError("train: frames_per_clip must be positive")
         if self.seed < 0:
             raise ConfigError("train: seed must be non-negative")
-        if not self.milestones:
-            self.milestones = (self.epochs // 2, (3 * self.epochs) // 4)
-        self.milestones = tuple(sorted(m for m in self.milestones if m > 0))
+        if any(m < 1 for m in self.milestones):
+            raise ConfigError("train: milestones must be at least 1")
+        if not self.milestones:  # both are 0 when epochs is 1
+            self.milestones = tuple(m for m in (self.epochs // 2, 3 * self.epochs // 4) if m > 0)
+        self.milestones = tuple(sorted(self.milestones))
 
     def lr_at(self, epoch: int) -> float:
         lr = self.lr0

@@ -22,8 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from srtg.blocks import BlockSpec, block_layout, block_specs, route, st_conv_parts
-from srtg.config import NetworkSpec
+from srtg.blocks import BlockLayout, block_layouts, route, st_conv_parts
+from srtg.config import ConfigError, NetworkSpec
 
 __all__ = ["LayerCount", "OpCount", "count_macs", "report_dict"]
 
@@ -90,11 +90,11 @@ def _conv(counts, name, in_shape, out_ch, kernel, stride):
     return out_shape
 
 
-def _block(counts, bspec: BlockSpec, in_shape, name):
+def _block(counts, layout: BlockLayout, in_shape, name):
     """Walk the block's layout on shapes, as Block.forward walks it on tensors."""
 
     def conv(step, shape):
-        parts = st_conv_parts(step, bspec.conv_kind)
+        parts = st_conv_parts(step, layout.conv_kind)
         for part in parts:
             tag = step.tag if len(parts) == 1 else f"{step.tag}.{part.tag}"
             shape = _conv(counts, f"{name}.{tag}", shape, part.out_ch, part.kernel, part.stride)
@@ -103,20 +103,20 @@ def _block(counts, bspec: BlockSpec, in_shape, name):
     def gate(shape):
         c, t, h, w = shape
         counts.add(f"{name}.srtg.lstm", "lstm", t * 2 * 4 * c * (c + c))
-        if bspec.gate_active:
+        if layout.gate_active:
             counts.add(f"{name}.srtg.gate", "gate", 6 * t * t * c)
-        if bspec.fusion_mode == "multiplicative":
+        if layout.fusion_mode == "multiplicative":
             counts.add(f"{name}.srtg.fuse", "gate", c * t * h * w)
         return shape
 
-    return route(block_layout(bspec), in_shape, conv, gate, lambda main, skip: main)
+    return route(layout, in_shape, conv, gate, lambda main, skip: main)
 
 
 def count_macs(spec: NetworkSpec, input_shape) -> OpCount:
     """Exact per-layer MAC tally of a network spec on a CxTxHxW clip."""
     c, t, h, w = input_shape
     if c != spec.in_channels:
-        raise ValueError(
+        raise ConfigError(
             f"input channels {c} do not match network in_channels {spec.in_channels}"
         )
     counts = OpCount()
@@ -124,8 +124,8 @@ def count_macs(spec: NetworkSpec, input_shape) -> OpCount:
                   spec.stem_kernel, spec.stem_stride)
     if spec.stem_pool_kernel is not None:
         shape = _out_shape(shape, shape[0], spec.stem_pool_kernel, spec.stem_pool_stride)
-    for name, bspec in block_specs(spec):
-        shape = _block(counts, bspec, shape, name)
+    for name, layout in block_layouts(spec):
+        shape = _block(counts, layout, shape, name)
     counts.add("head.fc", "head", shape[0] * spec.num_classes)
     return counts
 

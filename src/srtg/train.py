@@ -312,6 +312,10 @@ def checkpoint_load(path) -> dict:
     arrays = {}
     try:
         for name, shape in header["arrays"]:
+            if type(name) is not str or name in arrays:
+                raise ValueError(f"array name {name!r} is not a string or repeats")
+            if any(type(v) is not int or v < 0 for v in shape):
+                raise ValueError(f"shape of {name} is not non-negative integers")
             count = math.prod(shape)
             # a read-only view of the one read buffer; apply_checkpoint copies
             arrays[name] = np.frombuffer(body, dtype="<f8", count=count, offset=off).reshape(shape)

@@ -18,10 +18,10 @@ from oracles import cycle_oracle, separated_embedding
 
 import srtg
 from srtg import tensor as tt
-from srtg.blocks import Block, BlockSpec
+from srtg.blocks import Block, block_layout
 from srtg.checks import CHECK_TOLERANCES, run_checks
 from srtg.cli import main as cli_main
-from srtg.config import PLACEMENTS, network_spec, read_config
+from srtg.config import PLACEMENTS, NetworkSpec, StageSpec, network_spec, read_config
 from srtg.gate import (
     GateVerdict,
     LstmParams,
@@ -190,16 +190,18 @@ def test_criterion_5_configuration_sweep():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((1, 8, 4, 8, 8))
     combos = [(depth, p) for depth, placements in PLACEMENTS.items() for p in placements]
+
+    def layout(depth, conv_kind, placement):  # an 8 -> 8 channel block
+        spec = NetworkSpec(num_classes=2, depth_kind=depth, conv_kind=conv_kind,
+                           placement=placement, stages=[StageSpec(1, 8)])
+        return block_layout(spec, 8, 8, (1, 1, 1))
+
     ran = 0
     for depth, placement in combos:
         for conv_kind in ("full_3d", "two_plus_one_d"):
-            plain = Block(
-                BlockSpec(depth, conv_kind, "none", 8, 8), np.random.default_rng(50)
-            )
+            plain = Block(layout(depth, conv_kind, "none"), np.random.default_rng(50))
             ref_shape = plain.forward(Tensor(x), training=True, gate_log=[]).data.shape
-            block = Block(
-                BlockSpec(depth, conv_kind, placement, 8, 8), np.random.default_rng(51)
-            )
+            block = Block(layout(depth, conv_kind, placement), np.random.default_rng(51))
             xt = Tensor(x, requires_grad=True)
             out = block.forward(xt, training=True, gate_log=[])
             assert out.data.shape == ref_shape, (depth, placement, conv_kind)

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from srtg import tensor as tt
-from srtg.blocks import Block, BlockSpec, BlockSpecError, Network
+from srtg.blocks import Block, Network, block_layout
 from srtg.config import (
     PLACEMENTS,
+    ConfigError,
     NetworkSpec,
     StageSpec,
     apply_overrides,
@@ -23,9 +24,10 @@ from srtg.tensor import Tensor, backward, grad_check
 
 def _spec(depth="simple", conv="full_3d", placement="none", cin=4, cout=4,
           stride=(1, 1, 1), gate=True, mode="multiplicative"):
-    return BlockSpec(depth_kind=depth, conv_kind=conv, placement=placement,
-                     in_channels=cin, out_channels=cout, stride=stride,
-                     fusion_mode=mode, gate_active=gate)
+    """The layout of one cin -> cout block under these network-wide choices."""
+    net = NetworkSpec(num_classes=2, depth_kind=depth, conv_kind=conv, placement=placement,
+                      gate_active=gate, fusion_mode=mode, stages=[StageSpec(1, cout)])
+    return block_layout(net, cin, cout, stride)
 
 
 def _mini_network_spec(placement="final", depth="simple", conv="full_3d",
@@ -51,19 +53,16 @@ def _mini_network_spec(placement="final", depth="simple", conv="full_3d",
 
 
 def test_simple_block_rejects_top_and_end():
+    # NetworkSpec states the check; top and end exist only in the bottleneck
     for placement in ("top", "end"):
-        with pytest.raises(BlockSpecError, match="placement"):
-            _spec(placement=placement)
+        with pytest.raises(ConfigError, match="placement"):
+            NetworkSpec(num_classes=2, depth_kind="simple", placement=placement,
+                        stages=[StageSpec(1, 4)])
 
 
 def test_bottleneck_accepts_all_placements():
     for placement in PLACEMENTS["bottleneck"]:
         _spec(depth="bottleneck", placement=placement, cout=8)
-
-
-def test_bottleneck_width_divisibility():
-    with pytest.raises(BlockSpecError, match="divisible"):
-        _spec(depth="bottleneck", cout=6)
 
 
 def test_placement_none_equals_plain_block():

@@ -364,6 +364,14 @@ def test_bad_input_shape_exits_1(capsys):
     assert rc == 1
 
 
+def test_input_channels_not_matching_the_network_exit_1(capsys):
+    rc = main(["count-ops", "--net", str(CONFIGS / "toy.cfg"), "--input", "3x8x16x16"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: input channels 3 do not match")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_placement_missing_from_depth_kind_exits_1(capsys):
     rc = main(["count-ops", "--net", str(CONFIGS / "toy.cfg"), "--input", "1x8x16x16",
                "--set", "network.placement=top"])
@@ -380,6 +388,7 @@ def test_placement_missing_from_depth_kind_exits_1(capsys):
     "network.num_classes=0",
     "train.frames_per_clip=0",
     "train.frames_per_clip=-3",
+    "train.milestones=-3",
 ])
 def test_bad_network_and_train_values_exit_1_at_parse_time(tmp_path, capsys, setting):
     out = tmp_path / "run"

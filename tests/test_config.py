@@ -75,6 +75,14 @@ def test_milestones_default_to_half_and_three_quarters():
     assert tc.milestones == (15, 22)
     tc2 = TrainConfig(epochs=30, milestones=(5, 20))
     assert tc2.milestones == (5, 20)
+    assert TrainConfig(epochs=1).milestones == ()  # both derived ones are 0
+
+
+@pytest.mark.parametrize("milestones", [(-3,), (0,), (2, -1)])
+def test_given_milestones_below_one_rejected(milestones):
+    # dropping them would leave the learning rate undecayed
+    with pytest.raises(ConfigError, match="milestones"):
+        TrainConfig(epochs=4, milestones=milestones)
 
 
 def test_overrides_applied_and_validated(cfg_path):

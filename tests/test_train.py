@@ -498,6 +498,25 @@ def test_checkpoint_header_faults_are_checkpoint_errors(tmp_path, hjson):
         checkpoint_load(path)
 
 
+@pytest.mark.parametrize("table,values", [
+    ([[7, [1]], ["param.x", [4]]], 5),
+    ([["param.x", [1]], ["param.x", [4]]], 5),
+    # count -1 reads to the end and moves the offset back 8 bytes, so param.x
+    # would start inside the header and the sizes would add up
+    ([["junk", [-1]], ["param.x", [4]]], 3),
+    ([["param.x", [True]], ["param.y", [3]]], 4),
+], ids=["name_not_a_string", "name_repeats", "dim_negative", "dim_bool"])
+def test_checkpoint_array_table_faults_are_checkpoint_errors(tmp_path, table, values):
+    # the payload holds `values` doubles and the checksum trailer is valid
+    hjson = json.dumps({"epoch": 1, "seed": 0, "arrays": table}).encode()
+    body = b"SRTGCKPT" + struct.pack("<IQ", 1, len(hjson)) + hjson
+    body += np.arange(values, dtype="<f8").tobytes()
+    path = tmp_path / "forged.ckpt"
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    with pytest.raises(CheckpointError, match="bad array table"):
+        checkpoint_load(path)
+
+
 @pytest.fixture(scope="module")
 def saved_checkpoint(tmp_path_factory):
     net = Network(_tiny_net_spec(), seed=16)
