@@ -4,8 +4,9 @@ Each check compares analytic gradients against central finite differences
 (eps 1e-5) and reports the max relative error. Between them the checks run
 every tensor op a train step runs. Gated units run with the gate bypassed so
 the finite-difference surface stays smooth; the routing a closed gate applies
-is checked as `select_clips` under a fixed mask. Conv and block inputs hold two
-clips, so sums over clips (conv weight gradient, batch statistics) are checked.
+is checked as `fuse_embedding` under a fixed mask, in both fusion modes. Conv
+and block inputs hold two clips, so sums over clips (conv weight gradient,
+batch statistics) are checked.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ def _check_primitives():
     hb = Tensor(rng.standard_normal(2) * 0.1, requires_grad=True)
     labels = np.array([0, 1])
     # per-clip gate routing: clip 0 fused, clip 1 (gate closed) passed through
-    sa = Tensor(rng.standard_normal((2, 3, 2)) * 0.5, requires_grad=True)
-    sb = Tensor(rng.standard_normal((2, 3, 2)) * 0.5, requires_grad=True)
+    fv = Tensor(rng.standard_normal((2, 3, 2, 2, 2)) * 0.5, requires_grad=True)
+    fe = Tensor(rng.standard_normal((2, 2, 3)) * 0.5, requires_grad=True)
     mask = np.array([True, False])
     gamma, beta = (Tensor(rng.standard_normal(2) * 0.1 + k, requires_grad=True) for k in (1, 0))
 
@@ -45,7 +46,8 @@ def _check_primitives():
         (lambda: tt.sum_all(tt.tanh(tt.conv3d(x, w, padding=(1, 1, 1)))), [w]),
         (lambda: tt.sum_all(tt.sigmoid(tt.spatial_avg_pool(v))), [v]),
         (head, [hv, hw, hb]),
-        (lambda: tt.sum_all(tt.tanh(tt.select_clips(mask, tt.mul(sa, sb), sb))), [sa, sb]),
+        (lambda: tt.sum_all(tt.tanh(tt.fuse_embedding(fv, tt.mul(fe, fe), True, mask))), [fv, fe]),
+        (lambda: tt.sum_all(tt.tanh(tt.fuse_embedding(fv, tt.mul(fe, fe), False, mask))), [fv, fe]),
         (lambda: tt.sum_all(tt.tanh(tt.batch_norm(
             tt.conv3d(x, w, padding=(1, 1, 1)), gamma, beta, np.zeros(2), np.ones(2),
             training=True, relu=True))), [w, gamma, beta]),

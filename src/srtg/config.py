@@ -105,7 +105,7 @@ class TrainConfig:
     momentum: float = 0.9
     batch_size: int = 8
     epochs: int = 30
-    milestones: tuple[int, ...] = ()  # empty -> 50% and 75% of epochs
+    milestones: tuple[int, ...] = ()  # empty -> 50% and 75% of epochs, once each
     lr_decay: float = 0.1
     frames_per_clip: int = 16
     seed: int = 0
@@ -119,11 +119,13 @@ class TrainConfig:
             raise ConfigError("train: frames_per_clip must be positive")
         if self.seed < 0:
             raise ConfigError("train: seed must be non-negative")
-        if any(m < 1 for m in self.milestones):
-            raise ConfigError("train: milestones must be at least 1")
-        if not self.milestones:  # both are 0 when epochs is 1
-            self.milestones = tuple(m for m in (self.epochs // 2, 3 * self.epochs // 4) if m > 0)
-        self.milestones = tuple(sorted(self.milestones))
+        if any(m < 1 or m > self.epochs for m in self.milestones):
+            raise ConfigError(f"train: milestones must lie in 1..epochs ({self.epochs})")
+        if len(set(self.milestones)) != len(self.milestones):
+            raise ConfigError("train: a milestone is repeated; it would decay the lr twice")
+        # the derived ones are both 1 when epochs is 2 and both 0 when it is 1
+        self.milestones = tuple(sorted(self.milestones or
+                                       {self.epochs // 2, 3 * self.epochs // 4} - {0}))
 
     def lr_at(self, epoch: int) -> float:
         lr = self.lr0

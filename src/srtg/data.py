@@ -13,7 +13,6 @@ clip index): generation order and worker sharding cannot change the data.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -191,10 +190,3 @@ def load_dataset(path) -> Dataset:
     # read-only views of the one read buffer: the file is held once
     return Dataset(clips, labels, header.get("meta", {}))
 
-
-def dataset_digest(ds: Dataset) -> str:
-    """Content hash used by tests to compare datasets cheaply."""
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(ds.clips, dtype="<f8").tobytes())
-    h.update(np.ascontiguousarray(ds.labels, dtype="<i8").tobytes())
-    return h.hexdigest()

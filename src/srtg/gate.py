@@ -5,10 +5,11 @@ filters it with a stacked two-layer LSTM, and fuses the filtered stream back
 into the volume. When the gate is active, fusion happens only if the squeezed
 and filtered embeddings are cycle-consistent: every frame's soft nearest
 neighbor in the other embedding must resolve back to the same temporal index,
-in both directions. The verdict is a hard, per-clip routing decision;
-gradients flow through whichever branch was taken. An inactive gate always
-fuses and runs no check. Each call returns one `GateRecord`: the verdicts and
-the two embeddings, from which the match indices can be recomputed.
+in both directions. The verdict is a hard, per-clip routing decision, taken
+inside the one fuse op: a clip that fails passes through unchanged and sends
+the LSTM no gradient. An inactive gate always fuses and runs no check. Each
+call returns one `GateRecord`: the verdicts and the two embeddings, from which
+the match indices can be recomputed.
 """
 
 from __future__ import annotations
@@ -195,14 +196,16 @@ def cycle_consistent(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return ((fwd == frames) & (bwd == frames)).all(axis=1), fwd, bwd
 
 
-def fuse(main: Tensor, recurrent: Tensor, mode: str = "multiplicative") -> Tensor:
+def fuse(main: Tensor, recurrent: Tensor, mode: str = "multiplicative", clips=None) -> Tensor:
     """Broadcast the (N, T, C) recurrent stream over the spatial plane and
-    combine: sigmoid scaling by default, plain addition otherwise."""
-    if mode == "multiplicative":
-        return tt.scale_by_embedding(main, tt.sigmoid(recurrent))
-    if mode == "additive":
-        return tt.add_embedding(main, recurrent)
-    raise ValueError(f"fuse: unknown mode {mode!r}, expected one of {FUSION_MODES}")
+    combine it with the clips of the (N,) bool mask `clips` (all when None):
+    sigmoid scaling by default, plain addition otherwise. The other clips pass
+    through unchanged."""
+    if mode not in FUSION_MODES:
+        raise ValueError(f"fuse: unknown mode {mode!r}, expected one of {FUSION_MODES}")
+    multiplicative = mode == "multiplicative"
+    return tt.fuse_embedding(main, tt.sigmoid(recurrent) if multiplicative else recurrent,
+                             multiplicative, clips)
 
 
 def srtg_unit(
@@ -213,10 +216,10 @@ def srtg_unit(
 ):
     """Full squeeze -> recursion -> gate -> fuse unit.
 
-    One cycle check covers the batch, but each clip is gated independently;
-    clips whose gate closes pass through bit-identically. An inactive gate
-    fuses every clip and runs no check. Returns (output volume, the unit's
-    GateRecord).
+    One cycle check covers the batch, but each clip is gated independently:
+    the one fuse op fuses the clips that pass and copies the others through
+    bit-identically. An inactive gate fuses every clip and runs no check.
+    Returns (output volume, the unit's GateRecord).
     """
     emb = squeeze(volume)
     filtered = recursion(emb, params)
@@ -225,7 +228,6 @@ def srtg_unit(
         return fuse(volume, filtered, mode), record
     passed, fwd, bwd = cycle_consistent(emb.data, filtered.data)
     fwd.flags.writeable = bwd.flags.writeable = False  # the record is frozen
-    fused = fuse(volume, filtered, mode)
     record = GateRecord(tuple(GateVerdict.OPEN if p else GateVerdict.CLOSED for p in passed),
                         emb, filtered, (fwd, bwd))
-    return (fused if passed.all() else tt.select_clips(passed, fused, volume)), record
+    return fuse(volume, filtered, mode, passed), record

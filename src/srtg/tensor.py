@@ -35,9 +35,7 @@ __all__ = [
     "max_pool3d",
     "spatial_avg_pool",
     "global_avg_pool",
-    "scale_by_embedding",
-    "add_embedding",
-    "select_clips",
+    "fuse_embedding",
     "softmax_cross_entropy",
 ]
 
@@ -471,55 +469,35 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return _result(out, (x,), bwd)
 
 
-def scale_by_embedding(vol: Tensor, emb: Tensor) -> Tensor:
-    """vol[n,c,t,h,w] * emb[n,t,c], emb broadcast over the spatial plane."""
+def fuse_embedding(vol: Tensor, emb: Tensor, multiplicative: bool, clips=None) -> Tensor:
+    """Fuse emb[n,t,c], broadcast over the spatial plane, into vol[n,c,t,h,w]:
+    vol * emb when multiplicative, vol + emb otherwise. Only the clips of the
+    constant (N,) bool mask `clips` (all when None) are fused; the other rows
+    are vol's, bit for bit, and send no gradient to emb."""
     n, c, t, h, w = vol.data.shape
     if emb.data.shape != (n, t, c):
         raise ShapeError(
-            f"scale_by_embedding: embedding shape {emb.data.shape}, expected ({n}, {t}, {c})"
+            f"fuse_embedding: embedding shape {emb.data.shape}, expected ({n}, {t}, {c})"
         )
-    gmap = emb.data.transpose(0, 2, 1)[:, :, :, None, None]
     vd = vol.data
-
-    def bwd(g):
-        demb = np.einsum("ncthw,ncthw->nct", g, vd).transpose(0, 2, 1)
-        return [(vol, g * gmap), (emb, demb)]
-
-    return _result(vd * gmap, (vol, emb), bwd)
-
-
-def add_embedding(vol: Tensor, emb: Tensor) -> Tensor:
-    """vol[n,c,t,h,w] + emb[n,t,c], emb broadcast over the spatial plane."""
-    n, c, t, h, w = vol.data.shape
-    if emb.data.shape != (n, t, c):
-        raise ShapeError(
-            f"add_embedding: embedding shape {emb.data.shape}, expected ({n}, {t}, {c})"
-        )
     emap = emb.data.transpose(0, 2, 1)[:, :, :, None, None]
+    if clips is not None:
+        clips = np.asarray(clips, dtype=bool)
+        if clips.shape != (n,):
+            raise ShapeError(f"fuse_embedding: mask shape {clips.shape}, expected ({n},)")
+        # a passed clip meets the op's identity: 1.0, or -0.0, which keeps a -0.0
+        emap = np.where(clips[:, None, None, None, None], emap, 1.0 if multiplicative else -0.0)
 
     def bwd(g):
-        return [(vol, g), (emb, g.sum(axis=(3, 4)).transpose(0, 2, 1))]
+        if multiplicative:
+            gemb = np.einsum("ncthw,ncthw->nct", g, vd).transpose(0, 2, 1)
+        else:
+            gemb = g.sum(axis=(3, 4)).transpose(0, 2, 1)
+        if clips is not None:
+            gemb[~clips] = 0.0
+        return [(vol, g * emap if multiplicative else g), (emb, gemb)]
 
-    return _result(vol.data + emap, (vol, emb), bwd)
-
-
-def select_clips(mask, a: Tensor, b: Tensor) -> Tensor:
-    """Per-clip routing: out[i] = a[i] where mask[i] else b[i] (mask is constant)."""
-    _check_same_shape(a, b, "select_clips")
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (a.data.shape[0],):
-        raise ShapeError(f"select_clips: mask shape {mask.shape}, expected ({a.data.shape[0]},)")
-    out = b.data.copy()
-    out[mask] = a.data[mask]
-
-    def bwd(g):
-        ga = np.zeros_like(g)
-        gb = np.zeros_like(g)
-        ga[mask] = g[mask]
-        gb[~mask] = g[~mask]
-        return [(a, ga), (b, gb)]
-
-    return _result(out, (a, b), bwd)
+    return _result(vd * emap if multiplicative else vd + emap, (vol, emb), bwd)
 
 
 def batch_norm(

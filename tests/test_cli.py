@@ -389,6 +389,8 @@ def test_placement_missing_from_depth_kind_exits_1(capsys):
     "train.frames_per_clip=0",
     "train.frames_per_clip=-3",
     "train.milestones=-3",
+    "train.milestones=4,4",
+    "train.milestones=13",
 ])
 def test_bad_network_and_train_values_exit_1_at_parse_time(tmp_path, capsys, setting):
     out = tmp_path / "run"

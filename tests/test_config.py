@@ -76,6 +76,30 @@ def test_milestones_default_to_half_and_three_quarters():
     tc2 = TrainConfig(epochs=30, milestones=(5, 20))
     assert tc2.milestones == (5, 20)
     assert TrainConfig(epochs=1).milestones == ()  # both derived ones are 0
+    assert TrainConfig(epochs=12).milestones == (6, 9)
+
+
+@pytest.mark.parametrize("epochs,milestones", [(2, (1,)), (3, (1, 2)), (4, (2, 3))],
+                         ids=["2", "3", "4"])
+def test_derived_milestones_decay_once_each(epochs, milestones):
+    # with 2 epochs both derived ones are 1; a repeat would decay twice
+    tc = TrainConfig(epochs=epochs)
+    assert tc.milestones == milestones
+    assert tc.lr_at(epochs) == tc.lr0 * tc.lr_decay ** len(milestones)
+
+
+def test_milestone_at_epochs_decays_the_last_epoch():
+    tc = TrainConfig(epochs=8, milestones=(8,))
+    assert tc.lr_at(7) == tc.lr0 and tc.lr_at(8) == tc.lr0 * tc.lr_decay
+
+
+@pytest.mark.parametrize("milestones,match", [((4, 4), "repeated"), ((2, 6, 2), "repeated"),
+                                              ((9,), "1..epochs"), ((100,), "1..epochs")],
+                         ids=["4,4", "2,6,2", "9", "100"])
+def test_repeated_or_unreachable_milestones_rejected(milestones, match):
+    # a repeat decays twice at once; one past the last epoch never decays
+    with pytest.raises(ConfigError, match=match):
+        TrainConfig(epochs=8, milestones=milestones)
 
 
 @pytest.mark.parametrize("milestones", [(-3,), (0,), (2, -1)])

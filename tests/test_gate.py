@@ -550,6 +550,26 @@ def test_unit_closed_clip_bit_identical_open_clip_fused():
         assert np.array_equal(out.data[clip], x[clip])
 
 
+@pytest.mark.parametrize("mode", ["multiplicative", "additive"])
+def test_unit_forced_mixed_verdict_passes_closed_clips_bit_identical(monkeypatch, mode):
+    real = sg.cycle_consistent
+
+    def mixed(a, b):  # clips 0 and 2 fail, whatever the check finds
+        _, fwd, bwd = real(a, b)
+        return np.array([False, True, False, True]), fwd, bwd
+
+    monkeypatch.setattr(sg, "cycle_consistent", mixed)
+    params = init_lstm_params(3, 2, np.random.default_rng(21))
+    x = np.random.default_rng(22).standard_normal((4, 3, 5, 2, 2))
+    x[0, 1, 2, 1, 0] = -0.0
+    out, record = srtg_unit(Tensor(x), params, gate_active=True, mode=mode)
+    assert [v.fused for v in record] == [False, True, False, True]
+    fused = fuse(Tensor(x), record.filtered, mode).data
+    for clip, verdict in enumerate(record):
+        expect = fused[clip] if verdict.fused else x[clip]
+        assert out.data[clip].tobytes() == expect.tobytes()
+
+
 def test_unit_gradients_flow_through_fused_path():
     rng = np.random.default_rng(16)
     params = init_lstm_params(2, 2, rng)

@@ -490,13 +490,11 @@ def test_grad_check_every_primitive_small_shapes():
     cases.append((lambda: tt.sum_all(tt.tanh(tt.spatial_avg_pool(pv))), [pv]))
     cases.append((lambda: tt.sum_all(tt.tanh(tt.global_avg_pool(pv))), [pv]))
 
-    vol, emb = _rand_params(rng, (2, 3, 2, 2, 2), (2, 2, 3))
-    cases.append((lambda: tt.sum_all(tt.scale_by_embedding(vol, tt.sigmoid(emb))), [vol, emb]))
-    cases.append((lambda: tt.sum_all(tt.tanh(tt.add_embedding(vol, emb))), [vol, emb]))
-
-    sa, sb = _rand_params(rng, (3, 2, 2), (3, 2, 2))
-    mask = np.array([True, False, True])
-    cases.append((lambda: tt.sum_all(tt.mul(tt.select_clips(mask, sa, sb), sa)), [sa, sb]))
+    vol, emb = _rand_params(rng, (3, 3, 2, 2, 2), (3, 2, 3))
+    for multiplicative, clips in itertools.product((True, False),
+                                                   (None, np.array([True, False, True]))):
+        cases.append((lambda m=multiplicative, k=clips: tt.sum_all(tt.tanh(
+            tt.fuse_embedding(vol, tt.sigmoid(emb), m, k))), [vol, emb]))
 
     seq = _rand_params(rng, (2, 4, 3))[0]
     gates = _rand_params(rng, *[(2, 5)] * 4)
@@ -530,14 +528,52 @@ def test_scale_and_mean():
     np.testing.assert_allclose(x.grad, np.full((2, 2), 0.5))
 
 
-def test_select_clips_closed_rows_bit_identical():
-    rng = np.random.default_rng(12)
-    a = Tensor(rng.standard_normal((3, 2, 2)))
-    b = Tensor(rng.standard_normal((3, 2, 2)))
-    out = tt.select_clips(np.array([False, True, False]), a, b)
-    assert np.array_equal(out.data[0], b.data[0])
-    assert np.array_equal(out.data[2], b.data[2])
-    assert np.array_equal(out.data[1], a.data[1])
+def _fuse_case(seed):
+    """A (3, 2, 2, 2, 2) volume with a -0.0 in each passed clip, an
+    embedding, and a mask that fuses clip 1 only."""
+    rng = np.random.default_rng(seed)
+    vd = rng.standard_normal((3, 2, 2, 2, 2))
+    vd[0, 0, 0, 0, 0] = vd[2, 1, 1, 1, 1] = -0.0
+    ed = rng.standard_normal((3, 2, 2))
+    return vd, ed, np.array([False, True, False])
+
+
+@pytest.mark.parametrize("multiplicative", [True, False])
+def test_fuse_embedding_passed_rows_bit_identical(multiplicative):
+    vd, ed, clips = _fuse_case(12)
+    out = tt.fuse_embedding(Tensor(vd), Tensor(ed), multiplicative, clips).data
+    assert out[~clips].tobytes() == vd[~clips].tobytes()  # keeps the sign of -0.0
+    assert np.signbit(out[0, 0, 0, 0, 0]) and np.signbit(out[2, 1, 1, 1, 1])
+
+
+@pytest.mark.parametrize("multiplicative", [True, False])
+def test_fuse_embedding_open_rows_match_numpy_oracle(multiplicative):
+    vd, ed, clips = _fuse_case(13)
+    out = tt.fuse_embedding(Tensor(vd), Tensor(ed), multiplicative, clips).data
+    emap = ed[1].T[:, :, None, None]
+    assert np.array_equal(out[1], vd[1] * emap if multiplicative else vd[1] + emap)
+    full = tt.fuse_embedding(Tensor(vd), Tensor(ed), multiplicative).data
+    assert np.array_equal(out[1], full[1])
+
+
+@pytest.mark.parametrize("multiplicative", [True, False])
+def test_fuse_embedding_passed_rows_send_emb_exact_zero(multiplicative):
+    vd, ed, clips = _fuse_case(14)
+    vol, emb = Tensor(vd, requires_grad=True), Tensor(ed, requires_grad=True)
+    g = np.random.default_rng(15).standard_normal(vd.shape)
+    backward(tt.sum_all(tt.mul(tt.fuse_embedding(vol, emb, multiplicative, clips), Tensor(g))))
+    assert emb.grad[~clips].tobytes() == np.zeros((2, 2, 2)).tobytes()
+    assert vol.grad[~clips].tobytes() == g[~clips].tobytes()  # passed rows receive g
+    gmap = ed[1].T[:, :, None, None]
+    np.testing.assert_array_equal(vol.grad[1], g[1] * gmap if multiplicative else g[1])
+    assert np.abs(emb.grad[1]).min() > 0
+
+
+@pytest.mark.parametrize("clips", [np.array([True, False]), np.ones((3, 1), dtype=bool)])
+def test_fuse_embedding_mask_shape_mismatch(clips):
+    vd, ed, _ = _fuse_case(16)
+    with pytest.raises(ShapeError, match="mask shape"):
+        tt.fuse_embedding(Tensor(vd), Tensor(ed), True, clips)
 
 
 def test_outputs_finite_on_finite_inputs():
