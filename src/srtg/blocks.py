@@ -8,7 +8,7 @@ statement of how those pieces are wired, and `block_layouts` the only loop
 over stages and blocks. `Block.forward` runs `route` on tensors;
 `srtg.opcount.count_macs` runs it on shapes, so the op count prices the
 network that trains without allocating its weights. Each step's op list
-(`_step_ops`) both draws its weights into a flat store keyed by checkpoint
+(`step_ops`) both draws its weights into a flat store keyed by checkpoint
 name and runs the step, so the store's order is the draw order and the
 checkpoint's array table.
 
@@ -36,6 +36,7 @@ __all__ = [
     "st_conv_parts",
     "route",
     "block_layouts",
+    "step_ops",
     "Block",
     "Network",
 ]
@@ -155,7 +156,7 @@ def block_layouts(spec: NetworkSpec):
 # ---------------------------------------------------------------------------
 
 
-def _step_ops(step: ConvStep, conv_kind: str, conv: str, norm: str):
+def step_ops(step: ConvStep, conv_kind: str, conv: str, norm: str):
     """The (conv part, weight name, norm name) ops one step runs, in draw and
     checkpoint order. Under (2+1)D the spatial conv is normalized by
     `<conv>.mid_bn` and only the temporal conv by the step's own norm."""
@@ -223,7 +224,7 @@ class Block(_Store):
             steps.append((layout.skip, "down_conv", "down_bn"))
         self._ops = {}  # step tag -> its ops
         for step, conv, norm in steps:
-            ops = _step_ops(step, layout.conv_kind, f"{name}.{conv}", f"{name}.{norm}")
+            ops = step_ops(step, layout.conv_kind, f"{name}.{conv}", f"{name}.{norm}")
             self._ops[step.tag] = ops
             for op in ops:
                 self._add_op(op, rng)

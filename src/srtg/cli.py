@@ -37,6 +37,7 @@ _RUNTIME_ERRORS = (
     TrainingDivergedError,
     ShapeError,
     ValueError,
+    MemoryError,
 )
 
 
@@ -114,8 +115,7 @@ def _cmd_gen_data(args):
 def _check_resumes_this_run(state, path, train_cfg, net_spec, stop_after):
     """A checkpoint of another seed or network restores into equal shapes and
     would train on silently, and one at or past this run's last epoch (the
-    smaller of train.epochs and --stop-after) has nothing left to train;
-    checkpoints without net_config skip the network check."""
+    smaller of train.epochs and --stop-after) has nothing left to train."""
     if state["seed"] != train_cfg.seed:
         raise ConfigError(f"{path} was written with train.seed {state['seed']}, "
                           f"but this run has train.seed {train_cfg.seed}")
@@ -123,13 +123,12 @@ def _check_resumes_this_run(state, path, train_cfg, net_spec, stop_after):
         raise ConfigError(f"{path} is already at epoch {state['epoch']}, "
                           f"but this run has train.epochs {train_cfg.epochs}"
                           + (f" and --stop-after {stop_after}" if stop_after else ""))
-    if state["net_config"]:
-        saved = config.network_spec(state["net_config"])
-        changed = [f.name for f in fields(saved)
-                   if getattr(saved, f.name) != getattr(net_spec, f.name)]
-        if changed:
-            raise ConfigError(f"{path} was written for another network: "
-                              f"{', '.join(changed)} differ")
+    saved = config.network_spec(state["net_config"])
+    changed = [f.name for f in fields(saved)
+               if getattr(saved, f.name) != getattr(net_spec, f.name)]
+    if changed:
+        raise ConfigError(f"{path} was written for another network: "
+                          f"{', '.join(changed)} differ")
 
 
 def _cmd_train(args):
@@ -172,26 +171,18 @@ def _cmd_train(args):
 
 
 def _net_from_checkpoint(args):
-    """Rebuild the network named by --config or, failing that, by the network
-    sections embedded in the checkpoint header."""
+    """Rebuild the network from the sections embedded in the checkpoint, with
+    --set applied; returns it with the --out directory (or None) and the
+    --data split."""
     state = checkpoint_load(args.checkpoint)
-    if args.config:
-        cfg = _load_cfg(args)
-    elif state["net_config"]:
-        cfg = config.apply_overrides(dict(state["net_config"]), args.set or [])
-    else:
-        raise ConfigError(
-            "checkpoint predates embedded network configs; pass --config"
-        )
+    cfg = config.apply_overrides(dict(state["net_config"]), args.set or [])
     net = Network(config.network_spec(cfg), seed=0)
     apply_checkpoint(net, None, state)
-    return net, cfg
+    return net, _optional_out(args, cfg), load_dataset(args.data)
 
 
 def _cmd_evaluate(args):
-    net, cfg = _net_from_checkpoint(args)
-    out = _optional_out(args, cfg)
-    ds = load_dataset(args.data)
+    net, out, ds = _net_from_checkpoint(args)
     metrics = evaluate(net, ds)
     _emit(
         {
@@ -219,10 +210,7 @@ def _cmd_count_ops(args):
 
 
 def _cmd_gate_analyze(args):
-    net, cfg = _net_from_checkpoint(args)
-    out = _optional_out(args, cfg)
-    ds = load_dataset(args.data)
-
+    net, out, ds = _net_from_checkpoint(args)
     records, log = [], []
     for idx, _, gate_log in training.eval_batches(net, ds, args.batch_size):
         log += gate_log
@@ -301,8 +289,6 @@ def _build_parser():
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on a dataset")
-    p.add_argument("--config", default=None,
-                   help="network config (default: the one embedded in the checkpoint)")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     common(p, out_required=False)
@@ -315,8 +301,6 @@ def _build_parser():
     p.set_defaults(func=_cmd_count_ops)
 
     p = sub.add_parser("gate-analyze", help="dump per-clip gate decisions")
-    p.add_argument("--config", default=None,
-                   help="network config (default: the one embedded in the checkpoint)")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--batch-size", type=_positive_int, default=16)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from srtg.blocks import BlockLayout, block_layouts, route, st_conv_parts
+from srtg.blocks import BlockLayout, block_layouts, route, step_ops
 from srtg.config import ConfigError, NetworkSpec
 
 __all__ = ["LayerCount", "OpCount", "count_macs", "report_dict"]
@@ -62,19 +62,11 @@ class OpCount:
         return sum(layer.macs for layer in self.layers)
 
     @property
-    def vanilla_macs(self) -> int:
-        t = self.totals
-        return t["convolutions"] + t["head"]
-
-    @property
-    def srtg_macs(self) -> int:
-        t = self.totals
-        return t["lstm"] + t["gate"]
-
-    @property
     def srtg_overhead_ratio(self) -> float:
         """Recurrent+gate multiplies relative to the ungated backbone cost."""
-        return self.srtg_macs / self.vanilla_macs if self.vanilla_macs else 0.0
+        t = self.totals
+        vanilla = t["convolutions"] + t["head"]
+        return (t["lstm"] + t["gate"]) / vanilla if vanilla else 0.0
 
 
 def _out_shape(shape, out_ch, kernel, stride):
@@ -94,10 +86,8 @@ def _block(counts, layout: BlockLayout, in_shape, name):
     """Walk the block's layout on shapes, as Block.forward walks it on tensors."""
 
     def conv(step, shape):
-        parts = st_conv_parts(step, layout.conv_kind)
-        for part in parts:
-            tag = step.tag if len(parts) == 1 else f"{step.tag}.{part.tag}"
-            shape = _conv(counts, f"{name}.{tag}", shape, part.out_ch, part.kernel, part.stride)
+        for part, conv_name, _ in step_ops(step, layout.conv_kind, f"{name}.{step.tag}", ""):
+            shape = _conv(counts, conv_name, shape, part.out_ch, part.kernel, part.stride)
         return shape
 
     def gate(shape):
@@ -134,8 +124,8 @@ def report_dict(counts: OpCount, input_shape) -> dict:
     """JSON-ready op-count report, every layer and total in MACs and GFLOPs."""
     totals = counts.totals
     totals["total"] = counts.total
-    totals["vanilla_macs"] = counts.vanilla_macs
-    totals["srtg_macs"] = counts.srtg_macs
+    totals["vanilla_macs"] = totals["convolutions"] + totals["head"]
+    totals["srtg_macs"] = totals["lstm"] + totals["gate"]
     totals["gmacs"] = counts.total / 1e9
     totals["gflops"] = 2.0 * counts.total / 1e9
     return {

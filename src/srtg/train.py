@@ -18,7 +18,7 @@ import numpy as np
 
 from srtg import tensor as tt
 from srtg.blocks import Network
-from srtg.config import TrainConfig
+from srtg.config import ConfigError, TrainConfig
 from srtg.data import Dataset, frame_bytes, read_file, read_frame, write_atomic
 from srtg.tensor import backward, no_grad
 
@@ -152,17 +152,21 @@ def _history_columns(unit_names):
     ]
 
 
-def _drop_rows_after(path, epoch):
+def _drop_rows_after(path, epoch, columns):
     """Cut a metrics file after its last complete row for an epoch <= epoch,
     or empty it at epoch 0. The row of epoch k is written before checkpoint k,
     so a crash between the two leaves a row that the run resumed from
-    checkpoint k-1 writes again."""
+    checkpoint k-1 writes again. A file with other columns than `columns` is
+    another network's, and a resume leaves it as it is."""
     try:
         fh = open(path, "r+b")
     except FileNotFoundError:
         return
     with fh:
-        keep = len(fh.readline()) if epoch else 0  # column names
+        head = fh.readline()
+        if epoch and head and head.rstrip(b"\r\n") != ",".join(columns).encode():
+            raise ConfigError(f"{path} was written for another network: its columns differ")
+        keep = len(head) if epoch else 0
         for line in fh:
             first = line.split(b",", 1)[0]
             if not (line.endswith(b"\n") and first.isdigit() and int(first) <= epoch):
@@ -192,8 +196,11 @@ def train(
     History rows hold the epoch's mean train loss, val top-1/top-5, the lr
     used, and per-unit gate-open rates on the val split. Rows are appended to
     metrics_path (column row first if empty) after dropping any past
-    start_epoch; a checkpoint (when requested) is rewritten after every epoch.
+    start_epoch; a checkpoint (when requested) is rewritten after every epoch,
+    with net_config as its network sections, which must then be given.
     """
+    if checkpoint_path is not None:  # refuse before an epoch is spent
+        _check_net_config(net_config, checkpoint_path)
     optimizer = optimizer or SGD(net.named_params(), cfg.momentum, cfg.weight_decay)
     unit_names = net.srtg_unit_names()
     columns = _history_columns(unit_names)
@@ -201,7 +208,7 @@ def train(
     writer = None
     fh = None
     if metrics_path is not None:
-        _drop_rows_after(metrics_path, start_epoch)
+        _drop_rows_after(metrics_path, start_epoch, columns)
         fh = open(metrics_path, "a", newline="")
         writer = csv.writer(fh)
         if fh.tell() == 0:  # a new file, or a resume into a fresh directory
@@ -268,9 +275,19 @@ def _state_arrays(net: Network, optimizer: SGD | None = None):
     return arrays
 
 
-def checkpoint_save(path, net: Network, optimizer: SGD, epoch: int, seed=0, net_config=None):
-    """net_config, when given, is the sectioned network config (plain strings);
-    it lets evaluate/gate-analyze rebuild the architecture from the file alone."""
+def _check_net_config(net_config, path):
+    """The checkpoint's network: an object of config sections of strings."""
+    if not (isinstance(net_config, dict) and all(
+            isinstance(sec, dict) and all(isinstance(v, str) for v in sec.values())
+            for sec in net_config.values())):
+        raise CheckpointError(f"{path}: net_config is not an object of sections of strings")
+    return net_config
+
+
+def checkpoint_save(path, net: Network, optimizer: SGD, epoch: int, net_config, seed=0):
+    """net_config is the sectioned network config (plain strings) the net was
+    built from; evaluate/gate-analyze rebuild the architecture from it."""
+    _check_net_config(net_config, path)
     arrays = _state_arrays(net, optimizer)
     header = {
         "epoch": int(epoch),
@@ -300,15 +317,7 @@ def checkpoint_load(path) -> dict:
         raise CheckpointError(f"{path}: header is not an object with epoch, seed and arrays")
     if any(type(header[k]) is not int or header[k] < 0 for k in ("epoch", "seed")):
         raise CheckpointError(f"{path}: header epoch and seed must be non-negative JSON integers")
-    net_config = header.get("net_config")
-    if net_config is not None and not (
-        isinstance(net_config, dict)
-        and all(
-            isinstance(sec, dict) and all(isinstance(v, str) for v in sec.values())
-            for sec in net_config.values()
-        )
-    ):
-        raise CheckpointError(f"{path}: net_config is not an object of sections of strings")
+    net_config = _check_net_config(header.get("net_config"), path)
     arrays = {}
     try:
         for name, shape in header["arrays"]:

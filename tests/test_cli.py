@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import srtg
 from srtg import gate as sg
-from srtg.cli import main
+from srtg.cli import _build_parser, main
+from srtg.config import read_config
 from srtg.data import load_dataset, save_dataset
 
 from oracles import cycle_oracle
@@ -138,6 +139,18 @@ def test_resume_from_another_run_exits_1_before_any_epoch(tmp_path, capsys, extr
     assert {p.name: p.read_bytes() for p in part.iterdir()} == before
 
 
+def _forge_header(ckpt, forged, edit):
+    """Write `ckpt` to `forged` with `edit` applied to its header dict, under
+    a valid checksum."""
+    raw = ckpt.read_bytes()
+    _, hlen = struct.unpack_from("<IQ", raw, 8)
+    header = json.loads(raw[20:20 + hlen])
+    edit(header)
+    hjson = json.dumps(header).encode()
+    body = raw[:8] + struct.pack("<IQ", 1, len(hjson)) + hjson + raw[20 + hlen:-32]
+    forged.write_bytes(body + hashlib.sha256(body).digest())
+
+
 def test_resume_from_negative_epoch_checkpoint_exits_2_and_writes_nothing(tmp_path, capsys):
     # a checksum-valid checkpoint of this very run, with only its epoch forged;
     # resumed into its own run directory, no file there may change
@@ -145,13 +158,7 @@ def test_resume_from_negative_epoch_checkpoint_exits_2_and_writes_nothing(tmp_pa
     part = tmp_path / "part"
     assert main(_train_args(data, part, epochs=4, extra=["--stop-after", "1"])) == 0
     ckpt = part / "checkpoint.bin"
-    raw = ckpt.read_bytes()
-    _, hlen = struct.unpack_from("<IQ", raw, 8)
-    header = json.loads(raw[20:20 + hlen])
-    header["epoch"] = -3
-    hjson = json.dumps(header).encode()
-    body = raw[:8] + struct.pack("<IQ", 1, len(hjson)) + hjson + raw[20 + hlen:-32]
-    ckpt.write_bytes(body + hashlib.sha256(body).digest())
+    _forge_header(ckpt, ckpt, lambda header: header.update(epoch=-3))
     before = {p.name: p.read_bytes() for p in part.iterdir()}
     capsys.readouterr()
     rc = main(_train_args(data, part, epochs=4, extra=["--resume", str(ckpt)]))
@@ -161,24 +168,69 @@ def test_resume_from_negative_epoch_checkpoint_exits_2_and_writes_nothing(tmp_pa
     assert {p.name: p.read_bytes() for p in part.iterdir()} == before
 
 
+@pytest.mark.parametrize("edit", [lambda header: header.pop("net_config"),
+                                  lambda header: header.update(net_config=None)],
+                         ids=["missing", "null"])
+def test_checkpoint_without_network_sections_exits_2(tmp_path, capsys, edit):
+    # a refused resume writes nothing to --out, not even effective.cfg
+    data = _gen(tmp_path)
+    part = tmp_path / "part"
+    assert main(_train_args(data, part, epochs=4, extra=["--stop-after", "1"])) == 0
+    forged = tmp_path / "forged.bin"
+    _forge_header(part / "checkpoint.bin", forged, edit)
+    fresh = tmp_path / "fresh"
+    for argv in (_train_args(data, fresh, epochs=4, extra=["--resume", str(forged)]),
+                 ["evaluate", "--checkpoint", str(forged), "--data", str(data / "val.bin"),
+                  "--out", str(fresh)],
+                 ["gate-analyze", "--checkpoint", str(forged), "--data", str(data / "val.bin"),
+                  "--out", str(fresh)]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and "forged.bin: net_config" in err, err
+        assert len(err.splitlines()) == 1
+        assert not fresh.exists()
+
+
+def test_resume_into_another_networks_metrics_exits_1_and_keeps_them(tmp_path, capsys):
+    data = _gen(tmp_path)
+    part, other = tmp_path / "part", tmp_path / "other"
+    assert main(_train_args(data, part, epochs=3, extra=["--stop-after", "1"])) == 0
+    assert main(_train_args(data, other, epochs=3,
+                            extra=["--set", "network.placement=none"])) == 0
+    metrics = (other / "metrics.csv").read_bytes()
+    capsys.readouterr()
+    rc = main(_train_args(data, other, epochs=3,
+                          extra=["--resume", str(part / "checkpoint.bin")]))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "another network" in err
+    assert len(err.splitlines()) == 1
+    assert (other / "metrics.csv").read_bytes() == metrics
+
+
 def test_evaluate_checkpoint(tmp_path, capsys):
+    # --out gets the report and, as effective.cfg, the checkpoint's network sections
     data = _gen(tmp_path)
     run = tmp_path / "run"
     assert main(_train_args(data, run)) == 0
     capsys.readouterr()
-    rc = main([
-        "evaluate", "--config", str(run / "effective.cfg"),
-        "--checkpoint", str(run / "checkpoint.bin"),
-        "--data", str(data / "val.bin"),
-    ])
+    out = tmp_path / "eval"
+    rc = main(["evaluate", "--checkpoint", str(run / "checkpoint.bin"),
+               "--data", str(data / "val.bin"), "--out", str(out)])
     assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
+    printed = capsys.readouterr().out
+    assert (out / "eval.json").read_text() == printed
+    payload = json.loads(printed)
     assert 0.0 <= payload["top1"] <= payload["top5"] <= 1.0
     assert payload["clips"] == 6
+    sections = read_config(str(run / "effective.cfg"))
+    assert read_config(str(out / "effective.cfg")) == {
+        s: v for s, v in sections.items() if s == "network" or s.startswith("stage")}
 
 
 def test_evaluate_and_gate_analyze_without_config(tmp_path, capsys):
-    # the checkpoint embeds the network sections, so --config is optional
+    # the network is rebuilt from the sections the checkpoint embeds
     data = _gen(tmp_path)
     run = tmp_path / "run"
     assert main(_train_args(data, run)) == 0
@@ -306,8 +358,8 @@ def test_gate_analyze_jsonl(tmp_path, capsys, placement):
     assert main(_train_args(data, run, extra=("--set", f"network.placement={placement}"))) == 0
     capsys.readouterr()
     out = tmp_path / "gates"
-    args = ["gate-analyze", "--config", str(run / "effective.cfg"),
-            "--checkpoint", str(run / "checkpoint.bin"), "--data", str(data / "val.bin")]
+    args = ["gate-analyze", "--checkpoint", str(run / "checkpoint.bin"),
+            "--data", str(data / "val.bin")]
     assert main(args + ["--out", str(out)]) == 0
     text = (out / "gates.jsonl").read_text()
     if not units:
@@ -338,6 +390,18 @@ def test_grad_check_command(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # failure modes and exit codes
 # ---------------------------------------------------------------------------
+
+
+def test_readme_commands_parse():
+    # every `srtg ...` line of README's fenced sh blocks, continuations joined
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = [b.split("```", 1)[0] for b in text.split("```sh\n")[1:]]
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [line.split()[1:] for line in lines if line.startswith("srtg ")]
+    assert {argv[0] for argv in commands} == {"gen-data", "train", "evaluate", "gate-analyze",
+                                              "count-ops", "grad-check"}
+    for argv in commands:
+        _build_parser().parse_args(argv)
 
 
 def test_unknown_command_exits_1(capsys):
@@ -447,6 +511,8 @@ def test_translate_beyond_16_classes_exits_1_before_any_output(tmp_path, capsys)
     ["count-ops", "--net", str(CONFIGS / "toy.cfg"), "--input", "1x8x16x16",
      "--seed", "1"],
     ["gate-analyze", "--checkpoint", "c.bin", "--data", "v.bin", "--seed", "1"],
+    ["evaluate", "--checkpoint", "c.bin", "--data", "v.bin", "--config", "toy.cfg"],
+    ["gate-analyze", "--checkpoint", "c.bin", "--data", "v.bin", "--config", "toy.cfg"],
     ["grad-check", "--seed", "1"],
     ["grad-check", "--set", "nonsense.key=1"],
 ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
@@ -493,10 +559,7 @@ def test_corrupt_checkpoint_exits_2(tmp_path, capsys):
     data = _gen(tmp_path)
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"SRTGCKPT" + b"\x00" * 64)
-    rc = main([
-        "evaluate", "--config", str(CONFIGS / "toy.cfg"),
-        "--checkpoint", str(bad), "--data", str(data / "val.bin"),
-    ])
+    rc = main(["evaluate", "--checkpoint", str(bad), "--data", str(data / "val.bin")])
     assert rc == 2
     assert "runtime error" in capsys.readouterr().err
 
@@ -507,8 +570,7 @@ def test_checkpoint_header_without_epoch_exits_2(tmp_path, capsys):
     body = b"SRTGCKPT" + struct.pack("<IQ", 1, len(hjson)) + hjson
     forged = tmp_path / "forged.ckpt"
     forged.write_bytes(body + hashlib.sha256(body).digest())
-    rc = main(["evaluate", "--config", str(CONFIGS / "toy.cfg"),
-               "--checkpoint", str(forged), "--data", str(tmp_path / "val.bin")])
+    rc = main(["evaluate", "--checkpoint", str(forged), "--data", str(tmp_path / "val.bin")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("runtime error: ") and "epoch, seed and arrays" in err
@@ -516,7 +578,7 @@ def test_checkpoint_header_without_epoch_exits_2(tmp_path, capsys):
 
 
 def test_checkpoint_net_config_not_an_object_exits_2(tmp_path, capsys):
-    # without --config, evaluate rebuilds the network from net_config
+    # evaluate rebuilds the network from net_config
     hjson = json.dumps({"epoch": 1, "seed": 0, "arrays": [], "net_config": 5}).encode()
     body = b"SRTGCKPT" + struct.pack("<IQ", 1, len(hjson)) + hjson
     forged = tmp_path / "forged.ckpt"
@@ -524,8 +586,22 @@ def test_checkpoint_net_config_not_an_object_exits_2(tmp_path, capsys):
     rc = main(["evaluate", "--checkpoint", str(forged), "--data", str(tmp_path / "val.bin")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("runtime error: ") and "net_config" in err
+    # the tmp_path holds "net_config" too, so match the file's name with it
+    assert err.startswith("runtime error: ") and "forged.ckpt: net_config" in err
     assert len(err.splitlines()) == 1
+
+
+def test_allocation_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    def out_of_memory(spec):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array with shape "
+                          "(10000000000000, 1, 8, 16, 16) and data type float64")
+
+    monkeypatch.setattr(srtg.data, "generate", out_of_memory)
+    rc = main(["gen-data", "--config", str(CONFIGS / "toy_data.cfg"),
+               "--out", str(tmp_path / "data")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: Unable to allocate") and len(err.splitlines()) == 1
 
 
 def test_dataset_header_with_negative_sizes_exits_2(tmp_path, capsys):

@@ -38,6 +38,8 @@ from srtg.train import (
 from oracles import frame_sample_oracle
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# the network sections a checkpoint must carry; the tests below only round-trip them
+NET_CONFIG = {"network": {"depth_kind": "simple"}}
 
 
 def _tiny_net_spec(num_classes=2, gate=True, placement="final"):
@@ -355,12 +357,12 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path):
     opt = SGD(net.named_params())
     p1 = tmp_path / "a.ckpt"
     p2 = tmp_path / "b.ckpt"
-    checkpoint_save(p1, net, opt, epoch=3, seed=7)
+    checkpoint_save(p1, net, opt, epoch=3, seed=7, net_config=NET_CONFIG)
     state = checkpoint_load(p1)
     net2 = Network(_tiny_net_spec(), seed=99)
     opt2 = SGD(net2.named_params())
     apply_checkpoint(net2, opt2, state)
-    checkpoint_save(p2, net2, opt2, epoch=3, seed=7)
+    checkpoint_save(p2, net2, opt2, epoch=3, seed=7, net_config=NET_CONFIG)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -369,7 +371,7 @@ def test_checkpoint_load_keeps_one_copy(tmp_path):
                                stages=[StageSpec(blocks=1, channels=16, stride=(1, 2, 2))])
     net = Network(spec, seed=22)
     path = tmp_path / "c.ckpt"
-    checkpoint_save(path, net, SGD(net.named_params()), epoch=1)
+    checkpoint_save(path, net, SGD(net.named_params()), epoch=1, net_config=NET_CONFIG)
     tracemalloc.start()
     try:
         state = checkpoint_load(path)
@@ -396,14 +398,13 @@ def test_checkpoint_bytes_match_the_documented_format(tmp_path):
     for i, (name, arr) in enumerate(arrays):
         if not name.startswith("param."):  # make every array's bytes distinct
             arr[...] = i + np.arange(arr.size).reshape(arr.shape) / arr.size
-    net_config = {"network": {"depth_kind": "simple"}}
-    header = json.dumps({"epoch": 3, "seed": 7, "net_config": net_config,
+    header = json.dumps({"epoch": 3, "seed": 7, "net_config": NET_CONFIG,
                          "arrays": [[name, list(arr.shape)] for name, arr in arrays]},
                         sort_keys=True).encode()
     body = b"SRTGCKPT" + struct.pack("<IQ", 1, len(header)) + header
     body += b"".join(struct.pack(f"<{arr.size}d", *arr.ravel()) for _, arr in arrays)
     path = tmp_path / "tiny.ckpt"
-    checkpoint_save(path, net, opt, epoch=3, seed=7, net_config=net_config)
+    checkpoint_save(path, net, opt, epoch=3, seed=7, net_config=NET_CONFIG)
     assert path.read_bytes() == body + hashlib.sha256(body).digest()
 
 
@@ -412,7 +413,7 @@ def test_checkpoint_restore_checks_buffer_and_velocity_shapes(tmp_path, kind):
     net = Network(_tiny_net_spec(), seed=17)
     opt = SGD(net.named_params())
     path = tmp_path / "s.ckpt"
-    checkpoint_save(path, net, opt, epoch=1)
+    checkpoint_save(path, net, opt, epoch=1, net_config=NET_CONFIG)
     state = checkpoint_load(path)
     key = next(k for k in state["arrays"] if k.startswith(f"{kind}."))
     state["arrays"][key] = np.zeros(1)
@@ -422,7 +423,7 @@ def test_checkpoint_restore_checks_buffer_and_velocity_shapes(tmp_path, kind):
 
 def _save_checkpoint_of_epoch(path, epoch):
     net = Network(_tiny_net_spec(), seed=19)
-    checkpoint_save(path, net, SGD(net.named_params()), epoch=epoch)
+    checkpoint_save(path, net, SGD(net.named_params()), epoch=epoch, net_config=NET_CONFIG)
 
 
 def _save_dataset_of_seed(path, seed):
@@ -451,7 +452,7 @@ def test_checkpoint_truncation_detected(tmp_path):
     net = Network(_tiny_net_spec(), seed=15)
     opt = SGD(net.named_params())
     path = tmp_path / "c.ckpt"
-    checkpoint_save(path, net, opt, epoch=1)
+    checkpoint_save(path, net, opt, epoch=1, net_config=NET_CONFIG)
     raw = path.read_bytes()
     path.write_bytes(raw[:-40])
     with pytest.raises(CheckpointError, match="checksum"):
@@ -472,9 +473,10 @@ def test_checkpoint_bad_magic(tmp_path):
     None,
     b"[1, 2]",
     b'{"epoch": 1,',
-    b'{"epoch": 1, "seed": 0, "arrays": [1]}',
-    b'{"epoch": 1, "seed": 0, "arrays": [["param.w", [4]]]}',
-    b'{"epoch": 1, "seed": 0, "arrays": [["param.w", [4294967296, 4294967296]]]}',
+    b'{"epoch": 1, "seed": 0, "net_config": {}, "arrays": [1]}',
+    b'{"epoch": 1, "seed": 0, "net_config": {}, "arrays": [["param.w", [4]]]}',
+    b'{"epoch": 1, "seed": 0, "net_config": {}, '
+    b'"arrays": [["param.w", [4294967296, 4294967296]]]}',
     b'{"epoch": "1", "seed": 0, "arrays": []}',
     b'{"epoch": 1.0, "seed": 0, "arrays": []}',
     b'{"epoch": true, "seed": 0, "arrays": []}',
@@ -494,7 +496,8 @@ def test_checkpoint_header_faults_are_checkpoint_errors(tmp_path, hjson):
         body += struct.pack("<IQ", 1, len(hjson)) + hjson
     path = tmp_path / "forged.ckpt"
     path.write_bytes(body + hashlib.sha256(body).digest())
-    with pytest.raises(CheckpointError, match="header"):
+    # the message, not the test's tmp_path, must name the header
+    with pytest.raises(CheckpointError, match=r"forged\.ckpt: .*header"):
         checkpoint_load(path)
 
 
@@ -508,7 +511,8 @@ def test_checkpoint_header_faults_are_checkpoint_errors(tmp_path, hjson):
 ], ids=["name_not_a_string", "name_repeats", "dim_negative", "dim_bool"])
 def test_checkpoint_array_table_faults_are_checkpoint_errors(tmp_path, table, values):
     # the payload holds `values` doubles and the checksum trailer is valid
-    hjson = json.dumps({"epoch": 1, "seed": 0, "arrays": table}).encode()
+    hjson = json.dumps({"epoch": 1, "seed": 0, "net_config": NET_CONFIG,
+                        "arrays": table}).encode()
     body = b"SRTGCKPT" + struct.pack("<IQ", 1, len(hjson)) + hjson
     body += np.arange(values, dtype="<f8").tobytes()
     path = tmp_path / "forged.ckpt"
@@ -521,7 +525,7 @@ def test_checkpoint_array_table_faults_are_checkpoint_errors(tmp_path, table, va
 def saved_checkpoint(tmp_path_factory):
     net = Network(_tiny_net_spec(), seed=16)
     path = tmp_path_factory.mktemp("fuzz") / "checkpoint.bin"
-    checkpoint_save(path, net, SGD(net.named_params()), epoch=1)
+    checkpoint_save(path, net, SGD(net.named_params()), epoch=1, net_config=NET_CONFIG)
     return path
 
 
@@ -548,25 +552,45 @@ def test_fuzz_byte_flip_in_checkpoint_rejected(saved_checkpoint, data):
         checkpoint_load(forged)
 
 
+_MISSING = object()
+
+
 def _checkpoint_with_net_config(path, net_config):
-    hjson = json.dumps({"epoch": 1, "seed": 0, "arrays": [],
-                        "net_config": net_config}).encode()
+    header = {"epoch": 1, "seed": 0, "arrays": []}
+    if net_config is not _MISSING:
+        header["net_config"] = net_config
+    hjson = json.dumps(header).encode()
     body = b"SRTGCKPT" + struct.pack("<IQ", 1, len(hjson)) + hjson
     path.write_bytes(body + hashlib.sha256(body).digest())
     return path
 
 
-@pytest.mark.parametrize("net_config", [
-    5, "network", [["network", {}]], {"network": 5}, {"network": {"depth_kind": 5}},
-], ids=["number", "string", "list", "section_not_object", "value_not_string"])
+_BAD_NET_CONFIGS = [
+    5, "network", [["network", {}]], {"network": 5}, {"network": {"depth_kind": 5}}, None,
+]
+_BAD_NET_CONFIG_IDS = ["number", "string", "list", "section_not_object", "value_not_string",
+                       "null"]
+
+
+@pytest.mark.parametrize("net_config", _BAD_NET_CONFIGS + [_MISSING],
+                         ids=_BAD_NET_CONFIG_IDS + ["missing"])
 def test_checkpoint_net_config_must_be_sections_of_strings(tmp_path, net_config):
     path = _checkpoint_with_net_config(tmp_path / "forged.ckpt", net_config)
-    with pytest.raises(CheckpointError, match="net_config"):
+    with pytest.raises(CheckpointError, match=r"forged\.ckpt: net_config"):
         checkpoint_load(path)
 
 
-@pytest.mark.parametrize("net_config", [None, {}, {"network": {"depth_kind": "simple"}}])
-def test_checkpoint_net_config_null_or_sections_load(tmp_path, net_config):
+@pytest.mark.parametrize("net_config", _BAD_NET_CONFIGS, ids=_BAD_NET_CONFIG_IDS)
+def test_checkpoint_save_refuses_what_load_rejects(tmp_path, net_config):
+    net = Network(_tiny_net_spec(), seed=16)
+    path = tmp_path / "refused.ckpt"
+    with pytest.raises(CheckpointError, match="net_config"):
+        checkpoint_save(path, net, SGD(net.named_params()), epoch=1, net_config=net_config)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("net_config", [{}, NET_CONFIG])
+def test_checkpoint_net_config_sections_load(tmp_path, net_config):
     path = _checkpoint_with_net_config(tmp_path / "ok.ckpt", net_config)
     assert checkpoint_load(path)["net_config"] == net_config
 
@@ -583,7 +607,7 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     ck = tmp_path / "resume.ckpt"
     part_path = tmp_path / "part.csv"
     train(net_a, train_ds, val_ds, cfg, metrics_path=part_path,
-          checkpoint_path=ck, stop_after=2)
+          checkpoint_path=ck, stop_after=2, net_config=NET_CONFIG)
 
     state = checkpoint_load(ck)
     assert state["epoch"] == 2
@@ -596,6 +620,14 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     assert full_path.read_bytes() == part_path.read_bytes()
 
 
+def test_train_refuses_a_checkpoint_without_sections_before_any_epoch(tmp_path):
+    train_ds, val_ds = _tiny_data()
+    with pytest.raises(CheckpointError, match="net_config"):
+        train(Network(_tiny_net_spec(), seed=16), train_ds, val_ds, _cfg(),
+              metrics_path=tmp_path / "metrics.csv", checkpoint_path=tmp_path / "c.bin")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_resume_after_crash_between_row_and_checkpoint(tmp_path, monkeypatch):
     # the epoch-3 row is written, then its checkpoint fails; resuming from
     # the epoch-2 checkpoint must not repeat that row
@@ -605,7 +637,8 @@ def test_resume_after_crash_between_row_and_checkpoint(tmp_path, monkeypatch):
     full.mkdir()
     part.mkdir()
     train(Network(_tiny_net_spec(), seed=16), train_ds, val_ds, cfg,
-          metrics_path=full / "metrics.csv", checkpoint_path=full / "checkpoint.bin")
+          metrics_path=full / "metrics.csv", checkpoint_path=full / "checkpoint.bin",
+          net_config=NET_CONFIG)
 
     save = srtg.train.checkpoint_save
 
@@ -617,7 +650,8 @@ def test_resume_after_crash_between_row_and_checkpoint(tmp_path, monkeypatch):
     monkeypatch.setattr(srtg.train, "checkpoint_save", crash_at_epoch_3)
     with pytest.raises(OSError, match="simulated"):
         train(Network(_tiny_net_spec(), seed=16), train_ds, val_ds, cfg,
-              metrics_path=part / "metrics.csv", checkpoint_path=part / "checkpoint.bin")
+              metrics_path=part / "metrics.csv", checkpoint_path=part / "checkpoint.bin",
+              net_config=NET_CONFIG)
     monkeypatch.undo()
 
     state = checkpoint_load(part / "checkpoint.bin")
@@ -626,7 +660,8 @@ def test_resume_after_crash_between_row_and_checkpoint(tmp_path, monkeypatch):
     opt = SGD(net.named_params(), cfg.momentum, cfg.weight_decay)
     apply_checkpoint(net, opt, state)
     train(net, train_ds, val_ds, cfg, metrics_path=part / "metrics.csv",
-          checkpoint_path=part / "checkpoint.bin", start_epoch=2, optimizer=opt)
+          checkpoint_path=part / "checkpoint.bin", start_epoch=2, optimizer=opt,
+          net_config=NET_CONFIG)
 
     for name in ("metrics.csv", "checkpoint.bin"):
         assert (part / name).read_bytes() == (full / name).read_bytes(), name
