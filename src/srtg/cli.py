@@ -138,12 +138,14 @@ def _cmd_train(args):
     train_path, val_path = config.data_paths(cfg)
     # a refused resume writes nothing, not even effective.cfg in --out
     state = checkpoint_load(args.resume) if args.resume else None
+    net = Network(net_spec, seed=train_cfg.seed)
     if state:
         _check_resumes_this_run(state, args.resume, train_cfg, net_spec, args.stop_after)
+        training.check_metrics_columns(
+            os.path.join(args.out, "metrics.csv"), state["epoch"], net)
     out = _ensure_out(args.out, cfg)
     train_ds = load_dataset(train_path)
     val_ds = load_dataset(val_path)
-    net = Network(net_spec, seed=train_cfg.seed)
     optimizer = SGD(net.named_params(), train_cfg.momentum, train_cfg.weight_decay)
     start_epoch = 0
     if state:

@@ -381,18 +381,31 @@ def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
     if wcin != cin:
         raise ShapeError(f"conv3d: input channels {cin} vs kernel in-channels {wcin}")
     xp, ext = _windows("conv3d", x, w.data.shape[2:], stride, padding)
-    # Each kernel offset is one BLAS matmul on a contiguous (N, C_in, oT*oH*oW)
-    # copy of its input tap. A full im2col matrix kept for the backward would
-    # hold k^3 copies of the input per conv for the whole step.
+    # The forward is one BLAS matmul per (kT, kH) row of kernel taps: the
+    # row's kW taps are copied into one (N, kW*C_in, oT*oH*oW) buffer reused
+    # by every row, so a 1-channel input does not run k^3 products of
+    # contraction 1; a one-tap row is read as it is. The backward is one
+    # matmul per kernel offset. A full im2col matrix would hold k^3 copies.
     offsets = list(itertools.product(*map(range, w.data.shape[2:])))
     wk = w.data.transpose(2, 3, 4, 0, 1)  # (kT, kH, kW, C_out, C_in) view
+    kt, kh, kw = w.data.shape[2:]
+    wrow = w.data.transpose(2, 3, 0, 4, 1).reshape(kt, kh, cout, kw * cin)  # tap-major
+    buf = np.empty((n, kw, cin) + ext) if kw > 1 else None
 
     def tap(off):  # (N, C_in, oT*oH*oW)
         return xp[_tap(off, ext, stride)].reshape(n, cin, -1)
 
-    out = wk[offsets[0]] @ tap(offsets[0])
-    for off in offsets[1:]:
-        out += wk[off] @ tap(off)
+    def row(t, h):  # (N, kW*C_in, oT*oH*oW)
+        if buf is None:
+            return tap((t, h, 0))
+        for k in range(kw):
+            buf[:, k] = xp[_tap((t, h, k), ext, stride)]
+        return buf.reshape(n, kw * cin, -1)
+
+    rows = list(itertools.product(range(kt), range(kh)))
+    out = wrow[rows[0]] @ row(*rows[0])
+    for th in rows[1:]:
+        out += wrow[th] @ row(*th)
     out = out.reshape((n, cout) + ext)
 
     def bwd(g):

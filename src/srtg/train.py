@@ -152,20 +152,30 @@ def _history_columns(unit_names):
     ]
 
 
-def _drop_rows_after(path, epoch, columns):
+def check_metrics_columns(path, epoch, net):
+    """Refuse a resume (epoch > 0) into a metrics file with other columns than
+    `net`'s: it is another network's, and a resume leaves it as it is."""
+    try:
+        with open(path, "rb") as fh:
+            head = fh.readline()
+    except (FileNotFoundError, NotADirectoryError):
+        return
+    columns = _history_columns(net.srtg_unit_names())
+    if epoch and head and head.rstrip(b"\r\n") != ",".join(columns).encode():
+        raise ConfigError(f"{path} was written for another network: its columns differ")
+
+
+def _drop_rows_after(path, epoch):
     """Cut a metrics file after its last complete row for an epoch <= epoch,
     or empty it at epoch 0. The row of epoch k is written before checkpoint k,
     so a crash between the two leaves a row that the run resumed from
-    checkpoint k-1 writes again. A file with other columns than `columns` is
-    another network's, and a resume leaves it as it is."""
+    checkpoint k-1 writes again."""
     try:
         fh = open(path, "r+b")
     except FileNotFoundError:
         return
     with fh:
         head = fh.readline()
-        if epoch and head and head.rstrip(b"\r\n") != ",".join(columns).encode():
-            raise ConfigError(f"{path} was written for another network: its columns differ")
         keep = len(head) if epoch else 0
         for line in fh:
             first = line.split(b",", 1)[0]
@@ -208,7 +218,8 @@ def train(
     writer = None
     fh = None
     if metrics_path is not None:
-        _drop_rows_after(metrics_path, start_epoch, columns)
+        check_metrics_columns(metrics_path, start_epoch, net)
+        _drop_rows_after(metrics_path, start_epoch)
         fh = open(metrics_path, "a", newline="")
         writer = csv.writer(fh)
         if fh.tell() == 0:  # a new file, or a resume into a fresh directory

@@ -199,6 +199,7 @@ def test_resume_into_another_networks_metrics_exits_1_and_keeps_them(tmp_path, c
     assert main(_train_args(data, other, epochs=3,
                             extra=["--set", "network.placement=none"])) == 0
     metrics = (other / "metrics.csv").read_bytes()
+    cfg = (other / "effective.cfg").read_bytes()
     capsys.readouterr()
     rc = main(_train_args(data, other, epochs=3,
                           extra=["--resume", str(part / "checkpoint.bin")]))
@@ -206,7 +207,9 @@ def test_resume_into_another_networks_metrics_exits_1_and_keeps_them(tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "another network" in err
     assert len(err.splitlines()) == 1
+    # the refusal comes before anything is written: the config still matches
     assert (other / "metrics.csv").read_bytes() == metrics
+    assert (other / "effective.cfg").read_bytes() == cfg
 
 
 def test_evaluate_checkpoint(tmp_path, capsys):

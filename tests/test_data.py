@@ -162,14 +162,14 @@ def test_truncated_file_rejected(tmp_path):
     save_dataset(path, train)
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) - 17])
-    with pytest.raises(DatasetFormatError, match="truncated"):
+    with pytest.raises(DatasetFormatError, match=r"truncated or padded payload \("):
         load_dataset(path)
 
 
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTADATASET" * 10)
-    with pytest.raises(DatasetFormatError, match="magic"):
+    with pytest.raises(DatasetFormatError, match=r"\(bad magic\)$"):
         load_dataset(path)
 
 

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,8 +78,9 @@ def test_conv3d_strided_matches_loop_oracle():
 
 # every kernel kind the networks use: full 3D (stem and blocks), 1x1x1
 # projections and bottlenecks, and the (1,k,k) / (k,1,1) halves of a
-# (2+1)D conv; each kernel offset of conv3d is one matmul, so each kind
-# exercises a different tap layout
+# (2+1)D conv, each also on a 1-channel input like the stem's; the conv3d
+# forward runs one matmul per (kT, kH) row of taps and the backward one per
+# kernel offset, so each kind exercises a different tap and row layout
 _KERNEL_KINDS = [
     # (x shape, w shape, stride, padding)
     ((2, 2, 4, 5, 5), (3, 2, 3, 3, 3), (1, 2, 2), (1, 1, 1)),
@@ -90,9 +92,13 @@ _KERNEL_KINDS = [
     ((2, 2, 5, 3, 3), (3, 2, 3, 1, 1), (1, 1, 1), (1, 0, 0)),
     ((2, 2, 5, 3, 3), (3, 2, 3, 1, 1), (2, 1, 1), (1, 0, 0)),
     ((2, 1, 4, 6, 6), (3, 1, 3, 3, 3), (1, 2, 2), (1, 1, 1)),
+    ((2, 1, 4, 5, 5), (3, 1, 3, 3, 3), (1, 1, 1), (1, 1, 1)),
+    ((2, 1, 3, 5, 5), (3, 1, 1, 3, 3), (1, 1, 1), (0, 1, 1)),
+    ((2, 1, 5, 3, 3), (3, 1, 3, 1, 1), (1, 1, 1), (1, 0, 0)),
 ]
 _KIND_IDS = ["3x3x3-s122", "3x3x3-s222", "1x1x1-s111", "1x1x1-s222", "1x3x3-s111",
-             "1x3x3-s122", "3x1x1-s111", "3x1x1-s211", "cin1-3x3x3-s122"]
+             "1x3x3-s122", "3x1x1-s111", "3x1x1-s211", "cin1-3x3x3-s122",
+             "cin1-3x3x3-s111", "cin1-1x3x3-s111", "cin1-3x1x1-s111"]
 
 
 @pytest.mark.parametrize("xs, ws, stride, padding", _KERNEL_KINDS, ids=_KIND_IDS)
@@ -109,6 +115,25 @@ def test_conv3d_kernel_kinds_match_loop_oracles(xs, ws, stride, padding):
     dx, dw = conv3d_grad_oracle(x, w, g, stride, padding)
     np.testing.assert_allclose(xt.grad, dx, rtol=0, atol=1e-12)
     np.testing.assert_allclose(wt.grad, dw, rtol=0, atol=1e-12)
+
+
+def test_conv3d_forward_gathers_one_row_of_taps():
+    # the forward copies one (kT, kH) row of kW taps at a time into a buffer
+    # it reuses; a full im2col matrix would hold all 27 taps at once
+    rng = np.random.default_rng(22)
+    x = Tensor(rng.standard_normal((8, 8, 8, 8, 8)))
+    w = Tensor(rng.standard_normal((8, 8, 3, 3, 3)))
+    padded = x.data.nbytes * 10 ** 3 // 8 ** 3
+    output = x.data.nbytes  # padding 1 keeps the input's extents
+    row = 3 * x.data.nbytes
+    tracemalloc.start()
+    try:
+        tt.conv3d(x, w, padding=(1, 1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the second output is the matmul's temporary before it is summed in
+    assert peak < padded + 2 * output + 2 * row, peak
 
 
 _RERUN_SCRIPT = """

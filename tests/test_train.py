@@ -462,7 +462,7 @@ def test_checkpoint_truncation_detected(tmp_path):
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"garbage" * 30)
-    with pytest.raises(CheckpointError, match="magic"):
+    with pytest.raises(CheckpointError, match=r"\(bad magic\)$"):
         checkpoint_load(path)
 
 
