@@ -38,6 +38,7 @@ _RUNTIME_ERRORS = (
     ShapeError,
     ValueError,
     MemoryError,
+    OSError,  # an output file that cannot be written; after BrokenPipeError in main
 )
 
 
@@ -60,7 +61,10 @@ def _ensure_out(path, cfg=None):
     if not os.access(path, os.W_OK):
         raise ConfigError(f"output directory {path} is not writable")
     if cfg is not None:
-        config.write_config(cfg, os.path.join(path, "effective.cfg"))
+        try:
+            config.write_config(cfg, os.path.join(path, "effective.cfg"))
+        except OSError as e:
+            raise ConfigError(f"cannot write the effective config: {e}") from e
     return path
 
 
@@ -331,15 +335,15 @@ def main(argv=None) -> int:
     except _VALIDATION_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except _RUNTIME_ERRORS as e:
-        print(f"runtime error: {e}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # stdout was closed early (e.g. piped into head); point it at devnull
         # so the interpreter's flush at exit does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("runtime error: stdout was closed before the output was written",
               file=sys.stderr)
+        return 2
+    except _RUNTIME_ERRORS as e:
+        print(f"runtime error: {e}", file=sys.stderr)
         return 2
 
 

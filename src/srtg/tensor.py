@@ -8,6 +8,7 @@ reduction order is fixed.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 from contextlib import contextmanager
 
@@ -38,6 +39,24 @@ __all__ = [
     "fuse_embedding",
     "softmax_cross_entropy",
 ]
+
+
+def _keep_freed_memory():
+    """Keep the memory `backward` frees for the next step, which glibc would
+    trim back to the OS for the next forward to fault in again. Both
+    thresholds are set, since setting either one turns off glibc's dynamic
+    mmap threshold. Holds for the whole process; needs glibc's `mallopt`."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: CDLL(None) on Windows
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: arrays up to 32 MiB come from the heap
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: up to 1 GiB of free heap top stays
+
+
+_keep_freed_memory()
 
 
 class ShapeError(ValueError):

@@ -667,6 +667,28 @@ def test_fuzz_damaged_checkpoint_evaluate_exits_2_with_one_line(toy_checkpoint, 
     assert len(lines) == 1 and lines[0].startswith("runtime error: "), lines
 
 
+@pytest.mark.parametrize("command, blocked, code", [
+    ("train", "metrics.csv", 2),
+    ("train", "checkpoint.bin", 2),
+    ("train", "effective.cfg", 1),
+    ("evaluate", "eval.json", 2),
+])
+def test_output_path_taken_by_a_directory_exits_with_one_line(toy_checkpoint, tmp_path, capsys,
+                                                              command, blocked, code):
+    ckpt, val = toy_checkpoint
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    if command == "train":
+        argv = _train_args(val.parent, out, epochs=1)
+    else:
+        argv = ["evaluate", "--checkpoint", str(ckpt), "--data", str(val), "--out", str(out)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: " if code == 1 else "runtime error: ") and blocked in err
+    assert not list(out.glob("*.tmp"))
+
+
 def test_effective_config_written_before_run(tmp_path):
     # even a failing run leaves the echoed config + seed behind
     out = tmp_path / "run"

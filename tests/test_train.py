@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -263,6 +264,56 @@ def test_backward_frees_the_last_steps_tape():
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
+# five warm train steps of the toy network, stepped as `train` steps them;
+# prints the minor page faults per step
+_WARM_STEPS = """
+import resource, sys
+import numpy as np
+from srtg import tensor as tt
+from srtg.blocks import Network
+from srtg.config import apply_overrides, network_spec, read_config
+from srtg.train import SGD
+cfg = apply_overrides(read_config(sys.argv[1]), [f"network.placement={sys.argv[2]}"])
+net = Network(network_spec(cfg), seed=7)
+opt = SGD(net.named_params())
+clips = np.random.default_rng(5).standard_normal((8, 1, 16, 16, 16))
+labels = np.array([0, 1, 1, 0, 1, 0, 0, 1])
+for step in range(7):
+    if step == 2:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    logits, _ = net.forward(clips, training=True)
+    loss = tt.softmax_cross_entropy(logits, labels)
+    opt.zero_grad()
+    tt.backward(loss)
+    opt.step(0.01)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+
+
+def _run_python(args):
+    """Run a fresh interpreter that imports this checkout's srtg."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(srtg.train.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("placement", ["final", "none"])
+def test_warm_train_step_takes_no_page_faults(placement):
+    # the memory one step's backward frees must serve the next step, not go
+    # back to the OS and be faulted in again (the allocator policy set when
+    # srtg.tensor is imported); a fresh process, since glibc's own dynamic
+    # thresholds move with whatever earlier tests allocated
+    pytest.importorskip("resource")
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the allocator policy is set through glibc's mallopt")
+    run = _run_python(["-c", _WARM_STEPS, str(CONFIGS / "toy.cfg"), placement])
+    assert run.returncode == 0, run.stderr
+    faults = float(run.stdout)
+    assert faults < 64, faults
+
+
 def test_metrics_invariant_guard():
     with pytest.raises(ValueError, match="top1"):
         Metrics(top1=0.9, top5=0.5, loss=1.0)
@@ -270,13 +321,8 @@ def test_metrics_invariant_guard():
 
 def test_metrics_invariant_guard_survives_optimize_flag():
     # python -O strips assert statements; the guard must not be one
-    src = os.path.dirname(os.path.dirname(os.path.abspath(srtg.train.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-O", "-c",
-         "from srtg.train import Metrics; Metrics(top1=0.9, top5=0.5, loss=1.0)"],
-        env=env, capture_output=True, text=True, timeout=120)
+    run = _run_python(
+        ["-O", "-c", "from srtg.train import Metrics; Metrics(top1=0.9, top5=0.5, loss=1.0)"])
     assert run.returncode != 0
     assert "ValueError" in run.stderr
 
