@@ -24,7 +24,7 @@ __all__ = ["CHECK_TOLERANCES", "run_checks"]
 
 def _check_primitives():
     rng = np.random.default_rng(0)
-    x = Tensor(rng.standard_normal((2, 2, 3, 3, 3)))
+    x = Tensor(rng.standard_normal((2, 2, 3, 3, 3)), requires_grad=True)
     w = Tensor(rng.standard_normal((2, 2, 3, 3, 3)) * 0.4, requires_grad=True)
     v = Tensor(rng.standard_normal((1, 3, 2, 2, 2)) * 0.5, requires_grad=True)
     # the network head: stem pool, global pool, classifier, loss
@@ -43,7 +43,9 @@ def _check_primitives():
         return tt.softmax_cross_entropy(tt.affine(pooled, hw, hb), labels)
 
     cases = [
-        (lambda: tt.sum_all(tt.tanh(tt.conv3d(x, w, padding=(1, 1, 1)))), [w]),
+        # a stride-1 conv's dx is a row correlation, a strided one's a scatter
+        (lambda: tt.sum_all(tt.tanh(tt.conv3d(x, w, padding=(1, 1, 1)))), [x, w]),
+        (lambda: tt.sum_all(tt.tanh(tt.conv3d(x, w, (2, 2, 2), (1, 1, 1)))), [x, w]),
         (lambda: tt.sum_all(tt.sigmoid(tt.spatial_avg_pool(v))), [v]),
         (head, [hv, hw, hb]),
         (lambda: tt.sum_all(tt.tanh(tt.fuse_embedding(fv, tt.mul(fe, fe), True, mask))), [fv, fe]),

@@ -358,6 +358,19 @@ def lstm_layer(seq: Tensor, weights, biases) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _pad(a, pads, fill=0.0):
+    """An (N, C, T, H, W) array grown by `fill` on both sides of T, H and W by
+    `pads`, in one allocation; a negative pad crops instead."""
+    crop = [max(-p, 0) for p in pads]
+    a = a[_tap(crop, [e - 2 * c for e, c in zip(a.shape[2:], crop)], (1, 1, 1))]
+    pads = [max(p, 0) for p in pads]
+    if not any(pads):
+        return a
+    out = np.full(a.shape[:2] + tuple(e + 2 * p for e, p in zip(a.shape[2:], pads)), fill)
+    out[_tap(pads, a.shape[2:], (1, 1, 1))] = a
+    return out
+
+
 def _windows(op, x, kernel, stride, padding, fill=0.0):
     """The input padded with `fill` along T, H and W, and the output extents
     floor((ext + 2p - k) / s) + 1 of a sliding-window op."""
@@ -371,10 +384,7 @@ def _windows(op, x, kernel, stride, padding, fill=0.0):
                 f"(input {ext}, kernel {k}, stride {s}, padding {p})"
             )
         extents.append(out)
-    if not any(padding):
-        return x.data, tuple(extents)
-    pad = ((0, 0), (0, 0)) + tuple((p, p) for p in padding)
-    return np.pad(x.data, pad, constant_values=fill), tuple(extents)
+    return _pad(x.data, padding, fill), tuple(extents)
 
 
 def _tap(offset, extents, stride):
@@ -384,6 +394,31 @@ def _tap(offset, extents, stride):
     return (slice(None), slice(None)) + tuple(
         slice(o, o + e * s, s) for o, e, s in zip(offset, extents, stride)
     )
+
+
+def _correlate(xp, w, ext, stride):
+    """The (N, C_out) + ext correlation of a padded xp with w, one BLAS matmul
+    per (kT, kH) row of kernel taps: the row's kW taps are copied into one
+    (N, kW*C_in, oT*oH*oW) buffer reused by every row, so a 1-channel input
+    does not run k^3 products of contraction 1; a one-tap row is read as it
+    is. A full im2col matrix would hold k^3 copies."""
+    n, cin = xp.shape[:2]
+    cout, _, kt, kh, kw = w.shape
+    wrow = w.transpose(2, 3, 0, 4, 1).reshape(kt, kh, cout, kw * cin)  # tap-major
+    buf = np.empty((n, kw, cin) + ext) if kw > 1 else None
+
+    def row(t, h):  # (N, kW*C_in, oT*oH*oW)
+        if buf is None:
+            return xp[_tap((t, h, 0), ext, stride)].reshape(n, cin, -1)
+        for k in range(kw):
+            buf[:, k] = xp[_tap((t, h, k), ext, stride)]
+        return buf.reshape(n, kw * cin, -1)
+
+    rows = list(itertools.product(range(kt), range(kh)))
+    out = wrow[rows[0]] @ row(*rows[0])
+    for th in rows[1:]:
+        out += wrow[th] @ row(*th)
+    return out.reshape((n, cout) + ext)
 
 
 def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
@@ -400,39 +435,20 @@ def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
     if wcin != cin:
         raise ShapeError(f"conv3d: input channels {cin} vs kernel in-channels {wcin}")
     xp, ext = _windows("conv3d", x, w.data.shape[2:], stride, padding)
-    # The forward is one BLAS matmul per (kT, kH) row of kernel taps: the
-    # row's kW taps are copied into one (N, kW*C_in, oT*oH*oW) buffer reused
-    # by every row, so a 1-channel input does not run k^3 products of
-    # contraction 1; a one-tap row is read as it is. The backward is one
-    # matmul per kernel offset. A full im2col matrix would hold k^3 copies.
+    out = _correlate(xp, w.data, ext, stride)
     offsets = list(itertools.product(*map(range, w.data.shape[2:])))
     wk = w.data.transpose(2, 3, 4, 0, 1)  # (kT, kH, kW, C_out, C_in) view
-    kt, kh, kw = w.data.shape[2:]
-    wrow = w.data.transpose(2, 3, 0, 4, 1).reshape(kt, kh, cout, kw * cin)  # tap-major
-    buf = np.empty((n, kw, cin) + ext) if kw > 1 else None
 
     def tap(off):  # (N, C_in, oT*oH*oW)
         return xp[_tap(off, ext, stride)].reshape(n, cin, -1)
 
-    def row(t, h):  # (N, kW*C_in, oT*oH*oW)
-        if buf is None:
-            return tap((t, h, 0))
-        for k in range(kw):
-            buf[:, k] = xp[_tap((t, h, k), ext, stride)]
-        return buf.reshape(n, kw * cin, -1)
-
-    rows = list(itertools.product(range(kt), range(kh)))
-    out = wrow[rows[0]] @ row(*rows[0])
-    for th in rows[1:]:
-        out += wrow[th] @ row(*th)
-    out = out.reshape((n, cout) + ext)
-
     def bwd(g):
         g2 = g.reshape(n, cout, -1)
-        # no dx for an input that needs no gradient, such as the raw clip
-        dxp = np.zeros_like(xp) if x.needs_grad else None
         dw = np.zeros_like(w.data)
         dwk = dw.transpose(2, 3, 4, 0, 1)
+        # no dx for an input that needs no gradient, such as the raw clip; a
+        # strided conv's dx is one matmul per kernel offset, scattered
+        dxp = np.zeros_like(xp) if x.needs_grad and any(s != 1 for s in stride) else None
         for off in offsets:
             if dxp is not None:
                 dxp[_tap(off, ext, stride)] += (wk[off].T @ g2).reshape((n, cin) + ext)
@@ -441,6 +457,12 @@ def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
         grads = [(w, dw)]
         if dxp is not None:
             grads.append((x, dxp[_tap(padding, x.data.shape[2:], (1, 1, 1))]))
+        elif x.needs_grad:
+            # a stride-1 dx correlates g, padded by k-1-p (cropped where that
+            # is negative), with the flipped kernel, C_in and C_out swapped
+            gp = _pad(g, [k - 1 - p for k, p in zip(w.data.shape[2:], padding)])
+            wflip = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+            grads.append((x, _correlate(gp, wflip, x.data.shape[2:], (1, 1, 1))))
         return grads
 
     return _result(out, (x, w), bwd)

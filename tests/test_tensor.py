@@ -78,9 +78,12 @@ def test_conv3d_strided_matches_loop_oracle():
 
 # every kernel kind the networks use: full 3D (stem and blocks), 1x1x1
 # projections and bottlenecks, and the (1,k,k) / (k,1,1) halves of a
-# (2+1)D conv, each also on a 1-channel input like the stem's; the conv3d
-# forward runs one matmul per (kT, kH) row of taps and the backward one per
-# kernel offset, so each kind exercises a different tap and row layout
+# (2+1)D conv, each also on a 1-channel input like the stem's, and padding
+# at or past the kernel's extent; the conv3d forward, and the input gradient
+# of a stride-1 conv, run one matmul per (kT, kH) row of taps (the latter on
+# the output gradient padded by k-1-p, or cropped where that is negative),
+# while dw and a strided conv's dx run one per kernel offset, so each kind
+# exercises a different tap and row layout
 _KERNEL_KINDS = [
     # (x shape, w shape, stride, padding)
     ((2, 2, 4, 5, 5), (3, 2, 3, 3, 3), (1, 2, 2), (1, 1, 1)),
@@ -95,10 +98,13 @@ _KERNEL_KINDS = [
     ((2, 1, 4, 5, 5), (3, 1, 3, 3, 3), (1, 1, 1), (1, 1, 1)),
     ((2, 1, 3, 5, 5), (3, 1, 1, 3, 3), (1, 1, 1), (0, 1, 1)),
     ((2, 1, 5, 3, 3), (3, 1, 3, 1, 1), (1, 1, 1), (1, 0, 0)),
+    ((2, 3, 3, 4, 4), (2, 3, 1, 1, 1), (1, 1, 1), (1, 1, 1)),
+    ((2, 2, 5, 3, 3), (3, 2, 3, 1, 1), (1, 1, 1), (3, 0, 0)),
 ]
 _KIND_IDS = ["3x3x3-s122", "3x3x3-s222", "1x1x1-s111", "1x1x1-s222", "1x3x3-s111",
              "1x3x3-s122", "3x1x1-s111", "3x1x1-s211", "cin1-3x3x3-s122",
-             "cin1-3x3x3-s111", "cin1-1x3x3-s111", "cin1-3x1x1-s111"]
+             "cin1-3x3x3-s111", "cin1-1x3x3-s111", "cin1-3x1x1-s111", "1x1x1-s111-p111",
+             "3x1x1-s111-p300"]
 
 
 @pytest.mark.parametrize("xs, ws, stride, padding", _KERNEL_KINDS, ids=_KIND_IDS)
@@ -136,6 +142,29 @@ def test_conv3d_forward_gathers_one_row_of_taps():
     assert peak < padded + 2 * output + 2 * row, peak
 
 
+def test_conv3d_backward_gathers_one_row_of_taps():
+    # a stride-1 dx is the forward's row correlation of the padded output
+    # gradient with the flipped kernel: it holds the padded gradient, one row
+    # buffer, dx and the matmul's temporary, never all 27 taps at once
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.standard_normal((8, 8, 8, 8, 8)), requires_grad=True)
+    w = Tensor(rng.standard_normal((8, 8, 3, 3, 3)), requires_grad=True)
+    out = tt.conv3d(x, w, padding=(1, 1, 1))
+    g = rng.standard_normal(out.data.shape)
+    padded = g.nbytes * 10 ** 3 // 8 ** 3  # padding k-1-p = 1 keeps the extents
+    row = 3 * g.nbytes
+    tracemalloc.start()
+    try:
+        grads = {id(t): grad for t, grad in out._bwd(g)}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grads[id(x)].shape == x.data.shape
+    # dx and the matmul's temporary; dw, the flipped kernel's row-major copy
+    # and small scratch stay under four kernels
+    assert peak < padded + row + 2 * x.data.nbytes + 4 * w.data.nbytes, peak
+
+
 _RERUN_SCRIPT = """
 import hashlib, numpy as np
 from srtg import tensor as tt
@@ -143,8 +172,9 @@ rng = np.random.default_rng(21)
 xd, g = rng.standard_normal((8, 32, 32, 8, 8)), rng.standard_normal((8, 32, 32, 8, 8))
 w1, w3 = rng.standard_normal((32, 32, 1, 1, 1)), rng.standard_normal((32, 32, 3, 3, 3))
 gamma, beta = rng.standard_normal(32), rng.standard_normal(32)
+g2 = rng.standard_normal((8, 32, 16, 4, 4))
 
-def run(op, *leaves):
+def run(op, *leaves, g=g):
     leaves = [tt.Tensor(a, requires_grad=True) for a in leaves]
     out = op(*leaves)
     tt.backward(tt.sum_all(tt.mul(out, tt.Tensor(g))))
@@ -161,6 +191,7 @@ for _ in range(3):
     stats = np.zeros(32), np.ones(32)
     print(run(lambda x, w: tt.conv3d(x, w), xd, w1),
           run(lambda x, w: tt.conv3d(x, w, padding=(1, 1, 1)), xd, w3),
+          run(lambda x, w: tt.conv3d(x, w, (2, 2, 2), (1, 1, 1)), xd, w3, g=g2),
           run(lambda x, ga, be: tt.batch_norm(x, ga, be, *stats, training=True),
               xd.copy(), gamma, beta),
           run(lambda x, ga, be: tt.batch_norm(x, ga, be, *stats, training=True, relu=True),
@@ -173,7 +204,8 @@ for _ in range(3):
 def test_conv3d_bit_identical_across_runs_with_unpinned_blas():
     # BLAS thread counts come from the environment; drop any pinning so the
     # library's default threading is what runs. Each repeat hashes a 1x1x1
-    # conv, a padded 3x3x3 conv, a training-mode batch_norm and its fused
+    # conv, a padded 3x3x3 conv at stride 1 and at stride 2 (the two input
+    # gradient paths), a training-mode batch_norm and its fused
     # relu form, forward and backward, and the batch_norm running buffers,
     # then an eval-mode fused batch_norm without a tape. batch_norm consumes
     # its input, so each gets a copy of xd.
