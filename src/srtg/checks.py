@@ -1,6 +1,7 @@
 """Standard gradient-verification battery.
 
-Each check compares analytic gradients against central finite differences
+Each check compares the analytic gradients of an op's output, contracted
+with grad_check's fixed random cotangent, against central finite differences
 (eps 1e-5) and reports the max relative error. Between them the checks run
 every tensor op a train step runs. Gated units run with the gate bypassed so
 the finite-difference surface stays smooth; the routing a closed gate applies
@@ -44,15 +45,14 @@ def _check_primitives():
 
     cases = [
         # a stride-1 conv's dx is a row correlation, a strided one's a scatter
-        (lambda: tt.sum_all(tt.tanh(tt.conv3d(x, w, padding=(1, 1, 1)))), [x, w]),
-        (lambda: tt.sum_all(tt.tanh(tt.conv3d(x, w, (2, 2, 2), (1, 1, 1)))), [x, w]),
-        (lambda: tt.sum_all(tt.sigmoid(tt.spatial_avg_pool(v))), [v]),
+        (lambda: tt.conv3d(x, w, padding=(1, 1, 1)), [x, w]),
+        (lambda: tt.conv3d(x, w, (2, 2, 2), (1, 1, 1)), [x, w]),
+        (lambda: tt.sigmoid(tt.spatial_avg_pool(v)), [v]),
         (head, [hv, hw, hb]),
-        (lambda: tt.sum_all(tt.tanh(tt.fuse_embedding(fv, tt.mul(fe, fe), True, mask))), [fv, fe]),
-        (lambda: tt.sum_all(tt.tanh(tt.fuse_embedding(fv, tt.mul(fe, fe), False, mask))), [fv, fe]),
-        (lambda: tt.sum_all(tt.tanh(tt.batch_norm(
-            tt.conv3d(x, w, padding=(1, 1, 1)), gamma, beta, np.zeros(2), np.ones(2),
-            training=True, relu=True))), [w, gamma, beta]),
+        (lambda: tt.fuse_embedding(fv, fe, True, mask), [fv, fe]),
+        (lambda: tt.fuse_embedding(fv, fe, False, mask), [fv, fe]),
+        (lambda: tt.batch_norm(tt.conv3d(x, w, padding=(1, 1, 1)), gamma, beta, np.zeros(2),
+                               np.ones(2), training=True, relu=True), [w, gamma, beta]),
     ]
     return max(grad_check(f, params) for f, params in cases)
 
@@ -66,7 +66,7 @@ def _check_lstm_layer():
     for bias in leaves[4:]:
         bias.data += rng.standard_normal(2) * 0.5
     xs = Tensor(rng.standard_normal((2, 4, 2)), requires_grad=True)
-    return grad_check(lambda: tt.sum_all(recursion(xs, params)), [xs] + leaves)
+    return grad_check(lambda: recursion(xs, params), [xs] + leaves)
 
 
 def _check_srtg_unit(mode):
@@ -75,8 +75,7 @@ def _check_srtg_unit(mode):
     params = init_lstm_params(3, 2, np.random.default_rng(3))
 
     def f():
-        out, _ = srtg_unit(x, params, gate_active=False, mode=mode)
-        return tt.sum_all(tt.tanh(out))
+        return srtg_unit(x, params, gate_active=False, mode=mode)[0]
 
     return grad_check(f, [p for _, p in params.named("l")])
 
@@ -92,10 +91,7 @@ def _check_block(depth_kind):
     x = Tensor(rng.standard_normal((2, cin, 3, 3, 3)))
     params = list(block.params.values())
 
-    def f():
-        return tt.mean_all(tt.tanh(block.forward(x, training=True, gate_log=[])))
-
-    return grad_check(f, params)
+    return grad_check(lambda: block.forward(x, training=True, gate_log=[]), params)
 
 
 # every check once, in run order: name -> (runner, max relative error allowed)

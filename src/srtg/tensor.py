@@ -23,13 +23,10 @@ __all__ = [
     "backward",
     "grad_check",
     "add_relu",
-    "mul",
     "affine",
     "sigmoid",
-    "tanh",
     "stable_softmax",
     "sum_all",
-    "mean_all",
     "lstm_layer",
     "conv3d",
     "batch_norm",
@@ -64,7 +61,7 @@ class ShapeError(ValueError):
 
 
 class GraphError(RuntimeError):
-    """Backward called on a non-scalar or on an already-consumed graph."""
+    """Backward called on a non-scalar without a grad, or on a consumed graph."""
 
 
 class NondeterministicError(RuntimeError):
@@ -149,19 +146,26 @@ def _accumulate(store, tensor, grad):
         store[key] = grad
 
 
-def backward(loss: Tensor):
+def backward(loss: Tensor, grad=None):
     """Populate .grad on every reachable requires_grad tensor.
 
-    The graph is consumed: a second backward through any of its op nodes
-    raises GraphError. The sweep frees the tape as it goes: each node drops
+    The sweep starts from `grad`, a cotangent of `loss`'s shape (1 for a
+    scalar loss when `grad` is None), so each leaf receives the
+    vector-Jacobian product grad . d loss / d leaf; a `grad` of another
+    shape is a ShapeError before any node is consumed. The graph is
+    consumed: a second backward through any of its op nodes raises
+    GraphError. The sweep frees the tape as it goes: each node drops
     its closure and parents once its closure has run, and the sweep its own
     reference, so an activation lives only until its readers are done and
     only the Tensors the caller holds outlive the call. Gradients accumulate
     additively across fan-out and across repeated backward calls on
     disjoint graphs.
     """
-    if loss.data.shape != ():
+    if grad is None and loss.data.shape != ():
         raise GraphError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    grad = np.ones(()) if grad is None else np.asarray(grad, dtype=np.float64)
+    if grad.shape != loss.data.shape:
+        raise ShapeError(f"backward: grad shape {grad.shape} vs output shape {loss.data.shape}")
     # Collect reachable nodes; creation order gives the topological order.
     nodes = []
     seen = set()
@@ -177,7 +181,7 @@ def backward(loss: Tensor):
         stack.extend(node._parents)
     nodes.sort(key=lambda n: n._seq, reverse=True)
 
-    grads = {id(loss): np.ones((), dtype=np.float64)}
+    grads = {id(loss): grad}
     for i, node in enumerate(nodes):
         nodes[i] = None  # the sweep's reference goes, so a spent node can be freed
         grad = grads.pop(id(node), None)
@@ -198,15 +202,11 @@ def backward(loss: Tensor):
 # ---------------------------------------------------------------------------
 
 
-def _check_same_shape(a, b, op):
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"{op}: operand shapes {a.data.shape} vs {b.data.shape} differ")
-
-
 def add_relu(a: Tensor, b: Tensor) -> Tensor:
     """relu(a + b) in one node, the residual join: the sum is clamped in place
     and both summands receive g * (out > 0)."""
-    _check_same_shape(a, b, "add_relu")
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add_relu: operand shapes {a.data.shape} vs {b.data.shape} differ")
     out = a.data + b.data
     np.maximum(out, 0.0, out=out)
 
@@ -215,12 +215,6 @@ def add_relu(a: Tensor, b: Tensor) -> Tensor:
         return [(a, gm), (b, gm)]
 
     return _result(out, (a, b), bwd)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "mul")
-    ad, bd = a.data, b.data
-    return _result(ad * bd, (a, b), lambda g: [(a, g * bd), (b, g * ad)])
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -249,11 +243,6 @@ def sigmoid(x: Tensor) -> Tensor:
     return _result(s, (x,), lambda g: [(x, g * s * (1.0 - s))])
 
 
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-    return _result(t, (x,), lambda g: [(x, g * (1.0 - t * t))])
-
-
 def stable_softmax(v: np.ndarray, axis=-1) -> np.ndarray:
     """Max-subtracted softmax on a plain array (the gate's soft match)."""
     v = np.asarray(v, dtype=np.float64)
@@ -270,16 +259,6 @@ def sum_all(x: Tensor) -> Tensor:
         np.asarray(x.data.sum(), dtype=np.float64),
         (x,),
         lambda g: [(x, np.full(shape, float(g), dtype=np.float64))],
-    )
-
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
-    shape = x.data.shape
-    return _result(
-        np.asarray(x.data.mean(), dtype=np.float64),
-        (x,),
-        lambda g: [(x, np.full(shape, float(g) / n, dtype=np.float64))],
     )
 
 
@@ -655,10 +634,15 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 def grad_check(f, params, eps=1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    f() must rebuild its graph and return a scalar Tensor; params are the
-    leaf tensors to perturb. Error per component is
-    |analytic - numeric| / max(1, |analytic|). Non-determinism of f is
-    detected by a re-evaluation mismatch before any perturbation.
+    f() must rebuild its graph and return a Tensor of any shape; params are
+    the leaf tensors to perturb. Both sides differentiate the scalar
+    <f(), r> for one fixed cotangent r drawn from default_rng(0) in f()'s
+    shape: analytically as backward(f(), r), numerically by central
+    differences of np.vdot(f().data, r). Error per component is
+    |analytic - numeric| / max(1, |analytic|), and inf where that is NaN,
+    which would pass every tolerance test.
+    Non-determinism of f is detected by a re-evaluation mismatch before any
+    perturbation.
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ValueError(f"grad_check: eps {eps} outside [1e-7, 1e-3]")
@@ -666,26 +650,27 @@ def grad_check(f, params, eps=1e-5) -> float:
     base = f()
     if not np.array_equal(base.data, f().data):
         raise NondeterministicError("graph builder is not deterministic under re-evaluation")
+    r = np.random.default_rng(0).standard_normal(base.data.shape)
     for p in params:
         p.zero_grad()
-    backward(f())
+    backward(f(), r)
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
 
     worst = 0.0
     for p, ana in zip(params, analytic):
         flat = p.data.reshape(-1)
+        numeric = np.empty(flat.size)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            hi = float(f().data)
+            hi = np.vdot(f().data, r)
             flat[i] = orig - eps
-            lo = float(f().data)
+            lo = np.vdot(f().data, r)
             flat[i] = orig
-            numeric = (hi - lo) / (2.0 * eps)
-            a = ana.reshape(-1)[i]
-            err = abs(a - numeric) / max(1.0, abs(a))
-            if err > worst:
-                worst = err
+            numeric[i] = (hi - lo) / (2.0 * eps)
+        a = ana.reshape(-1)
+        err = np.abs(a - numeric) / np.maximum(1.0, np.abs(a))
+        worst = max(worst, float(np.where(np.isnan(err), np.inf, err).max(initial=0.0)))
     for p in params:
         p.zero_grad()
     return worst

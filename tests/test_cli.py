@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import srtg
 from srtg import gate as sg
+from srtg.checks import CHECK_TOLERANCES
 from srtg.cli import _build_parser, main
 from srtg.config import read_config
 from srtg.data import load_dataset, save_dataset
@@ -388,6 +389,18 @@ def test_grad_check_command(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is True
     assert payload["errors"]["lstm_layer"] <= 1e-4
+
+
+def test_grad_check_command_passes_every_target(capsys):
+    # the whole battery, as `srtg grad-check` runs it; the assertion names a
+    # failing check with its error, or the message of a check that raised
+    rc = main(["grad-check"])
+    out, err = capsys.readouterr()
+    assert not err, err
+    errors = json.loads(out)["errors"]
+    failed = {k: v for k, v in errors.items() if not v <= CHECK_TOLERANCES[k]}
+    assert not failed, f"over tolerance: {failed}"
+    assert rc == 0 and set(errors) == set(CHECK_TOLERANCES)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +37,9 @@ from oracles import (
     relu_grad_oracle,
     relu_oracle,
 )
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+import replay  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # conv3d
@@ -117,7 +121,7 @@ def test_conv3d_kernel_kinds_match_loop_oracles(xs, ws, stride, padding):
     np.testing.assert_allclose(out.data, conv3d_oracle(x, w, stride, padding),
                                rtol=0, atol=1e-12)
     g = rng.standard_normal(out.data.shape)
-    backward(tt.sum_all(tt.mul(out, Tensor(g))))
+    backward(out, g)
     dx, dw = conv3d_grad_oracle(x, w, g, stride, padding)
     np.testing.assert_allclose(xt.grad, dx, rtol=0, atol=1e-12)
     np.testing.assert_allclose(wt.grad, dw, rtol=0, atol=1e-12)
@@ -177,7 +181,7 @@ g2 = rng.standard_normal((8, 32, 16, 4, 4))
 def run(op, *leaves, g=g):
     leaves = [tt.Tensor(a, requires_grad=True) for a in leaves]
     out = op(*leaves)
-    tt.backward(tt.sum_all(tt.mul(out, tt.Tensor(g))))
+    tt.backward(out, g)
     blob = out.data.tobytes() + b"".join(t.grad.tobytes() for t in leaves)
     return hashlib.sha256(blob).hexdigest()
 
@@ -288,7 +292,7 @@ def test_batch_norm_fused_relu_bit_identical_to_relu_of_batch_norm(training, tap
         if tape:
             # unfused, the relu's backward hands g * (x > 0) to the norm
             upstream = g if fused else relu_grad_oracle(out.data, g)
-            backward(tt.sum_all(tt.mul(out, Tensor(upstream))))
+            backward(out, upstream)
             grads = [t.grad.tobytes() for t in leaves]
         return [data.tobytes(), *(a.tobytes() for a in stats), *grads]
 
@@ -315,7 +319,7 @@ def test_add_relu_bit_identical_to_numpy_oracle(tape):
     assert out.data.tobytes() == relu_oracle(s).tobytes()
     assert [t.data.tobytes() for t in leaves] == [a.tobytes(), b.tobytes()]
     if tape:
-        backward(tt.sum_all(tt.mul(out, Tensor(g))))
+        backward(out, g)
         want = relu_grad_oracle(s, g).tobytes()
         assert [t.grad.tobytes() for t in leaves] == [want, want]
 
@@ -375,7 +379,6 @@ def test_cross_entropy_rejects_label_outside_classes(label):
 
 def test_pointwise_analytic_values():
     assert tt.sigmoid(Tensor([0.0])).data[0] == 0.5
-    assert tt.tanh(Tensor([0.0])).data[0] == 0.0
 
 
 @settings(deadline=None, max_examples=50)
@@ -406,16 +409,39 @@ def test_backward_sigmoid_at_zero():
 
 
 def test_backward_fanout_accumulates():
-    x = Tensor(np.array([2.0]), requires_grad=True)
-    y = tt.add_relu(tt.mul(x, x), x)  # x^2 + x = 6 > 0 -> grad 2x + 1 = 5
+    x = Tensor(np.array([[2.0]]), requires_grad=True)
+    # x is read by both ops: 3x + 1 + x = 9 > 0 -> grad 3 + 1 = 4
+    y = tt.add_relu(tt.affine(x, Tensor([[3.0]]), Tensor([1.0])), x)
     backward(tt.sum_all(y))
-    np.testing.assert_allclose(x.grad, [5.0])
+    np.testing.assert_allclose(x.grad, [[4.0]])
 
 
 def test_backward_rejects_nonscalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(GraphError, match="scalar"):
         backward(tt.sigmoid(x))
+
+
+def test_backward_rejects_a_grad_of_another_shape_before_consuming():
+    x = Tensor(np.ones(3), requires_grad=True)
+    out = tt.sigmoid(x)
+    with pytest.raises(ShapeError, match=r"grad shape \(2,\) vs output shape \(3,\)"):
+        backward(out, np.ones(2))
+    assert x.grad is None
+    backward(out, np.ones(3))  # the graph was left whole
+    np.testing.assert_array_equal(x.grad, out.data * (1.0 - out.data))
+
+
+def test_backward_seeds_the_sweep_with_grad():
+    rng = np.random.default_rng(24)
+    x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    g = rng.standard_normal((2, 3))
+    g0 = g.copy()
+    out = tt.sigmoid(x)
+    backward(out, g)
+    s = out.data
+    assert x.grad.tobytes() == (g0 * s * (1.0 - s)).tobytes()
+    assert g.tobytes() == g0.tobytes()
 
 
 def test_double_backward_rejected():
@@ -433,7 +459,7 @@ def test_graph_built_on_a_consumed_node_is_rejected():
     backward(tt.sum_all(h))
     np.testing.assert_array_equal(h.data, 1.0 / (1.0 + np.exp(-np.ones(3))))
     w = Tensor(np.full(3, 2.0), requires_grad=True)
-    loss = tt.sum_all(tt.mul(h, w))
+    loss = tt.sum_all(tt.add_relu(h, w))
     with pytest.raises(GraphError, match="consumed"):
         backward(loss)
     assert w.grad is None
@@ -455,7 +481,7 @@ def test_gradients_bit_identical_across_runs():
     grads = []
     for _ in range(2):
         w = Tensor(wd.copy(), requires_grad=True)
-        loss = tt.sum_all(tt.tanh(tt.affine(Tensor(xd), w, Tensor(np.zeros(3)))))
+        loss = tt.sum_all(tt.sigmoid(tt.affine(Tensor(xd), w, Tensor(np.zeros(3)))))
         backward(loss)
         grads.append(w.grad.copy())
     assert np.array_equal(grads[0], grads[1])
@@ -467,8 +493,8 @@ def test_gradients_bit_identical_across_runs():
 
 
 def test_grad_check_quadratic_is_exact():
-    p = Tensor(np.array([3.0]), requires_grad=True)
-    err = grad_check(lambda: tt.sum_all(tt.mul(p, p)), [p])
+    p = Tensor(np.array([[3.0]]), requires_grad=True)
+    err = grad_check(lambda: tt.affine(p, p, Tensor([0.0])), [p])  # p^2
     assert err < 1e-9
 
 
@@ -491,7 +517,7 @@ def test_grad_check_conv3d_layer():
     w = Tensor(rng.standard_normal((2, 2, 2, 2, 2)) * 0.5, requires_grad=True)
 
     def f():
-        return tt.sum_all(tt.tanh(tt.conv3d(x, w, padding=(1, 1, 1))))
+        return tt.conv3d(x, w, padding=(1, 1, 1))
 
     assert grad_check(f, [w]) < 1e-5
 
@@ -503,12 +529,12 @@ def test_grad_check_eps_range_enforced():
 
 
 def test_grad_check_detects_nondeterminism():
-    p = Tensor(np.array([1.0]), requires_grad=True)
+    p = Tensor(np.array([[1.0]]), requires_grad=True)
     state = {"n": 0.0}
 
     def f():
         state["n"] += 1.0
-        return tt.sum_all(tt.mul(p, Tensor([state["n"]])))
+        return tt.affine(p, Tensor([[state["n"]]]), Tensor([0.0]))
 
     with pytest.raises(NondeterministicError):
         grad_check(f, [p])
@@ -524,65 +550,59 @@ def test_grad_check_every_primitive_small_shapes():
 
     a, b = _rand_params(rng, (3, 4), (3, 4))
     b.data += np.sign(a.data + b.data) * 0.2  # keep a + b away from the relu kink
-    cases.append((lambda: tt.sum_all(tt.mul(tt.add_relu(a, b), tt.mul(a, b))), [a, b]))
+    cases.append((lambda: tt.add_relu(a, b), [a, b]))
 
     ax, aw, ab = _rand_params(rng, (3, 4), (2, 4), (2,))
-    cases.append((lambda: tt.sum_all(tt.tanh(tt.affine(ax, aw, ab))), [ax, aw, ab]))
+    cases.append((lambda: tt.affine(ax, aw, ab), [ax, aw, ab]))
 
     s = _rand_params(rng, (2, 5))[0]
-    cases.append((lambda: tt.sum_all(tt.mul(tt.sigmoid(s), tt.tanh(s))), [s]))
+    cases.append((lambda: tt.sigmoid(s), [s]))
 
     r = Tensor(rng.standard_normal((2, 5)) + np.sign(rng.standard_normal((2, 5))) * 0.2,
                requires_grad=True)  # keep away from the relu kink
-    cases.append((lambda: tt.sum_all(tt.add_relu(r, r)), [r]))  # both parents one leaf
+    cases.append((lambda: tt.add_relu(r, r), [r]))  # both parents one leaf
 
     sm = _rand_params(rng, (3, 4))[0]
     labels = np.array([0, 3, 1])
-    cases.append((lambda: tt.softmax_cross_entropy(tt.mul(sm, sm), labels), [sm]))
+    cases.append((lambda: tt.softmax_cross_entropy(sm, labels), [sm]))
 
     cx, cw = _rand_params(rng, (1, 2, 3, 3, 3), (2, 2, 3, 3, 3))
-    cases.append((lambda: tt.sum_all(tt.sigmoid(tt.conv3d(cx, cw, padding=(1, 1, 1)))), [cx, cw]))
+    cases.append((lambda: tt.conv3d(cx, cw, padding=(1, 1, 1)), [cx, cw]))
 
     pv = _rand_params(rng, (1, 3, 2, 2, 2))[0]
-    cases.append((lambda: tt.sum_all(tt.tanh(tt.spatial_avg_pool(pv))), [pv]))
-    cases.append((lambda: tt.sum_all(tt.tanh(tt.global_avg_pool(pv))), [pv]))
+    cases.append((lambda: tt.spatial_avg_pool(pv), [pv]))
+    cases.append((lambda: tt.global_avg_pool(pv), [pv]))
 
     vol, emb = _rand_params(rng, (3, 3, 2, 2, 2), (3, 2, 3))
     for multiplicative, clips in itertools.product((True, False),
                                                    (None, np.array([True, False, True]))):
-        cases.append((lambda m=multiplicative, k=clips: tt.sum_all(tt.tanh(
-            tt.fuse_embedding(vol, tt.sigmoid(emb), m, k))), [vol, emb]))
+        cases.append((lambda m=multiplicative, k=clips:
+                      tt.fuse_embedding(vol, tt.sigmoid(emb), m, k), [vol, emb]))
 
     seq = _rand_params(rng, (2, 4, 3))[0]
     gates = _rand_params(rng, *[(2, 5)] * 4)
     gate_biases = _rand_params(rng, *[(2,)] * 4)
     cases.append(
-        (lambda: tt.sum_all(tt.lstm_layer(seq, gates, gate_biases)), [seq, *gates, *gate_biases])
+        (lambda: tt.lstm_layer(seq, gates, gate_biases), [seq, *gates, *gate_biases])
     )
 
     mp = _rand_params(rng, (1, 2, 4, 4, 4))[0]
     cases.append(
-        (lambda: tt.sum_all(tt.max_pool3d(mp, (1, 3, 3), (1, 2, 2), (0, 1, 1))), [mp])
+        (lambda: tt.max_pool3d(mp, (1, 3, 3), (1, 2, 2), (0, 1, 1)), [mp])
     )
 
     bx, gamma, beta = _rand_params(rng, (2, 2, 2, 2, 2), (2,), (2,))
     stats = np.zeros(2), np.ones(2)
-    ones = Tensor(np.ones(bx.data.shape))
-    # batch_norm consumes its input, so it gets a fresh tensor, not the leaf
+    eye = Tensor(np.eye(2).reshape(2, 2, 1, 1, 1))
+    # batch_norm consumes its input, so it gets a fresh tensor, not the leaf:
+    # a 1x1x1 identity conv's output, which passes dx back to bx
     cases.append(
-        (lambda: tt.sum_all(tt.tanh(tt.batch_norm(tt.mul(bx, ones), gamma, beta, *stats,
-                                                  training=True))),
+        (lambda: tt.batch_norm(tt.conv3d(bx, eye), gamma, beta, *stats, training=True),
          [bx, gamma, beta])
     )
 
     for f, params in cases:
         assert grad_check(f, params) <= 1e-5
-
-
-def test_scale_and_mean():
-    x = Tensor(np.full((2, 2), 3.0), requires_grad=True)
-    backward(tt.mean_all(tt.mul(x, Tensor(np.full((2, 2), 2.0)))))
-    np.testing.assert_allclose(x.grad, np.full((2, 2), 0.5))
 
 
 def _fuse_case(seed):
@@ -618,7 +638,7 @@ def test_fuse_embedding_passed_rows_send_emb_exact_zero(multiplicative):
     vd, ed, clips = _fuse_case(14)
     vol, emb = Tensor(vd, requires_grad=True), Tensor(ed, requires_grad=True)
     g = np.random.default_rng(15).standard_normal(vd.shape)
-    backward(tt.sum_all(tt.mul(tt.fuse_embedding(vol, emb, multiplicative, clips), Tensor(g))))
+    backward(tt.fuse_embedding(vol, emb, multiplicative, clips), g)
     assert emb.grad[~clips].tobytes() == np.zeros((2, 2, 2)).tobytes()
     assert vol.grad[~clips].tobytes() == g[~clips].tobytes()  # passed rows receive g
     gmap = ed[1].T[:, :, None, None]
@@ -651,8 +671,8 @@ def test_sigmoid_extreme_inputs_stable():
 
 
 # ---------------------------------------------------------------------------
-# op coverage: the engine keeps only the ops the model runs, and the
-# grad-check battery runs every one of them
+# op coverage: the engine keeps only the ops the model or perfbench's op
+# replay runs, and the grad-check battery runs every model op
 # ---------------------------------------------------------------------------
 
 # tape machinery and the gate's plain-array softmax, not tape ops
@@ -697,8 +717,18 @@ def _train_steps():
         backward(tt.softmax_cross_entropy(logits, np.array([0, 1])))
 
 
+def _replay_one_conv():
+    """perfbench's op replay of one recorded conv3d call."""
+    replay.replay([("tensor.conv3d", {
+        "x": {"tensor": [1, 1, 3, 4, 4], "grad": False},
+        "w": {"tensor": [2, 1, 3, 3, 3], "grad": True},
+        "stride": {"value": (1, 1, 1)}, "padding": {"value": (1, 1, 1)},
+    })])
+
+
 def test_grad_check_battery_runs_every_model_op(monkeypatch):
     model = _ops_called(monkeypatch, _train_steps)
     battery = _ops_called(monkeypatch, run_checks)
+    bench = _ops_called(monkeypatch, _replay_one_conv)
     assert model - battery == set(), "ops a train step runs that grad-check never checks"
-    assert set(_OPS) - (model | battery) == set(), "engine ops with no model or check caller"
+    assert set(_OPS) - (model | battery | bench) == set(), "engine ops that nothing calls"

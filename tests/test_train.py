@@ -85,7 +85,7 @@ def test_sgd_zero_lr_leaves_params_unchanged():
     opt = SGD([("p", p)], momentum=0.9, weight_decay=1e-6)
     before = p.data.copy()
     for _ in range(3):
-        backward(tt.sum_all(tt.mul(p, p)))
+        backward(p, 2.0 * p.data)  # the gradient of sum(p^2)
         opt.step(0.0)
         opt.zero_grad()
     np.testing.assert_array_equal(p.data, before)
@@ -98,7 +98,7 @@ def test_sgd_quadratic_matches_reference_recursion():
     opt = SGD([("p", p)], momentum=mu, weight_decay=wd)
     got = []
     for _ in range(10):
-        backward(tt.sum_all(tt.mul(p, p)))
+        backward(p, 2.0 * p.data)  # the gradient of sum(p^2)
         opt.step(lr)
         opt.zero_grad()
         got.append(p.data[0])
