@@ -106,11 +106,15 @@ _CHECKS = {
 CHECK_TOLERANCES = {name: tol for name, (_, tol) in _CHECKS.items()}
 
 
-def run_checks(targets=None) -> dict[str, float]:
-    """Run the named checks (default: all); returns {name: max rel error}."""
-    results = {}
+def run_checks(targets=None) -> tuple[dict[str, float], dict[str, str]]:
+    """Run the named checks (default: all), each even if another raised: returns
+    {name: max rel error} of those that ran through, {name: message} of the rest."""
+    errors, raised = {}, {}
     for name in targets or _CHECKS:
         if name not in _CHECKS:
             raise ValueError(f"unknown grad-check target {name!r}")
-        results[name] = _CHECKS[name][0]()
-    return results
+        try:
+            errors[name] = _CHECKS[name][0]()
+        except Exception as e:  # a broken gradient can raise anything; report it as failed
+            raised[name] = f"{type(e).__name__}: {e}".splitlines()[0]
+    return errors, raised

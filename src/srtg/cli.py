@@ -238,21 +238,17 @@ def _cmd_gate_analyze(args):
 
 
 def _cmd_grad_check(args):
-    targets = args.target or None
-    results = checks.run_checks(targets)
-    failed = {
-        name: err
-        for name, err in results.items()
-        if err > checks.CHECK_TOLERANCES[name]
-    }
+    errors, raised = checks.run_checks(args.target or None)
+    failed = {name for name, err in errors.items() if err > checks.CHECK_TOLERANCES[name]}
     payload = {
-        "errors": results,
-        "tolerances": {k: checks.CHECK_TOLERANCES[k] for k in results},
-        "passed": not failed,
+        "errors": errors,
+        "raised": raised,
+        "tolerances": {k: checks.CHECK_TOLERANCES[k] for k in [*errors, *raised]},
+        "passed": not failed and not raised,
     }
     out = _optional_out(args)
     _emit(payload, out, "grad_check.json")
-    return 0 if not failed else 2
+    return 0 if payload["passed"] else 2
 
 
 # ---------------------------------------------------------------------------

@@ -337,20 +337,25 @@ def lstm_layer(seq: Tensor, weights, biases) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _pad(a, pads, fill=0.0):
+def _pad(a, pads, fill=0.0, channels_last=False):
     """An (N, C, T, H, W) array grown by `fill` on both sides of T, H and W by
-    `pads`, in one allocation; a negative pad crops instead."""
+    `pads`, in one allocation; a negative pad crops instead. `channels_last`
+    allocates (N, T, H, W, C), even for no pad, and returns its NCTHW view."""
     crop = [max(-p, 0) for p in pads]
     a = a[_tap(crop, [e - 2 * c for e, c in zip(a.shape[2:], crop)], (1, 1, 1))]
     pads = [max(p, 0) for p in pads]
-    if not any(pads):
+    if not any(pads) and not channels_last:
         return a
-    out = np.full(a.shape[:2] + tuple(e + 2 * p for e, p in zip(a.shape[2:], pads)), fill)
+    shape = a.shape[:2] + tuple(e + 2 * p for e, p in zip(a.shape[2:], pads))
+    if channels_last:
+        out = np.full(shape[:1] + shape[2:] + shape[1:2], fill).transpose(0, 4, 1, 2, 3)
+    else:
+        out = np.full(shape, fill)
     out[_tap(pads, a.shape[2:], (1, 1, 1))] = a
     return out
 
 
-def _windows(op, x, kernel, stride, padding, fill=0.0):
+def _windows(op, x, kernel, stride, padding, fill=0.0, channels_last=False):
     """The input padded with `fill` along T, H and W, and the output extents
     floor((ext + 2p - k) / s) + 1 of a sliding-window op."""
     extents = []
@@ -363,7 +368,7 @@ def _windows(op, x, kernel, stride, padding, fill=0.0):
                 f"(input {ext}, kernel {k}, stride {s}, padding {p})"
             )
         extents.append(out)
-    return _pad(x.data, padding, fill), tuple(extents)
+    return _pad(x.data, padding, fill, channels_last), tuple(extents)
 
 
 def _tap(offset, extents, stride):
@@ -375,29 +380,72 @@ def _tap(offset, extents, stride):
     )
 
 
-def _correlate(xp, w, ext, stride):
-    """The (N, C_out) + ext correlation of a padded xp with w, one BLAS matmul
-    per (kT, kH) row of kernel taps: the row's kW taps are copied into one
-    (N, kW*C_in, oT*oH*oW) buffer reused by every row, so a 1-channel input
-    does not run k^3 products of contraction 1; a one-tap row is read as it
-    is. A full im2col matrix would hold k^3 copies."""
+def _channels_last(w):
+    """Whether w correlates an (N, T, H, W, C) input, where a row of kW taps is one
+    run of kW*C_in values: for kW, C_in > 1 (one tap or channel measured slower)."""
+    return w.shape[1] > 1 and w.shape[4] > 1
+
+
+def _rows(xp, w, ext, stride):
+    """((t, h), matrix) for each (kT, kH) row of w's taps over the padded xp,
+    all in one reused buffer: channels-last, an (N*oT*oH*oW, kW*C_in) copy of
+    one strided window per output position; otherwise (N, kW*C_in, oT*oH*oW),
+    the row's kW taps copied one by one, or a one-tap row read as it is."""
     n, cin = xp.shape[:2]
-    cout, _, kt, kh, kw = w.shape
-    wrow = w.transpose(2, 3, 0, 4, 1).reshape(kt, kh, cout, kw * cin)  # tap-major
+    kt, kh, kw = w.shape[2:]
+    if _channels_last(w):
+        xl = np.ascontiguousarray(xp.transpose(0, 2, 3, 4, 1))  # no copy when padded so
+        buf = np.empty((n,) + ext + (kw * cin,))
+        steps = tuple(d * s for d, s in zip(xl.strides, (1, *stride, 1)))
+        for t, h in itertools.product(range(kt), range(kh)):
+            buf[...] = np.lib.stride_tricks.as_strided(xl[:, t, h], buf.shape, steps)
+            yield (t, h), buf.reshape(-1, kw * cin)
+        return
     buf = np.empty((n, kw, cin) + ext) if kw > 1 else None
+    for t, h in itertools.product(range(kt), range(kh)):
+        if buf is not None:
+            for k in range(kw):
+                buf[:, k] = xp[_tap((t, h, k), ext, stride)]
+        row = xp[_tap((t, h, 0), ext, stride)] if buf is None else buf
+        yield (t, h), row.reshape(n, kw * cin, -1)
 
-    def row(t, h):  # (N, kW*C_in, oT*oH*oW)
-        if buf is None:
-            return xp[_tap((t, h, 0), ext, stride)].reshape(n, cin, -1)
-        for k in range(kw):
-            buf[:, k] = xp[_tap((t, h, k), ext, stride)]
-        return buf.reshape(n, kw * cin, -1)
 
-    rows = list(itertools.product(range(kt), range(kh)))
-    out = wrow[rows[0]] @ row(*rows[0])
-    for th in rows[1:]:
-        out += wrow[th] @ row(*th)
+def _correlate(xp, w, ext, stride):
+    """The (N, C_out) + ext correlation of a padded xp with w: one BLAS matmul
+    per row of `_rows`, not k^3 products (of contraction 1 on a 1-channel input)
+    nor a k^3-copy im2col matrix. Channels-last, the (N*M, C_out) sum is transposed
+    back once; both layouts sum the same terms in the same order, to the same bits."""
+    n = xp.shape[0]
+    cout, cin, kt, kh, kw = w.shape
+    last = _channels_last(w)
+    order = (2, 3, 4, 1, 0) if last else (2, 3, 0, 4, 1)  # tap-major rows
+    wrow = w.transpose(order).reshape((kt, kh) + ((kw * cin, cout) if last else (cout, -1)))
+    out = None
+    for th, row in _rows(xp, w, ext, stride):
+        part = row @ wrow[th] if last else wrow[th] @ row
+        if out is None:
+            out = part
+        else:
+            out += part
+        del row, part  # each product goes once summed, the row buffer with the loop
+    if last:
+        return np.ascontiguousarray(out.reshape((n,) + ext + (cout,)).transpose(0, 4, 1, 2, 3))
     return out.reshape((n, cout) + ext)
+
+
+def _weight_grad(xp, w, g, stride):
+    """dw of the correlation of xp with w, given its output gradient g: one
+    (kW*C_in, C_out) product per row of `_rows` (the whole batch contracted at
+    once channels-last, else per clip, then summed), so not per offset's bits."""
+    cout, cin, _, _, kw = w.shape
+    last = _channels_last(w)
+    gm = g.transpose(0, 2, 3, 4, 1).reshape(-1, cout) if last else g.reshape(
+        len(g), cout, -1).transpose(0, 2, 1)
+    dw = np.empty_like(w)
+    for (t, h), row in _rows(xp, w, g.shape[2:], stride):
+        part = row.T @ gm if last else (row @ gm).sum(axis=0)
+        dw[:, :, t, h] = part.reshape(kw, cin, cout).transpose(2, 1, 0)
+    return dw
 
 
 def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
@@ -413,36 +461,28 @@ def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
     cout, wcin = w.data.shape[:2]
     if wcin != cin:
         raise ShapeError(f"conv3d: input channels {cin} vs kernel in-channels {wcin}")
-    xp, ext = _windows("conv3d", x, w.data.shape[2:], stride, padding)
+    xp, ext = _windows("conv3d", x, w.data.shape[2:], stride, padding,
+                       channels_last=_channels_last(w.data))
     out = _correlate(xp, w.data, ext, stride)
-    offsets = list(itertools.product(*map(range, w.data.shape[2:])))
-    wk = w.data.transpose(2, 3, 4, 0, 1)  # (kT, kH, kW, C_out, C_in) view
-
-    def tap(off):  # (N, C_in, oT*oH*oW)
-        return xp[_tap(off, ext, stride)].reshape(n, cin, -1)
 
     def bwd(g):
-        g2 = g.reshape(n, cout, -1)
-        dw = np.zeros_like(w.data)
-        dwk = dw.transpose(2, 3, 4, 0, 1)
-        # no dx for an input that needs no gradient, such as the raw clip; a
-        # strided conv's dx is one matmul per kernel offset, scattered
-        dxp = np.zeros_like(xp) if x.needs_grad and any(s != 1 for s in stride) else None
-        for off in offsets:
-            if dxp is not None:
+        # dw first: its row buffer is freed before dx's correlation allocates one
+        grads = [(w, _weight_grad(xp, w.data, g, stride))]
+        if not x.needs_grad:  # no dx for an input such as the raw clip
+            return grads
+        if any(s != 1 for s in stride):
+            # a strided conv's dx is one matmul per kernel offset, scattered
+            g2, wk = g.reshape(n, cout, -1), w.data.transpose(2, 3, 4, 0, 1)
+            dxp = np.zeros(xp.shape)
+            for off in itertools.product(*map(range, w.data.shape[2:])):
                 dxp[_tap(off, ext, stride)] += (wk[off].T @ g2).reshape((n, cin) + ext)
-            # one batched matmul, (N, C_out, C_in), then the sum over clips
-            dwk[off] = (g2 @ tap(off).transpose(0, 2, 1)).sum(axis=0)
-        grads = [(w, dw)]
-        if dxp is not None:
-            grads.append((x, dxp[_tap(padding, x.data.shape[2:], (1, 1, 1))]))
-        elif x.needs_grad:
-            # a stride-1 dx correlates g, padded by k-1-p (cropped where that
-            # is negative), with the flipped kernel, C_in and C_out swapped
-            gp = _pad(g, [k - 1 - p for k, p in zip(w.data.shape[2:], padding)])
-            wflip = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-            grads.append((x, _correlate(gp, wflip, x.data.shape[2:], (1, 1, 1))))
-        return grads
+            return grads + [(x, dxp[_tap(padding, x.data.shape[2:], (1, 1, 1))])]
+        # a stride-1 dx correlates g, padded by k-1-p (cropped where that is
+        # negative), with the flipped kernel, C_in and C_out swapped
+        wflip = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+        gp = _pad(g, [k - 1 - p for k, p in zip(w.data.shape[2:], padding)],
+                  channels_last=_channels_last(wflip))
+        return grads + [(x, _correlate(gp, wflip, x.data.shape[2:], (1, 1, 1)))]
 
     return _result(out, (x, w), bwd)
 
@@ -642,13 +682,13 @@ def grad_check(f, params, eps=1e-5) -> float:
     |analytic - numeric| / max(1, |analytic|), and inf where that is NaN,
     which would pass every tolerance test.
     Non-determinism of f is detected by a re-evaluation mismatch before any
-    perturbation.
+    perturbation; NaNs in the same places match.
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ValueError(f"grad_check: eps {eps} outside [1e-7, 1e-3]")
     params = list(params)
     base = f()
-    if not np.array_equal(base.data, f().data):
+    if not np.array_equal(base.data, f().data, equal_nan=True):
         raise NondeterministicError("graph builder is not deterministic under re-evaluation")
     r = np.random.default_rng(0).standard_normal(base.data.shape)
     for p in params:

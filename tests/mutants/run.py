@@ -42,15 +42,19 @@ class Mutant(NamedTuple):
 TENSOR = "src/srtg/tensor.py"
 # the whole battery as `srtg grad-check` runs it
 GRAD_CHECK = ("tests/test_cli.py::test_grad_check_command_passes_every_target",)
+# one conv3d kernel kind against the loop oracles, by its parametrize id
+KINDS = "tests/test_tensor.py::test_conv3d_kernel_kinds_match_loop_oracles"
 
 MUTANTS = (
     # gradients: `srtg grad-check` must fail each of these
+    # dw on each layout: channels-last runs `primitives`' 2-channel conv and
+    # the simple block's, the other layout the bottleneck's 1-channel 3x3x3
     Mutant("conv3d_dw_sign_flipped", TENSOR,
-           "dwk[off] = (g2 @ tap(off).transpose(0, 2, 1)).sum(axis=0)",
-           "dwk[off] = -(g2 @ tap(off).transpose(0, 2, 1)).sum(axis=0)", GRAD_CHECK),
+           "part = row.T @ gm if last", "part = -row.T @ gm if last", GRAD_CHECK),
+    Mutant("conv3d_dw_sign_flipped_channels_first", TENSOR,
+           "else (row @ gm).sum(axis=0)", "else -(row @ gm).sum(axis=0)", GRAD_CHECK),
     Mutant("conv3d_dw_nan", TENSOR,
-           "dwk[off] = (g2 @ tap(off).transpose(0, 2, 1)).sum(axis=0)",
-           "dwk[off] = np.nan * (g2 @ tap(off).transpose(0, 2, 1)).sum(axis=0)", GRAD_CHECK),
+           "dw[:, :, t, h] = part", "dw[:, :, t, h] = np.nan * part", GRAD_CHECK),
     Mutant("conv3d_strided_dx_scatter_scaled", TENSOR,
            "dxp[_tap(off, ext, stride)] += (wk[off].T @ g2)",
            "dxp[_tap(off, ext, stride)] += 1.01 * (wk[off].T @ g2)", GRAD_CHECK),
@@ -82,20 +86,24 @@ MUTANTS = (
     Mutant("conv3d_tap_offsets_swap_h_and_w", TENSOR,
            "buf[:, k] = xp[_tap((t, h, k), ext, stride)]",
            "buf[:, k] = xp[_tap((t, k, h), ext, stride)]",
-           ("tests/test_tensor.py::test_conv3d_matches_loop_oracle",)),
+           (f"{KINDS}[cin1-3x3x3-s111]",)),
+    Mutant("conv3d_channels_last_gather_ignores_w_stride", TENSOR,
+           "(1, *stride, 1)", "(1, *stride[:2], 1, 1)",
+           (f"{KINDS}[3x3x3-s122]",)),
     Mutant("batch_norm_view_mixes_n_and_c", TENSOR,
            "rows = x.data.reshape(n, c, -1)",
            "rows = x.data.reshape(c, n, -1).transpose(1, 0, 2)",
            ("tests/test_tensor.py::test_batch_norm_matches_loop_oracle[True]",)),
     Mutant("conv3d_dx_g_padded_without_cropping", TENSOR,
            "crop = [max(-p, 0) for p in pads]", "crop = [0 for p in pads]",
-           ("tests/test_tensor.py::test_conv3d_kernel_kinds_match_loop_oracles[1x1x1-s111-p111]",
-            "tests/test_tensor.py::test_conv3d_kernel_kinds_match_loop_oracles[3x1x1-s111-p300]")),
+           (f"{KINDS}[1x1x1-s111-p111]",
+            f"{KINDS}[3x1x1-s111-p300]",
+            f"{KINDS}[3x3x3-s111-p333]")),
     Mutant("conv3d_dx_full_im2col", TENSOR,
-           "grads.append((x, _correlate(gp, wflip, x.data.shape[2:], (1, 1, 1))))",
-           "grads.append((x, np.einsum('nokthw,iok->nithw', np.stack([gp[_tap("
-           "o, x.data.shape[2:], (1, 1, 1))] for o in offsets], 2), "
-           "wflip.reshape(cin, cout, -1))))",
+           "return grads + [(x, _correlate(gp, wflip, x.data.shape[2:], (1, 1, 1)))]",
+           "return grads + [(x, np.einsum('nokthw,iok->nithw', np.stack([gp[_tap("
+           "o, x.data.shape[2:], (1, 1, 1))] for o in itertools.product("
+           "*map(range, w.data.shape[2:]))], 2), wflip.reshape(cin, cout, -1)))]",
            ("tests/test_tensor.py::test_conv3d_backward_gathers_one_row_of_taps",)),
 )
 

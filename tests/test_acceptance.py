@@ -108,11 +108,12 @@ def test_criterion_3_gradient_correctness():
         "simple_block_final",
         "bottleneck_block_final",
     ]
-    errors = run_checks(targets)
+    errors, raised = run_checks(targets)
     elapsed = time.perf_counter() - started
-    worst = max(errors.values())
-    ok = all(err <= 1e-4 for err in errors.values()) and elapsed < 60.0
-    detail = ", ".join(f"{k}={v:.2e}" for k, v in errors.items())
+    worst = max(errors.values(), default=float("inf"))
+    ok = not raised and all(err <= 1e-4 for err in errors.values()) and elapsed < 60.0
+    detail = ", ".join([f"{k}={v:.2e}" for k, v in errors.items()]
+                       + [f"{k} raised {m}" for k, m in raised.items()])
     _verdict("3 gradient-correctness", ok, f"{detail}, worst={worst:.2e}, {elapsed:.1f}s")
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import srtg
+from srtg import checks
 from srtg import gate as sg
 from srtg.checks import CHECK_TOLERANCES
 from srtg.cli import _build_parser, main
@@ -397,10 +398,28 @@ def test_grad_check_command_passes_every_target(capsys):
     rc = main(["grad-check"])
     out, err = capsys.readouterr()
     assert not err, err
-    errors = json.loads(out)["errors"]
+    payload = json.loads(out)
+    errors, raised = payload["errors"], payload["raised"]
     failed = {k: v for k, v in errors.items() if not v <= CHECK_TOLERANCES[k]}
-    assert not failed, f"over tolerance: {failed}"
+    assert not failed and not raised, f"over tolerance: {failed}, raised: {raised}"
     assert rc == 0 and set(errors) == set(CHECK_TOLERANCES)
+
+
+def test_grad_check_command_reports_a_raising_check_with_the_others(monkeypatch, capsys):
+    def broken():
+        raise ValueError("cannot reshape array\nsecond line")
+
+    monkeypatch.setitem(checks._CHECKS, "simple_block_final", (broken, 1e-4))
+    rc = main(["grad-check", "--target", "primitives", "--target", "simple_block_final",
+               "--target", "lstm_layer"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and err == ""
+    payload = json.loads(out)
+    assert payload["raised"] == {"simple_block_final": "ValueError: cannot reshape array"}
+    assert set(payload["errors"]) == {"primitives", "lstm_layer"}
+    assert payload["errors"]["primitives"] <= CHECK_TOLERANCES["primitives"]
+    assert set(payload["tolerances"]) == {"primitives", "simple_block_final", "lstm_layer"}
+    assert payload["passed"] is False
 
 
 # ---------------------------------------------------------------------------

@@ -80,14 +80,15 @@ def test_conv3d_strided_matches_loop_oracle():
     np.testing.assert_allclose(out.data, expect, rtol=0, atol=1e-12)
 
 
-# every kernel kind the networks use: full 3D (stem and blocks), 1x1x1
-# projections and bottlenecks, and the (1,k,k) / (k,1,1) halves of a
-# (2+1)D conv, each also on a 1-channel input like the stem's, and padding
-# at or past the kernel's extent; the conv3d forward, and the input gradient
-# of a stride-1 conv, run one matmul per (kT, kH) row of taps (the latter on
-# the output gradient padded by k-1-p, or cropped where that is negative),
-# while dw and a strided conv's dx run one per kernel offset, so each kind
-# exercises a different tap and row layout
+# every kernel kind the networks use: full 3D (stem and blocks, also at the
+# toy body's 8 channels), 1x1x1 projections and bottlenecks, and the (1,k,k)
+# / (k,1,1) halves of a (2+1)D conv, each also on a 1-channel input like the
+# stem's, and padding at or past the kernel's extent; the conv3d forward, dw
+# and the input gradient of a stride-1 conv run one matmul per (kT, kH) row
+# of taps (the latter on the output gradient padded by k-1-p, or cropped
+# where that is negative), channels-last where a row spans kW > 1 taps of
+# C_in > 1 channels, while a strided conv's dx runs one per kernel offset, so
+# each kind exercises a different tap and row layout
 _KERNEL_KINDS = [
     # (x shape, w shape, stride, padding)
     ((2, 2, 4, 5, 5), (3, 2, 3, 3, 3), (1, 2, 2), (1, 1, 1)),
@@ -104,11 +105,13 @@ _KERNEL_KINDS = [
     ((2, 1, 5, 3, 3), (3, 1, 3, 1, 1), (1, 1, 1), (1, 0, 0)),
     ((2, 3, 3, 4, 4), (2, 3, 1, 1, 1), (1, 1, 1), (1, 1, 1)),
     ((2, 2, 5, 3, 3), (3, 2, 3, 1, 1), (1, 1, 1), (3, 0, 0)),
+    ((2, 8, 3, 4, 4), (8, 8, 3, 3, 3), (1, 1, 1), (1, 1, 1)),
+    ((2, 2, 3, 4, 4), (3, 2, 3, 3, 3), (1, 1, 1), (3, 3, 3)),
 ]
 _KIND_IDS = ["3x3x3-s122", "3x3x3-s222", "1x1x1-s111", "1x1x1-s222", "1x3x3-s111",
              "1x3x3-s122", "3x1x1-s111", "3x1x1-s211", "cin1-3x3x3-s122",
              "cin1-3x3x3-s111", "cin1-1x3x3-s111", "cin1-3x1x1-s111", "1x1x1-s111-p111",
-             "3x1x1-s111-p300"]
+             "3x1x1-s111-p300", "cin8-3x3x3-s111", "3x3x3-s111-p333"]
 
 
 @pytest.mark.parametrize("xs, ws, stride, padding", _KERNEL_KINDS, ids=_KIND_IDS)
@@ -538,6 +541,11 @@ def test_grad_check_detects_nondeterminism():
 
     with pytest.raises(NondeterministicError):
         grad_check(f, [p])
+
+
+def test_grad_check_reads_a_nan_output_as_inf_not_nondeterminism():
+    x = Tensor(np.array([0.0, np.nan]), requires_grad=True)
+    assert grad_check(lambda: tt.sigmoid(x), [x]) == np.inf
 
 
 def _rand_params(rng, *shapes):
