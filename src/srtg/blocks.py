@@ -14,7 +14,7 @@ checkpoint's array table.
 
 Simple blocks run two 3x3x3 convolutions, bottleneck blocks run a 1x1x1
 reduce / 3x3x3 / 1x1x1 expand triple (stride on the middle conv). Either kind
-can swap full 3D convolutions for a (2+1)D factorization (`st_conv_parts`).
+can swap full 3D convolutions for a (2+1)D factorization (`step_ops`).
 A gated unit can be wired at six insertion points.
 """
 
@@ -33,7 +33,6 @@ __all__ = [
     "ConvStep",
     "BlockLayout",
     "block_layout",
-    "st_conv_parts",
     "route",
     "block_layouts",
     "step_ops",
@@ -102,20 +101,6 @@ def block_layout(spec: NetworkSpec, in_ch: int, out_ch: int, stride) -> BlockLay
                        spec.conv_kind, spec.gate_active, spec.fusion_mode)
 
 
-def st_conv_parts(step: ConvStep, conv_kind: str) -> tuple[ConvStep, ...]:
-    """The convs one step runs: the step itself, or under (2+1)D (Tran et al.
-    2018) a 1xkxk spatial conv then a kx1x1 temporal conv, both out_ch wide,
-    with norm and relu between them. 1x1x1 steps are never factorized."""
-    if conv_kind != "two_plus_one_d" or step.kernel == (1, 1, 1):
-        return (step,)
-    kt, kh, kw = step.kernel
-    st, sh, sw = step.stride
-    return (
-        replace(step, tag="spatial", kernel=(1, kh, kw), stride=(1, sh, sw), relu=True),
-        replace(step, tag="temporal", in_ch=step.out_ch, kernel=(kt, 1, 1), stride=(st, 1, 1)),
-    )
-
-
 def route(layout: BlockLayout, x, conv, gate, join):
     """Wire one block: the main-path steps with the gate at its position, the
     (projected) skip from the possibly gated input, then the join.
@@ -158,12 +143,17 @@ def block_layouts(spec: NetworkSpec):
 
 def step_ops(step: ConvStep, conv_kind: str, conv: str, norm: str):
     """The (conv part, weight name, norm name) ops one step runs, in draw and
-    checkpoint order. Under (2+1)D the spatial conv is normalized by
-    `<conv>.mid_bn` and only the temporal conv by the step's own norm."""
-    parts = st_conv_parts(step, conv_kind)
-    if len(parts) == 1:
+    checkpoint order: the step itself, or under (2+1)D (Tran et al. 2018) a
+    1xkxk spatial conv normalized by `<conv>.mid_bn` and relu'd, then a kx1x1
+    temporal conv under the step's own norm, both out_ch wide. 1x1x1 steps
+    are never factorized."""
+    if conv_kind != "two_plus_one_d" or step.kernel == (1, 1, 1):
         return ((step, conv, norm),)
-    spatial, temporal = parts
+    kt, kh, kw = step.kernel
+    st, sh, sw = step.stride
+    spatial = replace(step, tag="spatial", kernel=(1, kh, kw), stride=(1, sh, sw), relu=True)
+    temporal = replace(step, tag="temporal", in_ch=step.out_ch, kernel=(kt, 1, 1),
+                       stride=(st, 1, 1))
     return ((spatial, f"{conv}.spatial", f"{conv}.mid_bn"),
             (temporal, f"{conv}.temporal", norm))
 

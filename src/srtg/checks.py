@@ -109,10 +109,11 @@ CHECK_TOLERANCES = {name: tol for name, (_, tol) in _CHECKS.items()}
 def run_checks(targets=None) -> tuple[dict[str, float], dict[str, str]]:
     """Run the named checks (default: all), each even if another raised: returns
     {name: max rel error} of those that ran through, {name: message} of the rest."""
+    unknown = [name for name in targets or () if name not in _CHECKS]
+    if unknown:  # refused before any check runs
+        raise ValueError(f"unknown grad-check target {unknown[0]!r}")
     errors, raised = {}, {}
     for name in targets or _CHECKS:
-        if name not in _CHECKS:
-            raise ValueError(f"unknown grad-check target {name!r}")
         try:
             errors[name] = _CHECKS[name][0]()
         except Exception as e:  # a broken gradient can raise anything; report it as failed

@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 from srtg import checks, config, data, opcount, train as training
 from srtg.blocks import Network
@@ -190,17 +190,7 @@ def _net_from_checkpoint(args):
 def _cmd_evaluate(args):
     net, out, ds = _net_from_checkpoint(args)
     metrics = evaluate(net, ds)
-    _emit(
-        {
-            "top1": metrics.top1,
-            "top5": metrics.top5,
-            "loss": metrics.loss,
-            "gate_open_rates": metrics.gate_open_rates,
-            "clips": len(ds),
-        },
-        out,
-        "eval.json",
-    )
+    _emit({**asdict(metrics), "clips": len(ds)}, out, "eval.json")
     return 0
 
 

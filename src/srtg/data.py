@@ -67,11 +67,8 @@ def _make_clip(spec, label, rng):
     else:
         base = float(rng.uniform(0.8, 1.2)) * base
         frames = base[(ys - t * vy) % height, (xs - t * vx) % width]
-    shape = (spec.channels,) + frames.shape
-    if spec.noise > 0:
-        clip = frames + spec.noise * rng.standard_normal(shape)
-    else:
-        clip = np.broadcast_to(frames, shape)
+    # the noise is drawn last, even at noise 0, where it adds nothing
+    clip = frames + spec.noise * rng.standard_normal((spec.channels,) + frames.shape)
     # reversed_pair: class 1 plays a class-0-style clip backwards, so the two
     # classes share frame multisets and only temporal order separates them
     return clip[:, ::-1] if spec.family == "reversed_pair" and label == 1 else clip

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,9 +80,9 @@ class GateRecord:
         return cycle_consistent(self.emb.data, self.filtered.data)[1:]
 
 
-@dataclass
-class LstmLayerParams:
-    """Gate weights of shape (C, C_in + C) acting on the concatenation [h, x]."""
+class LstmLayerParams(NamedTuple):
+    """Gate weights of shape (C, C_in + C) acting on the concatenation [h, x],
+    then the gate biases; the field order is the draw order."""
 
     w_f: Tensor
     w_i: Tensor
@@ -92,10 +93,6 @@ class LstmLayerParams:
     b_c: Tensor
     b_a: Tensor
 
-    def named(self, prefix: str):
-        for name in ("w_f", "w_i", "w_c", "w_a", "b_f", "b_i", "b_c", "b_a"):
-            yield f"{prefix}.{name}", getattr(self, name)
-
 
 @dataclass
 class LstmParams:
@@ -103,7 +100,8 @@ class LstmParams:
 
     def named(self, prefix: str):
         for li, layer in enumerate(self.layers):
-            yield from layer.named(f"{prefix}.layer{li}")
+            for name, value in zip(layer._fields, layer):
+                yield f"{prefix}.layer{li}.{name}", value
 
 
 def init_lstm_params(channels: int, num_layers: int, rng: np.random.Generator) -> LstmParams:
@@ -121,9 +119,7 @@ def init_lstm_params(channels: int, num_layers: int, rng: np.random.Generator) -
     def b(value):
         return Tensor(np.full(channels, value), requires_grad=True)
 
-    # keyword order is draw order: the four weights, then the biases
-    return LstmParams([LstmLayerParams(w_f=w(), w_i=w(), w_c=w(), w_a=w(), b_f=b(1.0),
-                                       b_i=b(0.0), b_c=b(0.0), b_a=b(0.0))
+    return LstmParams([LstmLayerParams(w(), w(), w(), w(), b(1.0), b(0.0), b(0.0), b(0.0))
                        for _ in range(num_layers)])
 
 
@@ -137,8 +133,7 @@ def recursion(embedding: Tensor, params: LstmParams) -> Tensor:
     layer; output is the last layer's hidden sequence, same shape as the input."""
     seq = embedding
     for layer in params.layers:
-        seq = tt.lstm_layer(seq, (layer.w_f, layer.w_i, layer.w_c, layer.w_a),
-                            (layer.b_f, layer.b_i, layer.b_c, layer.b_a))
+        seq = tt.lstm_layer(seq, layer[:4], layer[4:])
     return seq
 
 

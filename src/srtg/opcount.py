@@ -51,11 +51,9 @@ class OpCount:
 
     @property
     def totals(self) -> dict:
-        out = {"convolutions": 0, "lstm": 0, "gate": 0, "head": 0}
-        kindmap = {"conv": "convolutions", "lstm": "lstm", "gate": "gate", "head": "head"}
-        for layer in self.layers:
-            out[kindmap[layer.kind]] += layer.macs
-        return out
+        kinds = {"conv": "convolutions", "lstm": "lstm", "gate": "gate", "head": "head"}
+        return {total: sum(layer.macs for layer in self.layers if layer.kind == kind)
+                for kind, total in kinds.items()}
 
     @property
     def total(self) -> int:

@@ -243,14 +243,15 @@ def sigmoid(x: Tensor) -> Tensor:
     return _result(s, (x,), lambda g: [(x, g * s * (1.0 - s))])
 
 
-def stable_softmax(v: np.ndarray, axis=-1) -> np.ndarray:
-    """Max-subtracted softmax on a plain array (the gate's soft match)."""
+def stable_softmax(v: np.ndarray) -> np.ndarray:
+    """Max-subtracted softmax over the last axis of a plain array (the gate's
+    soft match)."""
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise ShapeError("softmax of an empty array")
-    shifted = v - v.max(axis=axis, keepdims=True)
+    shifted = v - v.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -580,15 +581,14 @@ def batch_norm(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
     *,
     relu: bool = False,
 ) -> Tensor:
     """Per-channel batch normalization over (N, T, H, W) of a rank-5 volume.
 
     Training mode normalizes with batch statistics (biased variance) and
-    updates the running buffers in place; eval mode uses the running buffers.
+    updates the running buffers in place with momentum 0.1; eval mode uses the
+    running buffers. Variances are offset by 1e-5.
     `relu` fuses the following relu into this node (InPlace-ABN, Rota Bulo et
     al. 2018). The norm consumes x.data: it is centred in place, so pass an
     input that nothing else reads.
@@ -606,13 +606,13 @@ def batch_norm(
     xhat = np.subtract(rows, mean[:, None], out=rows)
     if training:
         var = np.einsum("ncm,ncm->c", xhat, xhat) / m
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
+        running_mean *= 0.9
+        running_mean += 0.1 * mean
+        running_var *= 0.9
+        running_var += 0.1 * var
     else:
         var = running_var
-    invstd = 1.0 / np.sqrt(var + eps)
+    invstd = 1.0 / np.sqrt(var + 1e-5)
     xhat *= invstd[:, None]
     # only the backward reads xhat, so without a tape node it holds the output
     out = np.multiply(xhat, gamma.data[:, None], out=None if _records((x, gamma, beta)) else xhat)
@@ -671,21 +671,20 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def grad_check(f, params, eps=1e-5) -> float:
+def grad_check(f, params) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     f() must rebuild its graph and return a Tensor of any shape; params are
     the leaf tensors to perturb. Both sides differentiate the scalar
     <f(), r> for one fixed cotangent r drawn from default_rng(0) in f()'s
     shape: analytically as backward(f(), r), numerically by central
-    differences of np.vdot(f().data, r). Error per component is
+    differences of np.vdot(f().data, r) with step 1e-5. Error per component is
     |analytic - numeric| / max(1, |analytic|), and inf where that is NaN,
     which would pass every tolerance test.
     Non-determinism of f is detected by a re-evaluation mismatch before any
     perturbation; NaNs in the same places match.
     """
-    if not (1e-7 <= eps <= 1e-3):
-        raise ValueError(f"grad_check: eps {eps} outside [1e-7, 1e-3]")
+    eps = 1e-5
     params = list(params)
     base = f()
     if not np.array_equal(base.data, f().data, equal_nan=True):

@@ -93,10 +93,8 @@ class Metrics:
 def top_k_hits(logits: np.ndarray, labels: np.ndarray, k: int) -> int:
     """Count rows whose label ranks in the top k; logit ties break toward the
     smaller class index."""
-    n, classes = logits.shape
-    # lexsort: primary key -logits, secondary key class index
-    order = np.lexsort((np.tile(np.arange(classes), (n, 1)), -logits), axis=1)
-    top = order[:, : min(k, classes)]
+    # a stable sort keeps tied classes in index order
+    top = np.argsort(-logits, axis=1, kind="stable")[:, :k]
     return int((top == labels[:, None]).any(axis=1).sum())
 
 

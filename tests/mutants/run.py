@@ -1,5 +1,6 @@
 """Mutation battery: each mutant breaks one gradient or kernel detail of the
-engine, and a named test must fail on it.
+engine, or one detail of how the network, its data and its reports are
+built, and a named test must fail on it.
 
     python tests/mutants/run.py [NAME ...]
 
@@ -105,6 +106,24 @@ MUTANTS = (
            "o, x.data.shape[2:], (1, 1, 1))] for o in itertools.product("
            "*map(range, w.data.shape[2:]))], 2), wflip.reshape(cin, cout, -1)))]",
            ("tests/test_tensor.py::test_conv3d_backward_gathers_one_row_of_taps",)),
+    # construction and bookkeeping: the LSTM record's draw order, checkpoint
+    # names, the top-k tie rule, noise-free clips and the op-count totals
+    Mutant("lstm_forget_bias_on_input_gate", "src/srtg/gate.py",
+           "b(1.0), b(0.0), b(0.0), b(0.0)", "b(0.0), b(1.0), b(0.0), b(0.0)",
+           ("tests/test_gate.py::test_init_lstm_params_draws_weights_then_biases_forget_bias_one",)),
+    Mutant("two_plus_one_d_temporal_norm_named_mid_bn", "src/srtg/blocks.py",
+           '(temporal, f"{conv}.temporal", norm)',
+           '(temporal, f"{conv}.temporal", f"{conv}.mid_bn")',
+           ("tests/test_blocks.py::test_checkpoint_array_table_matches_golden[long_clip_gate]",)),
+    Mutant("top_k_ranks_lowest_logits", "src/srtg/train.py",
+           "np.argsort(-logits", "np.argsort(logits",
+           ("tests/test_train.py::test_top_k_hand_fixture",)),
+    Mutant("clip_noise_at_noise_zero", "src/srtg/data.py",
+           "spec.noise * rng", "(spec.noise + 1e-3) * rng",
+           ("tests/test_data.py::test_generate_matches_frame_loop_oracle[reversed_pair-2-0.0-1]",)),
+    Mutant("op_count_conv_totalled_as_head", "src/srtg/opcount.py",
+           '"conv": "convolutions"', '"conv": "head"',
+           ("tests/test_opcount.py::test_mini_network_matches_hand_summed_arithmetic",)),
 )
 
 

@@ -422,6 +422,14 @@ def test_grad_check_command_reports_a_raising_check_with_the_others(monkeypatch,
     assert payload["passed"] is False
 
 
+def test_run_checks_refuses_an_unknown_target_before_running_any(monkeypatch):
+    ran = []
+    monkeypatch.setitem(checks._CHECKS, "primitives", (lambda: ran.append(1) or 0.0, 1e-5))
+    with pytest.raises(ValueError, match="'bogus'"):
+        checks.run_checks(["primitives", "bogus"])
+    assert ran == []
+
+
 # ---------------------------------------------------------------------------
 # failure modes and exit codes
 # ---------------------------------------------------------------------------

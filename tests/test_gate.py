@@ -98,12 +98,13 @@ def test_cell_saturated_forget_gate_preserves_cell():
     # clip, into the cell; afterwards the input gate is shut and b_f = 50
     # keeps the cell, so h stays o * tanh(c_0) on every later frame
     c, n, t = 2, 2, 6
-    layer = _zero_layer(c)
-    layer.w_i = Tensor(np.hstack([np.zeros((c, c)), 100.0 * np.eye(c)]), requires_grad=True)
-    layer.b_i = Tensor(np.full(c, -50.0), requires_grad=True)
-    layer.b_f = Tensor(np.full(c, 50.0), requires_grad=True)
-    layer.b_c = Tensor(np.array([0.3, -0.7]), requires_grad=True)
-    layer.b_a = Tensor(np.array([0.4, -1.1]), requires_grad=True)
+    layer = _zero_layer(c)._replace(
+        w_i=Tensor(np.hstack([np.zeros((c, c)), 100.0 * np.eye(c)]), requires_grad=True),
+        b_i=Tensor(np.full(c, -50.0), requires_grad=True),
+        b_f=Tensor(np.full(c, 50.0), requires_grad=True),
+        b_c=Tensor(np.array([0.3, -0.7]), requires_grad=True),
+        b_a=Tensor(np.array([0.4, -1.1]), requires_grad=True),
+    )
     x = np.zeros((n, t, c))
     x[0, 0] = 1.0
     x[1, 0] = 0.6
@@ -207,6 +208,18 @@ def test_recursion_dimension_mismatch():
     params = init_lstm_params(3, 2, np.random.default_rng(4))
     with pytest.raises(ShapeError):
         sg.recursion(Tensor(np.zeros((1, 2, 5))), params)
+
+
+def test_init_lstm_params_draws_weights_then_biases_forget_bias_one():
+    c = 3
+    params = init_lstm_params(c, 2, np.random.default_rng(6))
+    rng, bound = np.random.default_rng(6), 1.0 / np.sqrt(c)
+    for layer in params.layers:
+        for w in (layer.w_f, layer.w_i, layer.w_c, layer.w_a):
+            np.testing.assert_array_equal(w.data, rng.uniform(-bound, bound, size=(c, 2 * c)))
+        np.testing.assert_array_equal(layer.b_f.data, np.ones(c))
+        for b in (layer.b_i, layer.b_c, layer.b_a):
+            np.testing.assert_array_equal(b.data, np.zeros(c))
 
 
 # ---------------------------------------------------------------------------
