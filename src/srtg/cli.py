@@ -62,7 +62,8 @@ def _ensure_out(path, cfg=None):
         raise ConfigError(f"output directory {path} is not writable")
     if cfg is not None:
         try:
-            config.write_config(cfg, os.path.join(path, "effective.cfg"))
+            data.write_atomic(os.path.join(path, "effective.cfg"),
+                              [config.format_config(cfg).encode()])
         except OSError as e:
             raise ConfigError(f"cannot write the effective config: {e}") from e
     return path
@@ -85,8 +86,7 @@ def _load_cfg(args, seed_section=None):
 def _emit(payload, out_dir, filename):
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out_dir is not None:
-        with open(os.path.join(out_dir, filename), "w") as fh:
-            fh.write(text + "\n")
+        data.write_atomic(os.path.join(out_dir, filename), [(text + "\n").encode()])
     # flushed here, so a closed stdout pipe raises inside main, not at exit
     print(text, flush=True)
 
@@ -145,7 +145,7 @@ def _cmd_train(args):
     net = Network(net_spec, seed=train_cfg.seed)
     if state:
         _check_resumes_this_run(state, args.resume, train_cfg, net_spec, args.stop_after)
-        training.check_metrics_columns(
+        training.kept_metrics_rows(
             os.path.join(args.out, "metrics.csv"), state["epoch"], net)
     out = _ensure_out(args.out, cfg)
     train_ds = load_dataset(train_path)
@@ -218,8 +218,7 @@ def _cmd_gate_analyze(args):
     # one line per record: no records, no lines
     lines = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
     if out:
-        with open(os.path.join(out, "gates.jsonl"), "w") as fh:
-            fh.write(lines)
+        data.write_atomic(os.path.join(out, "gates.jsonl"), [lines.encode()])
     else:
         print(lines, end="")
     _emit({"open_rates": training.gate_rates(log), "clips": len(ds)},

@@ -22,7 +22,7 @@ __all__ = [
     "SyntheticSpec",
     "read_config",
     "apply_overrides",
-    "write_config",
+    "format_config",
     "network_spec",
     "train_config",
     "synthetic_spec",
@@ -300,15 +300,14 @@ def apply_overrides(cfg: dict, overrides) -> dict:
     return cfg
 
 
-def write_config(cfg: dict, path: str):
-    """Echo the effective config back out as INI, sections in sorted order."""
+def format_config(cfg: dict) -> str:
+    """The effective config as INI text, sections in sorted order."""
     parser = configparser.ConfigParser(interpolation=None)
     for section in sorted(cfg):
         parser[section] = {k: str(v) for k, v in sorted(cfg[section].items())}
     buf = io.StringIO()
     parser.write(buf)
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+    return buf.getvalue()
 
 
 def _build(cls, cfg: dict, section: str, **given):

@@ -1,5 +1,6 @@
-"""Synthetic moving-pattern clip generation, the binary dataset format, and
-the file frame and atomic write that datasets and checkpoints share.
+"""Synthetic moving-pattern clip generation, the binary dataset format, the
+file frame datasets and checkpoints share, and the atomic write every output
+file goes through.
 
 Clips are float64 volumes (C, T, H, W) with a Gaussian blob moving on a
 wrapping canvas. Classes differ by motion: per-class translation direction,

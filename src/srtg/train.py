@@ -9,7 +9,6 @@ never from global state, so nothing about RNG needs to live in checkpoints.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -150,37 +149,30 @@ def _history_columns(unit_names):
     ]
 
 
-def check_metrics_columns(path, epoch, net):
-    """Refuse a resume (epoch > 0) into a metrics file with other columns than
-    `net`'s: it is another network's, and a resume leaves it as it is."""
+def kept_metrics_rows(path, epoch, net):
+    """The rows a run that starts after `epoch` keeps of its metrics file: the
+    complete rows up to the first that does not end in a newline or whose
+    epoch is not a number <= epoch; none at epoch 0. The row of epoch k is
+    written before checkpoint k, so a crash between the two leaves a row that
+    the run resumed from checkpoint k-1 writes again. A resume into a file with
+    other columns than `net`'s is refused: it is another network's, left as is."""
+    if not epoch:
+        return []
     try:
         with open(path, "rb") as fh:
-            head = fh.readline()
+            head, lines = fh.readline(), list(fh)
     except (FileNotFoundError, NotADirectoryError):
-        return
+        return []
     columns = _history_columns(net.srtg_unit_names())
-    if epoch and head and head.rstrip(b"\r\n") != ",".join(columns).encode():
+    if head and head.rstrip(b"\r\n") != ",".join(columns).encode():
         raise ConfigError(f"{path} was written for another network: its columns differ")
-
-
-def _drop_rows_after(path, epoch):
-    """Cut a metrics file after its last complete row for an epoch <= epoch,
-    or empty it at epoch 0. The row of epoch k is written before checkpoint k,
-    so a crash between the two leaves a row that the run resumed from
-    checkpoint k-1 writes again."""
-    try:
-        fh = open(path, "r+b")
-    except FileNotFoundError:
-        return
-    with fh:
-        head = fh.readline()
-        keep = len(head) if epoch else 0
-        for line in fh:
-            first = line.split(b",", 1)[0]
-            if not (line.endswith(b"\n") and first.isdigit() and int(first) <= epoch):
-                break
-            keep += len(line)
-        fh.truncate(keep)
+    rows = []
+    for line in lines:
+        first = line.split(b",", 1)[0]
+        if not (line.endswith(b"\n") and first.isdigit() and int(first) <= epoch):
+            break
+        rows.append(line)
+    return rows
 
 
 def train(
@@ -202,10 +194,11 @@ def train(
     the original run bit-exactly.
 
     History rows hold the epoch's mean train loss, val top-1/top-5, the lr
-    used, and per-unit gate-open rates on the val split. Rows are appended to
-    metrics_path (column row first if empty) after dropping any past
-    start_epoch; a checkpoint (when requested) is rewritten after every epoch,
-    with net_config as its network sections, which must then be given.
+    used, and per-unit gate-open rates on the val split. metrics_path is
+    rewritten whole at the start and after every epoch: the column row, the
+    rows kept_metrics_rows returns, then this run's. A checkpoint (when
+    requested) is rewritten after every epoch, with net_config as its network
+    sections, which must then be given.
     """
     if checkpoint_path is not None:  # refuse before an epoch is spent
         _check_net_config(net_config, checkpoint_path)
@@ -213,59 +206,50 @@ def train(
     unit_names = net.srtg_unit_names()
     columns = _history_columns(unit_names)
     history = []
-    writer = None
-    fh = None
     if metrics_path is not None:
-        check_metrics_columns(metrics_path, start_epoch, net)
-        _drop_rows_after(metrics_path, start_epoch)
-        fh = open(metrics_path, "a", newline="")
-        writer = csv.writer(fh)
-        if fh.tell() == 0:  # a new file, or a resume into a fresh directory
-            writer.writerow(columns)
+        lines = [(",".join(columns) + "\r\n").encode(),
+                 *kept_metrics_rows(metrics_path, start_epoch, net)]
+        write_atomic(metrics_path, lines)
     last_epoch = cfg.epochs if stop_after is None else min(cfg.epochs, stop_after)
-    try:
-        n = len(train_ds)
-        for epoch in range(start_epoch + 1, last_epoch + 1):
-            lr = cfg.lr_at(epoch)
-            order = np.random.default_rng(
-                np.random.SeedSequence([cfg.seed, 2, epoch])
-            ).permutation(n)
-            loss_sum = 0.0
-            for batch in _batches(n, cfg.batch_size, order):
-                clips = train_ds.clips[batch]
-                frames = clips.shape[2]
-                if frames > cfg.frames_per_clip:
-                    # each clip's sorted frame sample comes from its own generator
-                    keep = np.array([
-                        np.sort(np.random.default_rng(
-                            np.random.SeedSequence([cfg.seed, 3, epoch, int(clip_idx)])
-                        ).choice(frames, size=cfg.frames_per_clip, replace=False))
-                        for clip_idx in batch
-                    ])
-                    clips = np.take_along_axis(clips, keep[:, None, :, None, None], axis=2)
-                logits, _ = net.forward(clips, training=True)
-                loss = tt.softmax_cross_entropy(logits, train_ds.labels[batch])
-                if not np.isfinite(loss.data):
-                    raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-                loss_sum += float(loss.data) * len(batch)
-                optimizer.zero_grad()
-                backward(loss)
-                optimizer.step(lr)
+    n = len(train_ds)
+    for epoch in range(start_epoch + 1, last_epoch + 1):
+        lr = cfg.lr_at(epoch)
+        order = np.random.default_rng(
+            np.random.SeedSequence([cfg.seed, 2, epoch])
+        ).permutation(n)
+        loss_sum = 0.0
+        for batch in _batches(n, cfg.batch_size, order):
+            clips = train_ds.clips[batch]
+            frames = clips.shape[2]
+            if frames > cfg.frames_per_clip:
+                # each clip's sorted frame sample comes from its own generator
+                keep = np.array([
+                    np.sort(np.random.default_rng(
+                        np.random.SeedSequence([cfg.seed, 3, epoch, int(clip_idx)])
+                    ).choice(frames, size=cfg.frames_per_clip, replace=False))
+                    for clip_idx in batch
+                ])
+                clips = np.take_along_axis(clips, keep[:, None, :, None, None], axis=2)
+            logits, _ = net.forward(clips, training=True)
+            loss = tt.softmax_cross_entropy(logits, train_ds.labels[batch])
+            if not np.isfinite(loss.data):
+                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
+            loss_sum += float(loss.data) * len(batch)
             optimizer.zero_grad()
-            metrics = evaluate(net, val_ds, batch_size=cfg.batch_size)
-            row = [epoch, loss_sum / n, metrics.top1, metrics.top5, lr] + [
-                metrics.gate_open_rates[name] for name in unit_names
-            ]
-            history.append(dict(zip(columns, row)))
-            if writer is not None:
-                writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-                fh.flush()
-            if checkpoint_path is not None:
-                checkpoint_save(checkpoint_path, net, optimizer, epoch,
-                                seed=cfg.seed, net_config=net_config)
-    finally:
-        if fh is not None:
-            fh.close()
+            backward(loss)
+            optimizer.step(lr)
+        optimizer.zero_grad()
+        metrics = evaluate(net, val_ds, batch_size=cfg.batch_size)
+        row = [epoch, loss_sum / n, metrics.top1, metrics.top5, lr] + [
+            metrics.gate_open_rates[name] for name in unit_names
+        ]
+        history.append(dict(zip(columns, row)))
+        if metrics_path is not None:
+            lines.append((",".join(map(str, row)) + "\r\n").encode())
+            write_atomic(metrics_path, lines)
+        if checkpoint_path is not None:
+            checkpoint_save(checkpoint_path, net, optimizer, epoch,
+                            seed=cfg.seed, net_config=net_config)
     return optimizer, history
 
 

@@ -124,6 +124,17 @@ MUTANTS = (
     Mutant("op_count_conv_totalled_as_head", "src/srtg/opcount.py",
            '"conv": "convolutions"', '"conv": "head"',
            ("tests/test_opcount.py::test_mini_network_matches_hand_summed_arithmetic",)),
+    # metrics.csv: the rows a resume keeps, the column-row refusal and the
+    # start-of-run write that drops an older run's rows
+    Mutant("metrics_resume_drops_the_checkpoint_epochs_row", "src/srtg/train.py",
+           "int(first) <= epoch", "int(first) < epoch",
+           ("tests/test_train.py::test_resume_after_crash_between_row_and_checkpoint",)),
+    Mutant("metrics_column_row_refusal_disabled", "src/srtg/train.py",
+           'if head and head.rstrip(b"\\r\\n")', 'if False and head.rstrip(b"\\r\\n")',
+           ("tests/test_cli.py::test_resume_into_another_networks_metrics_exits_1_and_keeps_them",)),
+    Mutant("metrics_start_of_run_write_dropped", "src/srtg/train.py",
+           "net)]\n        write_atomic(metrics_path, lines)", "net)]",
+           ("tests/test_train.py::test_run_that_writes_no_row_leaves_only_the_column_row",)),
 )
 
 

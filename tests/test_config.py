@@ -12,13 +12,13 @@ from srtg.config import (
     TrainConfig,
     apply_overrides,
     data_paths,
+    format_config,
     network_spec,
     parse_shape,
     parse_triple,
     read_config,
     synthetic_spec,
     train_config,
-    write_config,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -144,7 +144,7 @@ def test_echo_roundtrip(tmp_path, cfg_path):
     cfg = read_config(cfg_path)
     apply_overrides(cfg, ["train.epochs=7"])
     echo = tmp_path / "effective.cfg"
-    write_config(cfg, str(echo))
+    echo.write_text(format_config(cfg))
     again = read_config(str(echo))
     assert train_config(again).epochs == 7
     assert network_spec(again).stages[0].channels == 8
@@ -198,7 +198,7 @@ _BUILDERS = {
 def test_bundled_config_echo_builds_equal_specs(tmp_path, path):
     cfg = read_config(str(path))
     echo = tmp_path / "effective.cfg"
-    write_config(cfg, str(echo))
+    echo.write_text(format_config(cfg))
     again = read_config(str(echo))
     builders = [build for section, build in _BUILDERS.items() if section in cfg]
     assert builders

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import srtg.data
 import srtg.train
 from srtg import gate as sg
 from srtg import tensor as tt
@@ -711,3 +712,40 @@ def test_resume_after_crash_between_row_and_checkpoint(tmp_path, monkeypatch):
 
     for name in ("metrics.csv", "checkpoint.bin"):
         assert (part / name).read_bytes() == (full / name).read_bytes(), name
+
+
+def test_failed_metrics_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    # the file with the epoch-2 row cannot be swapped in: train() raises and
+    # metrics.csv is still the file written after epoch 1, with no .tmp left
+    train_ds, val_ds = _tiny_data()
+    path = tmp_path / "metrics.csv"
+    replace, written = os.replace, []
+
+    def crash_on_the_epoch_2_write(src, dst):
+        if len(written) == 2:  # the column row, then the epoch-1 row
+            raise OSError("simulated crash before the swap")
+        replace(src, dst)
+        written.append(path.read_bytes())
+
+    monkeypatch.setattr(srtg.data.os, "replace", crash_on_the_epoch_2_write)
+    with pytest.raises(OSError, match="simulated"):
+        train(Network(_tiny_net_spec(), seed=16), train_ds, val_ds, _cfg(epochs=3),
+              metrics_path=path)
+    monkeypatch.undo()
+    assert written[1].splitlines()[-1].startswith(b"1,")
+    assert path.read_bytes() == written[1]
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_that_writes_no_row_leaves_only_the_column_row(tmp_path):
+    # an older run's rows go even when the new run diverges in epoch 1
+    train_ds, val_ds = _tiny_data()
+    path = tmp_path / "metrics.csv"
+    train(Network(_tiny_net_spec(), seed=12), train_ds, val_ds, _cfg(), metrics_path=path)
+    net = Network(_tiny_net_spec(), seed=12)
+    net.params["head.weight"].data[:] = np.inf
+    with pytest.raises(TrainingDivergedError, match="epoch 1"):
+        train(net, train_ds, val_ds, _cfg(), metrics_path=path)
+    units = "".join(f",gate_open_rate.{name}" for name in net.srtg_unit_names())
+    assert path.read_bytes() == f"epoch,loss,top1,top5,lr{units}\r\n".encode()
