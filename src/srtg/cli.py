@@ -69,11 +69,6 @@ def _ensure_out(path, cfg=None):
     return path
 
 
-def _optional_out(args, cfg=None):
-    """`_ensure_out` for a command whose --out is optional; None without it."""
-    return _ensure_out(args.out, cfg) if args.out else None
-
-
 def _load_cfg(args, seed_section=None):
     """Read config, apply --set overrides and the --seed shorthand."""
     cfg = config.read_config(args.config)
@@ -184,7 +179,7 @@ def _net_from_checkpoint(args):
     cfg = config.apply_overrides(dict(state["net_config"]), args.set or [])
     net = Network(config.network_spec(cfg), seed=0)
     apply_checkpoint(net, None, state)
-    return net, _optional_out(args, cfg), load_dataset(args.data)
+    return net, _ensure_out(args.out, cfg) if args.out else None, load_dataset(args.data)
 
 
 def _cmd_evaluate(args):
@@ -198,7 +193,7 @@ def _cmd_count_ops(args):
     cfg = _load_cfg(args)
     net_spec = config.network_spec(cfg)
     input_shape = config.parse_shape(args.input)
-    out = _optional_out(args, cfg)
+    out = _ensure_out(args.out, cfg) if args.out else None
     counts = opcount.count_macs(net_spec, input_shape)
     report = opcount.report_dict(counts, input_shape)
     _emit(report, out, "opcount.json")
@@ -235,7 +230,7 @@ def _cmd_grad_check(args):
         "tolerances": {k: checks.CHECK_TOLERANCES[k] for k in [*errors, *raised]},
         "passed": not failed and not raised,
     }
-    out = _optional_out(args)
+    out = _ensure_out(args.out) if args.out else None
     _emit(payload, out, "grad_check.json")
     return 0 if payload["passed"] else 2
 

@@ -156,8 +156,11 @@ def _squared_distances(name: str, query, reference) -> np.ndarray:
 
 def soft_match_weights(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Softmax over i of -||query - reference_i||^2: (N, Q, T), each row
-    sums to 1."""
-    return tt.stable_softmax(-_squared_distances("soft_match_weights", query, reference))
+    sums to 1. The max is subtracted first, so a far query never divides 0
+    by 0."""
+    v = -_squared_distances("soft_match_weights", query, reference)
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def soft_nearest_neighbor(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -191,10 +194,10 @@ def cycle_consistent(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return ((fwd == frames) & (bwd == frames)).all(axis=1), fwd, bwd
 
 
-def fuse(main: Tensor, recurrent: Tensor, mode: str = "multiplicative", clips=None) -> Tensor:
+def fuse(main: Tensor, recurrent: Tensor, mode: str, clips) -> Tensor:
     """Broadcast the (N, T, C) recurrent stream over the spatial plane and
-    combine it with the clips of the (N,) bool mask `clips` (all when None):
-    sigmoid scaling by default, plain addition otherwise. The other clips pass
+    combine it with the clips of the (N,) bool mask `clips`: sigmoid scaling
+    when multiplicative, plain addition otherwise. The other clips pass
     through unchanged."""
     if mode not in FUSION_MODES:
         raise ValueError(f"fuse: unknown mode {mode!r}, expected one of {FUSION_MODES}")
@@ -213,16 +216,18 @@ def srtg_unit(
 
     One cycle check covers the batch, but each clip is gated independently:
     the one fuse op fuses the clips that pass and copies the others through
-    bit-identically. An inactive gate fuses every clip and runs no check.
+    bit-identically. An inactive gate runs no check and passes an all-open
+    mask.
     Returns (output volume, the unit's GateRecord).
     """
     emb = squeeze(volume)
     filtered = recursion(emb, params)
-    if not gate_active:
-        record = GateRecord((GateVerdict.INACTIVE,) * len(emb.data), emb, filtered)
-        return fuse(volume, filtered, mode), record
-    passed, fwd, bwd = cycle_consistent(emb.data, filtered.data)
-    fwd.flags.writeable = bwd.flags.writeable = False  # the record is frozen
-    record = GateRecord(tuple(GateVerdict.OPEN if p else GateVerdict.CLOSED for p in passed),
-                        emb, filtered, (fwd, bwd))
+    if gate_active:
+        passed, fwd, bwd = cycle_consistent(emb.data, filtered.data)
+        fwd.flags.writeable = bwd.flags.writeable = False  # the record is frozen
+        record = GateRecord(tuple(GateVerdict.OPEN if p else GateVerdict.CLOSED
+                                  for p in passed), emb, filtered, (fwd, bwd))
+    else:
+        passed = np.ones(len(emb.data), bool)
+        record = GateRecord((GateVerdict.INACTIVE,) * len(passed), emb, filtered)
     return fuse(volume, filtered, mode, passed), record

@@ -25,7 +25,6 @@ __all__ = [
     "add_relu",
     "affine",
     "sigmoid",
-    "stable_softmax",
     "sum_all",
     "lstm_layer",
     "conv3d",
@@ -136,16 +135,6 @@ def _result(data, parents, bwd):
     return out
 
 
-def _accumulate(store, tensor, grad):
-    if not tensor.needs_grad:
-        return
-    key = id(tensor)
-    if key in store:
-        store[key] = store[key] + grad
-    else:
-        store[key] = grad
-
-
 def backward(loss: Tensor, grad=None):
     """Populate .grad on every reachable requires_grad tensor.
 
@@ -191,7 +180,9 @@ def backward(loss: Tensor, grad=None):
             node.grad = grad.copy() if node.grad is None else node.grad + grad
         if node._bwd is not None:
             for parent, pgrad in node._bwd(grad):
-                _accumulate(grads, parent, pgrad)
+                if parent.needs_grad:
+                    key = id(parent)
+                    grads[key] = grads[key] + pgrad if key in grads else pgrad
             node._consumed = True
             node._bwd = None
             node._parents = ()
@@ -241,17 +232,6 @@ def _sigmoid(x):
 def sigmoid(x: Tensor) -> Tensor:
     s = _sigmoid(x.data)
     return _result(s, (x,), lambda g: [(x, g * s * (1.0 - s))])
-
-
-def stable_softmax(v: np.ndarray) -> np.ndarray:
-    """Max-subtracted softmax over the last axis of a plain array (the gate's
-    soft match)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise ShapeError("softmax of an empty array")
-    shifted = v - v.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -543,32 +523,30 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return _result(out, (x,), bwd)
 
 
-def fuse_embedding(vol: Tensor, emb: Tensor, multiplicative: bool, clips=None) -> Tensor:
+def fuse_embedding(vol: Tensor, emb: Tensor, multiplicative: bool, clips) -> Tensor:
     """Fuse emb[n,t,c], broadcast over the spatial plane, into vol[n,c,t,h,w]:
     vol * emb when multiplicative, vol + emb otherwise. Only the clips of the
-    constant (N,) bool mask `clips` (all when None) are fused; the other rows
-    are vol's, bit for bit, and send no gradient to emb."""
+    constant (N,) bool mask `clips` are fused; the other rows are vol's, bit
+    for bit, and send no gradient to emb."""
     n, c, t, h, w = vol.data.shape
     if emb.data.shape != (n, t, c):
         raise ShapeError(
             f"fuse_embedding: embedding shape {emb.data.shape}, expected ({n}, {t}, {c})"
         )
     vd = vol.data
-    emap = emb.data.transpose(0, 2, 1)[:, :, :, None, None]
-    if clips is not None:
-        clips = np.asarray(clips, dtype=bool)
-        if clips.shape != (n,):
-            raise ShapeError(f"fuse_embedding: mask shape {clips.shape}, expected ({n},)")
-        # a passed clip meets the op's identity: 1.0, or -0.0, which keeps a -0.0
-        emap = np.where(clips[:, None, None, None, None], emap, 1.0 if multiplicative else -0.0)
+    clips = np.asarray(clips, dtype=bool)
+    if clips.shape != (n,):
+        raise ShapeError(f"fuse_embedding: mask shape {clips.shape}, expected ({n},)")
+    # a passed clip meets the op's identity: 1.0, or -0.0, which keeps a -0.0
+    emap = np.where(clips[:, None, None, None, None], emb.data.transpose(0, 2, 1)[..., None, None],
+                    1.0 if multiplicative else -0.0)
 
     def bwd(g):
         if multiplicative:
             gemb = np.einsum("ncthw,ncthw->nct", g, vd).transpose(0, 2, 1)
         else:
             gemb = g.sum(axis=(3, 4)).transpose(0, 2, 1)
-        if clips is not None:
-            gemb[~clips] = 0.0
+        gemb[~clips] = 0.0
         return [(vol, g * emap if multiplicative else g), (emb, gemb)]
 
     return _result(vd * emap if multiplicative else vd + emap, (vol, emb), bwd)

@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 
 TENSOR = "src/srtg/tensor.py"
+GATE = "src/srtg/gate.py"
 # the whole battery as `srtg grad-check` runs it
 GRAD_CHECK = ("tests/test_cli.py::test_grad_check_command_passes_every_target",)
 # one conv3d kernel kind against the loop oracles, by its parametrize id
@@ -83,6 +84,9 @@ MUTANTS = (
            "[(x, g * s * (1.0 - s))]", "[(x, g * (1.0 - s))]", GRAD_CHECK),
     Mutant("add_relu_mask_ge_minus_one", TENSOR,
            "gm = g * (out > 0.0)", "gm = g * (out >= -1.0)", GRAD_CHECK),
+    Mutant("backward_overwrites_fan_out_gradient", TENSOR,
+           "grads[key] = grads[key] + pgrad if key in grads else pgrad", "grads[key] = pgrad",
+           GRAD_CHECK),
     # kernels: the loop oracles and memory bounds must fail each of these
     Mutant("conv3d_tap_offsets_swap_h_and_w", TENSOR,
            "buf[:, k] = xp[_tap((t, h, k), ext, stride)]",
@@ -106,9 +110,17 @@ MUTANTS = (
            "o, x.data.shape[2:], (1, 1, 1))] for o in itertools.product("
            "*map(range, w.data.shape[2:]))], 2), wflip.reshape(cin, cout, -1)))]",
            ("tests/test_tensor.py::test_conv3d_backward_gathers_one_row_of_taps",)),
+    # the gate: an inactive unit's all-open mask, the soft match's stability
+    Mutant("inactive_gate_fuses_no_clip", GATE,
+           "passed = np.ones(len(emb.data), bool)", "passed = np.zeros(len(emb.data), bool)",
+           ("tests/test_gate.py::test_unit_inactive_fuses_every_clip[multiplicative]",
+            "tests/test_gate.py::test_unit_inactive_fuses_every_clip[additive]")),
+    Mutant("soft_match_without_max_subtraction", GATE,
+           "np.exp(v - v.max(axis=-1, keepdims=True))", "np.exp(v)",
+           ("tests/test_gate.py::test_soft_match_weights_far_frames_finite_and_normalized",)),
     # construction and bookkeeping: the LSTM record's draw order, checkpoint
     # names, the top-k tie rule, noise-free clips and the op-count totals
-    Mutant("lstm_forget_bias_on_input_gate", "src/srtg/gate.py",
+    Mutant("lstm_forget_bias_on_input_gate", GATE,
            "b(1.0), b(0.0), b(0.0), b(0.0)", "b(0.0), b(1.0), b(0.0), b(0.0)",
            ("tests/test_gate.py::test_init_lstm_params_draws_weights_then_biases_forget_bias_one",)),
     Mutant("two_plus_one_d_temporal_norm_named_mid_bn", "src/srtg/blocks.py",

@@ -254,6 +254,44 @@ def test_soft_nn_empty_reference():
         soft_nearest_neighbor(np.array([[[0.0]]]), np.zeros((1, 0, 1)))
 
 
+def test_soft_match_weights_empty_reference_rejected_empty_query_empty():
+    with pytest.raises(ShapeError):
+        soft_match_weights(np.zeros((1, 1, 2)), np.zeros((1, 0, 2)))
+    assert soft_match_weights(np.zeros((2, 0, 2)), np.zeros((2, 3, 2))).shape == (2, 0, 3)
+
+
+def _squared_distances(query, ref):
+    return ((ref[:, None] - query[:, :, None]) ** 2).sum(axis=-1)
+
+
+def test_soft_match_weights_far_frames_finite_and_normalized():
+    # squared distances near 1e4, where exp(-d^2) is 0.0: only the
+    # max-subtracted softmax keeps every row a distribution
+    rng = np.random.default_rng(31)
+    query = rng.standard_normal((2, 3, 4))
+    ref = 100.0 + np.arange(5.0)[None, :, None] + rng.standard_normal((2, 5, 4))
+    assert (np.exp(-_squared_distances(query, ref)) == 0.0).all()
+    weights = soft_match_weights(query, ref)
+    assert np.isfinite(weights).all()
+    np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+    assert (weights.argmax(axis=-1) == _squared_distances(query, ref).argmin(axis=-1)).all()
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(1, 8), st.integers(1, 3), st.floats(0, 30), st.integers(0, 2**32 - 1))
+def test_soft_match_weights_normalized_and_shift_invariant(t_len, c_len, shift, seed):
+    # a last coordinate of `shift` in every reference frame and 0 in the query
+    # adds shift^2 to every squared distance, a common shift of the logits
+    rng = np.random.default_rng(seed)
+    query = rng.uniform(-4, 4, (2, 3, c_len))
+    ref = rng.uniform(-4, 4, (2, t_len, c_len))
+    weights = soft_match_weights(query, ref)
+    np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+    shifted = soft_match_weights(np.concatenate([query, np.zeros((2, 3, 1))], axis=-1),
+                                 np.concatenate([ref, np.full((2, t_len, 1), shift)], axis=-1))
+    np.testing.assert_allclose(shifted, weights, rtol=0, atol=1e-12)
+
+
 def test_nearest_index_hand_fixture():
     ref = np.array([[[0.0], [1.0]]])
     soft = soft_nearest_neighbor(np.array([[[0.0]]]), ref)
@@ -476,14 +514,14 @@ def test_soft_weights_translation_invariant(t_len, c_len, shift, seed):
 def test_fuse_multiplicative_zero_recurrent_halves():
     rng = np.random.default_rng(9)
     main = rng.standard_normal((2, 3, 4, 2, 2))
-    out = fuse(Tensor(main), Tensor(np.zeros((2, 4, 3))), "multiplicative")
+    out = fuse(Tensor(main), Tensor(np.zeros((2, 4, 3))), "multiplicative", np.ones(2, bool))
     np.testing.assert_allclose(out.data, 0.5 * main, rtol=0, atol=1e-15)
 
 
 def test_fuse_additive_zero_recurrent_identity():
     rng = np.random.default_rng(10)
     main = rng.standard_normal((2, 3, 4, 2, 2))
-    out = fuse(Tensor(main), Tensor(np.zeros((2, 4, 3))), "additive")
+    out = fuse(Tensor(main), Tensor(np.zeros((2, 4, 3))), "additive", np.ones(2, bool))
     np.testing.assert_array_equal(out.data, main)
 
 
@@ -492,7 +530,7 @@ def test_fuse_matches_broadcast_loop_oracle():
     main = rng.standard_normal((1, 2, 3, 2, 2))
     rec = rng.standard_normal((1, 3, 2))
     for mode in ("multiplicative", "additive"):
-        out = fuse(Tensor(main), Tensor(rec), mode).data
+        out = fuse(Tensor(main), Tensor(rec), mode, np.ones(1, bool)).data
         expect = np.zeros_like(main)
         for c in range(2):
             for t in range(3):
@@ -508,12 +546,14 @@ def test_fuse_matches_broadcast_loop_oracle():
 
 def test_fuse_shape_mismatch():
     with pytest.raises(ShapeError):
-        fuse(Tensor(np.zeros((1, 2, 3, 2, 2))), Tensor(np.zeros((1, 2, 3))))
+        fuse(Tensor(np.zeros((1, 2, 3, 2, 2))), Tensor(np.zeros((1, 2, 3))), "multiplicative",
+             np.ones(1, bool))
 
 
 def test_fuse_unknown_mode():
     with pytest.raises(ValueError, match="mode"):
-        fuse(Tensor(np.zeros((1, 2, 3, 2, 2))), Tensor(np.zeros((1, 3, 2))), "mean")
+        fuse(Tensor(np.zeros((1, 2, 3, 2, 2))), Tensor(np.zeros((1, 3, 2))), "mean",
+             np.ones(1, bool))
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +580,16 @@ def test_unit_inactive_additive_zero_lstm_identity():
     out, record = srtg_unit(Tensor(x), params, gate_active=False, mode="additive")
     assert record.verdicts == (GateVerdict.INACTIVE,)
     np.testing.assert_array_equal(out.data, x)
+
+
+@pytest.mark.parametrize("mode", ["multiplicative", "additive"])
+def test_unit_inactive_fuses_every_clip(mode):
+    params = init_lstm_params(3, 2, np.random.default_rng(25))
+    x = np.random.default_rng(26).standard_normal((3, 3, 4, 2, 2))
+    out, record = srtg_unit(Tensor(x), params, gate_active=False, mode=mode)
+    fused = fuse(Tensor(x), record.filtered, mode, np.ones(3, bool)).data
+    assert out.data.tobytes() == fused.tobytes()
+    assert all(not np.array_equal(out.data[clip], x[clip]) for clip in range(3))
 
 
 def test_unit_t1_gate_active_always_open_and_fused():
@@ -577,7 +627,7 @@ def test_unit_forced_mixed_verdict_passes_closed_clips_bit_identical(monkeypatch
     x[0, 1, 2, 1, 0] = -0.0
     out, record = srtg_unit(Tensor(x), params, gate_active=True, mode=mode)
     assert [v.fused for v in record] == [False, True, False, True]
-    fused = fuse(Tensor(x), record.filtered, mode).data
+    fused = fuse(Tensor(x), record.filtered, mode, np.ones(4, bool)).data
     for clip, verdict in enumerate(record):
         expect = fused[clip] if verdict.fused else x[clip]
         assert out.data[clip].tobytes() == expect.tobytes()

@@ -13,8 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from srtg import tensor as tt
 from srtg.blocks import Network
@@ -360,18 +358,8 @@ def test_pool_matches_loop_oracle():
 
 
 # ---------------------------------------------------------------------------
-# softmax, pointwise
+# cross-entropy labels, pointwise
 # ---------------------------------------------------------------------------
-
-
-def test_softmax_symmetry():
-    out = tt.stable_softmax(np.zeros(3))
-    np.testing.assert_allclose(out, [1 / 3] * 3, atol=1e-15)
-
-
-def test_softmax_empty_rejected():
-    with pytest.raises(ShapeError):
-        tt.stable_softmax(np.zeros(0))
 
 
 @pytest.mark.parametrize("label", [5, -1])
@@ -382,16 +370,6 @@ def test_cross_entropy_rejects_label_outside_classes(label):
 
 def test_pointwise_analytic_values():
     assert tt.sigmoid(Tensor([0.0])).data[0] == 0.5
-
-
-@settings(deadline=None, max_examples=50)
-@given(st.lists(st.floats(-50, 50), min_size=1, max_size=16), st.floats(-30, 30))
-def test_softmax_normalized_and_shift_invariant(vals, shift):
-    v = np.array(vals)
-    y = tt.stable_softmax(v)
-    assert abs(y.sum() - 1.0) <= 1e-12
-    y2 = tt.stable_softmax(v + shift)
-    np.testing.assert_allclose(y2, y, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +554,8 @@ def test_grad_check_every_primitive_small_shapes():
     cases.append((lambda: tt.global_avg_pool(pv), [pv]))
 
     vol, emb = _rand_params(rng, (3, 3, 2, 2, 2), (3, 2, 3))
-    for multiplicative, clips in itertools.product((True, False),
-                                                   (None, np.array([True, False, True]))):
+    masks = (np.ones(3, bool), np.array([True, False, True]))
+    for multiplicative, clips in itertools.product((True, False), masks):
         cases.append((lambda m=multiplicative, k=clips:
                       tt.fuse_embedding(vol, tt.sigmoid(emb), m, k), [vol, emb]))
 
@@ -631,7 +609,7 @@ def test_fuse_embedding_open_rows_match_numpy_oracle(multiplicative):
     out = tt.fuse_embedding(Tensor(vd), Tensor(ed), multiplicative, clips).data
     emap = ed[1].T[:, :, None, None]
     assert np.array_equal(out[1], vd[1] * emap if multiplicative else vd[1] + emap)
-    full = tt.fuse_embedding(Tensor(vd), Tensor(ed), multiplicative).data
+    full = tt.fuse_embedding(Tensor(vd), Tensor(ed), multiplicative, np.ones(3, bool)).data
     assert np.array_equal(out[1], full[1])
 
 
@@ -677,8 +655,8 @@ def test_sigmoid_extreme_inputs_stable():
 # replay runs, and the grad-check battery runs every model op
 # ---------------------------------------------------------------------------
 
-# tape machinery and the gate's plain-array softmax, not tape ops
-_NOT_OPS = {"backward", "grad_check", "no_grad", "stable_softmax"}
+# tape machinery, not tape ops
+_NOT_OPS = {"backward", "grad_check", "no_grad"}
 _OPS = [n for n in tt.__all__ if n not in _NOT_OPS and inspect.isfunction(getattr(tt, n))]
 
 
