@@ -20,6 +20,7 @@ A gated unit can be wired at six insertion points.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -181,12 +182,21 @@ class _Store:
 
     def _run_op(self, op, x, training):
         part, conv, norm = op
-        h = tt.conv3d(x, self.params[f"{conv}.weight"], part.stride,
-                      tuple(k // 2 for k in part.kernel))
-        # batch_norm consumes h, a fresh conv output that nothing else reads
-        return tt.batch_norm(h, self.params[f"{norm}.gamma"], self.params[f"{norm}.beta"],
-                             self.buffers[f"{norm}.running_mean"],
-                             self.buffers[f"{norm}.running_var"], training, relu=part.relu)
+        w, pad = self.params[f"{conv}.weight"], tuple(k // 2 for k in part.kernel)
+        gamma, beta = self.params[f"{norm}.gamma"], self.params[f"{norm}.beta"]
+        mean, var = self.buffers[f"{norm}.running_mean"], self.buffers[f"{norm}.running_var"]
+        if training:  # batch_norm consumes h, a fresh conv output that nothing else reads
+            return tt.batch_norm(tt.conv3d(x, w, part.stride, pad), gamma, beta, mean, var,
+                                 True, relu=part.relu)
+        # eval folds the norm into the conv (Jacob et al. 2018), s = gamma / sqrt(var + eps):
+        # conv(x, w * s) + (beta - mean * s), shifted and clamped in place as no tape records
+        s = gamma.data / np.sqrt(var + tt.BN_EPS)
+        h = tt.conv3d(x, Tensor(w.data * s[:, None, None, None, None]), part.stride, pad)
+        rows = h.data.reshape(len(h.data), len(s), -1)
+        rows += (beta.data - mean * s)[:, None]
+        if part.relu:
+            np.maximum(rows, 0.0, out=rows)
+        return h
 
     def named_params(self):
         yield from self.params.items()
@@ -224,6 +234,7 @@ class Block(_Store):
             self.params.update(self.lstm.named(f"{name}.srtg.lstm"))
 
     def forward(self, x, training, gate_log):
+        """The block on x; an eval forward (not `training`) records no tape."""
         def conv(step, h):
             for op in self._ops[step.tag]:
                 h = self._run_op(op, h, training)
@@ -235,7 +246,8 @@ class Block(_Store):
             gate_log.append((f"{self.name}.srtg", decisions))
             return out
 
-        return route(self.layout, x, conv, gate, tt.add_relu)
+        with nullcontext() if training else tt.no_grad():
+            return route(self.layout, x, conv, gate, tt.add_relu)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +277,8 @@ class Network(_Store):
         self.params["head.bias"] = Tensor(np.zeros(spec.num_classes), requires_grad=True)
 
     def forward(self, batch, training=False):
-        """batch: (N, C, T, H, W) Tensor or array. Returns (logits, gate log),
-        the log ordered by unit as encountered."""
+        """(logits, gate log) of batch, an (N, C, T, H, W) Tensor or array, the
+        log in unit order. An eval forward (not `training`) records no tape."""
         x = batch if isinstance(batch, Tensor) else Tensor(batch)
         if x.data.ndim != 5 or x.data.shape[1] != self.spec.in_channels:
             raise tt.ShapeError(
@@ -274,15 +286,15 @@ class Network(_Store):
                 f"got {x.data.shape}"
             )
         gate_log = []
-        h = self._run_op(self._stem, x, training)
-        if self.spec.stem_pool_kernel is not None:
-            k = self.spec.stem_pool_kernel
-            h = tt.max_pool3d(h, k, self.spec.stem_pool_stride,
-                              tuple(e // 2 for e in k))
-        for block in self.blocks:
-            h = block.forward(h, training, gate_log)
-        pooled = tt.global_avg_pool(h)
-        logits = tt.affine(pooled, self.params["head.weight"], self.params["head.bias"])
+        with nullcontext() if training else tt.no_grad():
+            h = self._run_op(self._stem, x, training)
+            if self.spec.stem_pool_kernel is not None:
+                k = self.spec.stem_pool_kernel
+                h = tt.max_pool3d(h, k, self.spec.stem_pool_stride, tuple(e // 2 for e in k))
+            for block in self.blocks:
+                h = block.forward(h, training, gate_log)
+            pooled = tt.global_avg_pool(h)
+            logits = tt.affine(pooled, self.params["head.weight"], self.params["head.bias"])
         return logits, gate_log
 
     def srtg_unit_names(self):

@@ -69,6 +69,7 @@ class NondeterministicError(RuntimeError):
 
 _seq_counter = itertools.count()
 _grad_enabled = True
+BN_EPS = 1e-5  # batch norm's variance offset, also read by the eval-time fold
 
 
 @contextmanager
@@ -566,7 +567,7 @@ def batch_norm(
 
     Training mode normalizes with batch statistics (biased variance) and
     updates the running buffers in place with momentum 0.1; eval mode uses the
-    running buffers. Variances are offset by 1e-5.
+    running buffers. Variances are offset by `BN_EPS`.
     `relu` fuses the following relu into this node (InPlace-ABN, Rota Bulo et
     al. 2018). The norm consumes x.data: it is centred in place, so pass an
     input that nothing else reads.
@@ -590,7 +591,7 @@ def batch_norm(
         running_var += 0.1 * var
     else:
         var = running_var
-    invstd = 1.0 / np.sqrt(var + 1e-5)
+    invstd = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= invstd[:, None]
     # only the backward reads xhat, so without a tape node it holds the output
     out = np.multiply(xhat, gamma.data[:, None], out=None if _records((x, gamma, beta)) else xhat)

@@ -19,7 +19,7 @@ from srtg import tensor as tt
 from srtg.blocks import Network
 from srtg.config import ConfigError, TrainConfig
 from srtg.data import Dataset, frame_bytes, read_file, read_frame, write_atomic
-from srtg.tensor import backward, no_grad
+from srtg.tensor import backward
 
 __all__ = [
     "SGD",
@@ -116,12 +116,11 @@ def gate_rates(gate_log) -> dict:
 
 def eval_batches(net: Network, ds: Dataset, batch_size: int):
     """Forward the split in eval mode, batch by batch in clip order; yields
-    (clip indices, logits, gate log). The tape stays off while the caller
-    handles each batch."""
-    with no_grad():
-        for idx in _batches(len(ds), batch_size):
-            logits, gate_log = net.forward(ds.clips[idx], training=False)
-            yield idx, logits, gate_log
+    (clip indices, logits, gate log). `Network.forward` turns the tape off
+    for an eval forward, so the logits carry no graph into the caller."""
+    for idx in _batches(len(ds), batch_size):
+        logits, gate_log = net.forward(ds.clips[idx], training=False)
+        yield idx, logits, gate_log
 
 
 def evaluate(net: Network, ds: Dataset, batch_size=16) -> Metrics:

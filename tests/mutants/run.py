@@ -46,6 +46,8 @@ GATE = "src/srtg/gate.py"
 GRAD_CHECK = ("tests/test_cli.py::test_grad_check_command_passes_every_target",)
 # one conv3d kernel kind against the loop oracles, by its parametrize id
 KINDS = "tests/test_tensor.py::test_conv3d_kernel_kinds_match_loop_oracles"
+# every conv step's eval fold against the unfolded norm, by network
+FOLD = "tests/test_blocks.py::test_folded_eval_steps_match_unfolded_norm"
 
 MUTANTS = (
     # gradients: `srtg grad-check` must fail each of these
@@ -110,6 +112,14 @@ MUTANTS = (
            "o, x.data.shape[2:], (1, 1, 1))] for o in itertools.product("
            "*map(range, w.data.shape[2:]))], 2), wflip.reshape(cin, cout, -1)))]",
            ("tests/test_tensor.py::test_conv3d_backward_gathers_one_row_of_taps",)),
+    # the eval-time batch-norm fold: its shift and its scale, against the
+    # unfolded norm on non-trivial running statistics
+    Mutant("bn_fold_shift_drops_mean_term", "src/srtg/blocks.py",
+           "rows += (beta.data - mean * s)[:, None]", "rows += beta.data[:, None]",
+           (f"{FOLD}[toy_gated]", f"{FOLD}[bottleneck_2plus1d_mid]")),
+    Mutant("bn_fold_scale_not_inverted", "src/srtg/blocks.py",
+           "s = gamma.data / np.sqrt(var + tt.BN_EPS)", "s = gamma.data * np.sqrt(var + tt.BN_EPS)",
+           (f"{FOLD}[toy_gated]", f"{FOLD}[bottleneck_2plus1d_mid]")),
     # the gate: an inactive unit's all-open mask, the soft match's stability
     Mutant("inactive_gate_fuses_no_clip", GATE,
            "passed = np.ones(len(emb.data), bool)", "passed = np.zeros(len(emb.data), bool)",

@@ -1,5 +1,6 @@
 """Residual block and network tests: placement wiring, shape preservation,
-identity paths, and gradient flow."""
+identity paths, gradient flow, and the tape-free eval forward with its
+batch norm folded into the conv."""
 
 import json
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from srtg import blocks
 from srtg import tensor as tt
 from srtg.blocks import Block, Network, block_layout
 from srtg.config import (
@@ -20,6 +22,8 @@ from srtg.config import (
 )
 from srtg.gate import GateVerdict
 from srtg.tensor import Tensor, backward, grad_check
+
+from oracles import batch_norm_oracle
 
 
 def _spec(depth="simple", conv="full_3d", placement="none", cin=4, cout=4,
@@ -213,19 +217,40 @@ def test_network_identical_clips_identical_logits():
     np.testing.assert_array_equal(logits.data[0], logits.data[1])
 
 
-@pytest.mark.parametrize("spec", [
+# a full-3D simple network and a (2+1)D bottleneck one with a projection skip
+EVAL_SPECS = [
     _mini_network_spec(),
     _mini_network_spec(placement="mid", depth="bottleneck", conv="two_plus_one_d",
                        channels=(4, 4)),
-], ids=["toy_gated", "bottleneck_2plus1d_mid"])
-def test_network_eval_without_tape_matches_eval_with_tape(spec):
-    # without a tape every batch norm writes its output over the conv output;
-    # the logits, the gate records and the caller's clips must not notice
+]
+EVAL_IDS = ["toy_gated", "bottleneck_2plus1d_mid"]
+
+
+def _tape_records(monkeypatch):
+    """Per engine op output from now on, whether it recorded a tape node."""
+    records, result = [], tt._result
+
+    def spy(data, parents, bwd):
+        out = result(data, parents, bwd)
+        records.append(out._bwd is not None)
+        return out
+
+    monkeypatch.setattr(tt, "_result", spy)
+    return records
+
+
+@pytest.mark.parametrize("spec", EVAL_SPECS, ids=EVAL_IDS)
+def test_network_eval_without_tape_matches_eval_with_tape(spec, monkeypatch):
+    # an eval forward records no tape even under an enabled one, since its
+    # folded steps shift and clamp each conv output in place; the logits, the
+    # gate records and the caller's clips must not notice the tape's state
     net = Network(spec, seed=8)
     x = np.random.default_rng(24).standard_normal((2, 1, 8, 16, 16))
     clips = x.copy()
+    records = _tape_records(monkeypatch)
     taped, taped_log = net.forward(x)
-    assert taped._bwd is not None and x.tobytes() == clips.tobytes()
+    assert records and not any(records) and taped._bwd is None
+    assert x.tobytes() == clips.tobytes()
     with tt.no_grad():
         untaped, untaped_log = net.forward(x)
     assert untaped._bwd is None and x.tobytes() == clips.tobytes()
@@ -236,6 +261,98 @@ def test_network_eval_without_tape_matches_eval_with_tape(spec):
                 for name, record in log]
 
     assert taped_log and seen(untaped_log) == seen(taped_log)
+    del records[:]
+    net.forward(x, training=True)
+    assert any(records)  # the spy sees a training forward's tape
+
+
+def test_block_eval_forward_records_no_tape(monkeypatch):
+    # a gated block on an input that needs a gradient: the LSTM, the fuse and
+    # the join would record, were the tape on
+    block = Block(_spec(placement="final", cin=4, cout=8, stride=(1, 2, 2)),
+                  np.random.default_rng(23))
+    x = Tensor(np.random.default_rng(24).standard_normal((2, 4, 4, 6, 6)), requires_grad=True)
+    records = _tape_records(monkeypatch)
+    log = []
+    out = block.forward(x, training=False, gate_log=log)
+    assert log and records and not any(records) and out._bwd is None
+
+
+def _perturb_norms(store, seed):
+    """Draw every norm's gamma, beta and running statistics away from their
+    init (gamma 1, beta 0, mean 0, variance 1), where a fold that drops the
+    shift or inverts the scale would still match."""
+    rng = np.random.default_rng(seed)
+    for name, p in store.named_params():
+        if name.endswith((".gamma", ".beta")):
+            p.data[:] = rng.uniform(0.5, 1.5, p.data.shape) * rng.choice([-1.0, 1.0], p.data.shape)
+    for name, buf in store.named_buffers():
+        buf[:] = rng.uniform(0.5, 2.0, buf.shape) if name.endswith("_var") else rng.normal(
+            0.0, 1.0, buf.shape)
+
+
+def _unfolded_run_op(store, op, x, training=False):
+    """An eval conv step as the engine's ops spell it: the conv on the
+    unscaled weights, then batch_norm on the running statistics. It takes
+    `_Store._run_op`'s arguments, to stand in for it in an eval forward."""
+    part, conv, norm = op
+    h = tt.conv3d(x, store.params[f"{conv}.weight"], part.stride,
+                  tuple(k // 2 for k in part.kernel))
+    return tt.batch_norm(h, store.params[f"{norm}.gamma"], store.params[f"{norm}.beta"],
+                         store.buffers[f"{norm}.running_mean"],
+                         store.buffers[f"{norm}.running_var"], False, relu=part.relu)
+
+
+def _rel_err(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+@pytest.mark.parametrize("spec", EVAL_SPECS, ids=EVAL_IDS)
+def test_folded_eval_steps_match_unfolded_norm(spec):
+    # every conv step of the network, the stem first: with and without relu,
+    # strided and not, and under (2+1)D both halves of each split
+    net = Network(spec, seed=9)
+    _perturb_norms(net, 25)
+    ops = [(net, net._stem)] + [(block, op) for block in net.blocks
+                                for step_ops in block._ops.values() for op in step_ops]
+    assert {op[0].relu for _, op in ops} == {True, False}
+    assert any(op[0].stride != (1, 1, 1) for _, op in ops[1:])
+    rng = np.random.default_rng(26)
+    for store, op in ops:
+        x = Tensor(rng.standard_normal((2, op[0].in_ch, 4, 6, 6)))
+        with tt.no_grad():
+            want = _unfolded_run_op(store, op, x).data
+        got = store._run_op(op, x, training=False).data
+        assert _rel_err(got, want) <= 1e-12, op[1]
+
+
+@pytest.mark.parametrize("spec", EVAL_SPECS, ids=EVAL_IDS)
+def test_folded_eval_forward_matches_unfolded_network(spec, monkeypatch):
+    net = Network(spec, seed=10)
+    _perturb_norms(net, 27)
+    x = np.random.default_rng(28).standard_normal((2, 1, 8, 16, 16))
+    got, got_log = net.forward(x)
+    monkeypatch.setattr(blocks._Store, "_run_op", _unfolded_run_op)
+    want, want_log = net.forward(x)
+    assert _rel_err(got.data, want.data) <= 1e-12
+    assert [r.verdicts for _, r in got_log] == [r.verdicts for _, r in want_log]
+
+
+def test_folded_eval_step_matches_batch_norm_oracle():
+    # a strided 3x3x3 step with a relu, against the scalar-loop norm
+    block = Block(_spec(cin=2, cout=3, stride=(1, 2, 2)), np.random.default_rng(29))
+    _perturb_norms(block, 30)
+    op = block._ops["conv1"][0]
+    part, conv, norm = op
+    assert part.relu and part.stride == (1, 2, 2)
+    x = Tensor(np.random.default_rng(31).standard_normal((2, 2, 3, 4, 4)))
+    h = tt.conv3d(x, block.params[f"{conv}.weight"], part.stride, (1, 1, 1))
+    want, _, _ = batch_norm_oracle(h.data, block.params[f"{norm}.gamma"].data,
+                                   block.params[f"{norm}.beta"].data,
+                                   block.buffers[f"{norm}.running_mean"],
+                                   block.buffers[f"{norm}.running_var"], training=False)
+    got = block._run_op(op, x, training=False).data
+    assert _rel_err(got, np.maximum(want, 0.0)) <= 1e-12
 
 
 def test_network_smoke_backward_populates_all_grads():
