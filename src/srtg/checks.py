@@ -58,12 +58,13 @@ def _check_primitives():
 
 
 def _check_lstm_layer():
-    # one layer, N=2, T=4, C=2; the input is a parameter so the hand-written
-    # BPTT's input gradient is checked too
+    # a two-layer stack, N=2, T=4, C=2, so the gradient that crosses from one
+    # layer to the one below is checked; the input is a parameter so the
+    # hand-written BPTT's input gradient is checked too
     rng = np.random.default_rng(1)
-    params = init_lstm_params(2, 1, rng)
+    params = init_lstm_params(2, 2, rng)
     leaves = [p for _, p in params.named("l")]
-    for bias in leaves[4:]:
+    for bias in leaves[4:8] + leaves[12:]:
         bias.data += rng.standard_normal(2) * 0.5
     xs = Tensor(rng.standard_normal((2, 4, 2)), requires_grad=True)
     return grad_check(lambda: recursion(xs, params), [xs] + leaves)

@@ -129,12 +129,9 @@ def squeeze(volume: Tensor) -> Tensor:
 
 
 def recursion(embedding: Tensor, params: LstmParams) -> Tensor:
-    """Run the stacked LSTM over (N, T, C), one `tt.lstm_layer` tape node per
-    layer; output is the last layer's hidden sequence, same shape as the input."""
-    seq = embedding
-    for layer in params.layers:
-        seq = tt.lstm_layer(seq, layer[:4], layer[4:])
-    return seq
+    """Run the stacked LSTM over (N, T, C) as one `tt.lstm` tape node; output is
+    the last layer's hidden sequence, same shape as the input."""
+    return tt.lstm(embedding, params.layers)
 
 
 # ---------------------------------------------------------------------------

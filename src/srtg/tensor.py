@@ -26,7 +26,7 @@ __all__ = [
     "affine",
     "sigmoid",
     "sum_all",
-    "lstm_layer",
+    "lstm",
     "conv3d",
     "batch_norm",
     "max_pool3d",
@@ -224,10 +224,10 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def _sigmoid(x):
+def _sigmoid(x, out=None):
     # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so exp never overflows
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.exp(np.minimum(x, 0.0)), 1.0 + e, out=out)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -244,74 +244,101 @@ def sum_all(x: Tensor) -> Tensor:
     )
 
 
-def lstm_layer(seq: Tensor, weights, biases) -> Tensor:
-    """One LSTM layer over a (N, T, C_in) sequence -> (N, T, C) hidden states.
+def lstm(seq: Tensor, layers) -> Tensor:
+    """A stack of LSTM layers over a (N, T, C_in) sequence -> (N, T, C), the last
+    layer's hidden states.
 
-    weights are the forget, input, candidate and output gates' (C, C + C_in)
-    maps of [h_(t-1), x_t], biases their (C,) offsets; from zero state,
-    c_t = f*c_(t-1) + i*cand and h_t = o*tanh(c_t), with sigmoid f, i, o and a
-    tanh candidate. The input half of every gate is one matmul over the whole
-    sequence (cuDNN's hoisted projection); only h_(t-1) @ W_h^T runs per step.
-    One tape node: its BPTT backward collects dz for every gate and step, then
-    dW, db and dseq are one matmul or sum each.
+    Each layer is its forget, input, candidate and output gates' (C, C + C_in)
+    maps of [h_(t-1), x_t], then their (C,) biases; layer l >= 1 reads layer
+    l-1's hidden states, so its C_in is C. From zero state, c_t = f*c_(t-1) +
+    i*cand and h_t = o*tanh(c_t), with sigmoid f, i, o and a tanh candidate.
+    The layers run as a wavefront (Appleyard, Kocisky & Blunsom 2016): wave
+    step s runs layer l at time s - l, so L layers take T + L - 1 steps of one
+    stacked recurrent product and one set of elementwise calls each. Layer 0's
+    input half is one matmul over the whole sequence (cuDNN's hoisted
+    projection); layer l >= 1 projects layer l-1's fresh output inside the
+    step, in the same sum order. One tape node: its BPTT backward walks the
+    waves in reverse, collecting dz for every layer, gate and step, then each
+    layer's dW and db are one matmul or sum.
     """
     if seq.data.ndim != 3:
-        raise ShapeError(f"lstm_layer: input must be (N, T, C), got {seq.data.shape}")
+        raise ShapeError(f"lstm: input must be (N, T, C), got {seq.data.shape}")
     n, t, cin = seq.data.shape
-    c = weights[0].data.shape[0]
-    for w, b in zip(weights, biases):
-        if w.data.shape != (c, c + cin) or b.data.shape != (c,):
-            raise ShapeError(f"lstm_layer: gate weights {w.data.shape} and bias "
-                             f"{b.data.shape}, expected ({c}, {c + cin}) and ({c},)")
-    wcat = np.concatenate([w.data for w in weights])  # (4C, C + C_in): f | i | cand | o
-    wh = np.ascontiguousarray(wcat[:, :c])
-    whT = np.ascontiguousarray(wh.T)
-    wx = wcat[:, c:]
-    # time-major, so every step reads and writes contiguous (N, .) rows
+    nl, c = len(layers), layers[0][0].data.shape[0]
+    for li, layer in enumerate(layers):
+        width = c if li else cin
+        for w, b in zip(layer[:4], layer[4:]):
+            if w.data.shape != (c, c + width) or b.data.shape != (c,):
+                raise ShapeError(f"lstm: layer {li} gate weights {w.data.shape} and bias "
+                                 f"{b.data.shape}, expected ({c}, {c + width}) and ({c},)")
+    wcat = [np.concatenate([w.data for w in layer[:4]]) for layer in layers]  # f | i | cand | o
+    whT = np.ascontiguousarray(np.stack([w[:, :c].T for w in wcat]))  # (L, C, 4C)
+    wx = [w[:, c:] for w in wcat]
+    wxs = np.array(wx[1:]).reshape(nl - 1, 4 * c, c)  # the input maps projected in the step
+    bias = np.stack([np.broadcast_to(np.concatenate([b.data for b in layer[4:]]), (n, 4 * c))
+                     for layer in layers])
+    # wave-major: [s, l] is layer l at time s - l; hs and cs lead with the zero state
+    waves = t + nl - 1
     xs = np.ascontiguousarray(seq.data.transpose(1, 0, 2))
-    zx = (xs.reshape(t * n, cin) @ wx.T).reshape(t, n, 4 * c)
-    zx += np.concatenate([b.data for b in biases])
-    acts = np.empty((t, n, 4 * c))  # gate activations
-    cs, hs = np.empty((t, n, c)), np.empty((t, n, c))
-    h = cell = np.zeros((n, c))
-    for s in range(t):
-        z = h @ whT
-        z += zx[s]
-        a = acts[s]
-        a[:] = _sigmoid(z)
-        np.tanh(z[:, 2 * c:3 * c], out=a[:, 2 * c:3 * c])
-        cell = np.multiply(a[:, :c], cell, out=cs[s])
-        cell += a[:, c:2 * c] * a[:, 2 * c:3 * c]
-        h = np.multiply(a[:, 3 * c:], np.tanh(cell), out=hs[s])
+    zx = np.empty((waves, nl, n, 4 * c))
+    zx[:t, 0] = (xs.reshape(t * n, cin) @ wx[0].T).reshape(t, n, 4 * c)
+    zx[:t, 0] += bias[0]
+    acts = np.zeros((waves, nl, n, 4 * c))  # gate activations
+    cs, hs = np.zeros((waves + 1, nl, n, c)), np.zeros((waves + 1, nl, n, c))
+    # the layers lo..hi-1 run in wave s; up..hi-1 of them project their input in it
+    sched = [(max(0, s - t + 1), min(nl, s + 1), max(1, s - t + 1)) for s in range(waves)]
+    for s, (lo, hi, up) in enumerate(sched):
+        np.matmul(hs[s, up - 1:hi - 1], wxs[up - 1:hi - 1].transpose(0, 2, 1), out=zx[s, up:hi])
+        np.add(zx[s, up:hi], bias[up:hi], out=zx[s, up:hi])
+        z = hs[s, lo:hi] @ whT[lo:hi]
+        z += zx[s, lo:hi]
+        a = _sigmoid(z, out=acts[s, lo:hi])
+        np.tanh(z[..., 2 * c:3 * c], out=a[..., 2 * c:3 * c])
+        cell = np.multiply(a[..., :c], cs[s, lo:hi], out=cs[s + 1, lo:hi])
+        cell += a[..., c:2 * c] * a[..., 2 * c:3 * c]
+        np.multiply(a[..., 3 * c:], np.tanh(cell), out=hs[s + 1, lo:hi])
 
     def bwd(g):
         gt = g.transpose(1, 0, 2)
-        tc = np.tanh(cs)
+        tc = np.tanh(cs[1:])
         f, i, cand, o = np.split(acts, 4, axis=-1)
-        first = np.zeros((1, n, c))
-        prev_c = np.concatenate([first, cs[:-1]])
         # dz[s] = [dc, dc, dc, dh] * local[s], gate by gate
-        local = np.stack([prev_c * f * (1.0 - f), cand * i * (1.0 - i),
-                          i * (1.0 - cand * cand), tc * o * (1.0 - o)], axis=2)
+        local = np.stack([cs[:-1] * f * (1.0 - f), cand * i * (1.0 - i),
+                          i * (1.0 - cand * cand), tc * o * (1.0 - o)], axis=3)
         dtc = o * (1.0 - tc * tc)
-        dz = np.empty((t, n, 4, c))
-        dh_next = dc_next = np.zeros((n, c))
-        for s in range(t - 1, -1, -1):
-            dh = gt[s] + dh_next
-            dc = dh * dtc[s]
-            dc += dc_next
-            np.multiply(dc[:, None], local[s, :, :3], out=dz[s, :, :3])
-            np.multiply(dh, local[s, :, 3], out=dz[s, :, 3])
-            dc_next = dc * f[s]
-            dh_next = dz[s].reshape(n, 4 * c) @ wh
-        dz = dz.reshape(t * n, 4 * c)
-        inputs = np.concatenate([np.concatenate([first, hs[:-1]]), xs], axis=-1)
-        dw = np.split(dz.T @ inputs.reshape(t * n, c + cin), 4)
-        db = np.split(dz.sum(axis=0), 4)
-        dseq = (dz @ wx).reshape(t, n, cin).transpose(1, 0, 2)
-        return [(seq, dseq)] + list(zip(weights, dw)) + list(zip(biases, db))
+        # per layer [W_h | W_x] (zero W_x for layer 0), so one product per wave
+        # gives each layer's dh from its next step and the output gradient of
+        # the layer below it: the rows of p; the row above the top carries g
+        wb = np.zeros((nl, 4 * c, 2 * c))
+        wb[:, :, :c] = [w[:, :c] for w in wcat]
+        wb[1:, :, c:] = wxs
+        p = np.zeros((nl + 1, n, 2 * c))
+        dz = np.zeros((waves, nl, n, 4, c))
+        dc_next = np.zeros((nl, n, c))
+        for s in range(waves - 1, -1, -1):
+            lo, hi, _ = sched[s]
+            if hi == nl:
+                p[nl, :, c:] = gt[s - nl + 1]
+            dh = p[lo + 1:hi + 1, :, c:] + p[lo:hi, :, :c]
+            dc = dh * dtc[s, lo:hi]
+            dc += dc_next[lo:hi]
+            np.multiply(dc[..., None, :], local[s, lo:hi, :, :3], out=dz[s, lo:hi, :, :3])
+            np.multiply(dh, local[s, lo:hi, :, 3], out=dz[s, lo:hi, :, 3])
+            np.multiply(dc, f[s, lo:hi], out=dc_next[lo:hi])
+            np.matmul(dz[s, lo:hi].reshape(-1, n, 4 * c), wb[lo:hi], out=p[lo:hi])
+        grads = []
+        for li in range(nl):
+            dzl = dz[li:li + t, li].reshape(t * n, 4 * c)
+            x = xs if li == 0 else hs[li:li + t, li - 1]
+            inputs = np.concatenate([hs[li:li + t, li], x], axis=-1)
+            dw = np.split(dzl.T @ inputs.reshape(t * n, -1), 4)
+            db = np.split(dzl.sum(axis=0), 4)
+            grads += list(zip(layers[li][:4], dw)) + list(zip(layers[li][4:], db))
+        dseq = (dz[:t, 0].reshape(t * n, 4 * c) @ wx[0]).reshape(t, n, cin).transpose(1, 0, 2)
+        return [(seq, dseq)] + grads
 
-    return _result(hs.transpose(1, 0, 2), (seq, *weights, *biases), bwd)
+    leaves = [p for layer in layers for p in layer]
+    return _result(hs[nl:, -1].transpose(1, 0, 2), (seq, *leaves), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +396,12 @@ def _channels_last(w):
 
 
 def _rows(xp, w, ext, stride):
-    """((t, h), matrix) for each (kT, kH) row of w's taps over the padded xp,
-    all in one reused buffer: channels-last, an (N*oT*oH*oW, kW*C_in) copy of
-    one strided window per output position; otherwise (N, kW*C_in, oT*oH*oW),
-    the row's kW taps copied one by one, or a one-tap row read as it is."""
+    """(taps, matrix) for each row of w's taps over the padded xp, taps indexing
+    the row in w's (kT, kH) axes: channels-last, a (kT, kH) row of kW taps, an
+    (N*oT*oH*oW, kW*C_in) copy of one strided window per output position, in one
+    buffer reused from row to row; a one-channel input's one row, its whole
+    kT*kH*kW patch, an (N, kT*kH*kW, oT*oH*oW) copy made tap by tap; otherwise a
+    kW = 1 row, (N, C_in, oT*oH*oW), its one tap read as it is."""
     n, cin = xp.shape[:2]
     kt, kh, kw = w.shape[2:]
     if _channels_last(w):
@@ -382,29 +411,34 @@ def _rows(xp, w, ext, stride):
         for t, h in itertools.product(range(kt), range(kh)):
             buf[...] = np.lib.stride_tricks.as_strided(xl[:, t, h], buf.shape, steps)
             yield (t, h), buf.reshape(-1, kw * cin)
-        return
-    buf = np.empty((n, kw, cin) + ext) if kw > 1 else None
-    for t, h in itertools.product(range(kt), range(kh)):
-        if buf is not None:
-            for k in range(kw):
-                buf[:, k] = xp[_tap((t, h, k), ext, stride)]
-        row = xp[_tap((t, h, 0), ext, stride)] if buf is None else buf
-        yield (t, h), row.reshape(n, kw * cin, -1)
+    elif cin == 1:
+        offsets = list(itertools.product(range(kt), range(kh), range(kw)))
+        buf = np.empty((n, len(offsets)) + ext)
+        for k, off in enumerate(offsets):
+            buf[:, k] = xp[_tap(off, ext, stride)][:, 0]
+        yield (slice(None), slice(None)), buf.reshape(n, len(offsets), -1)
+    else:
+        for t, h in itertools.product(range(kt), range(kh)):
+            yield (t, h), xp[_tap((t, h, 0), ext, stride)].reshape(n, cin, -1)
 
 
 def _correlate(xp, w, ext, stride):
     """The (N, C_out) + ext correlation of a padded xp with w: one BLAS matmul
-    per row of `_rows`, not k^3 products (of contraction 1 on a 1-channel input)
-    nor a k^3-copy im2col matrix. Channels-last, the (N*M, C_out) sum is transposed
-    back once; both layouts sum the same terms in the same order, to the same bits."""
+    per row of `_rows`, not k^3 products (of contraction 1 on a 1-channel input,
+    which is one product over its whole patch instead) nor a k^3-copy im2col
+    matrix of a multi-channel input. Channels-last, the (N*M, C_out) sum is
+    transposed back once; both layouts sum the same terms in the same order,
+    to the same bits."""
     n = xp.shape[0]
     cout, cin, kt, kh, kw = w.shape
     last = _channels_last(w)
     order = (2, 3, 4, 1, 0) if last else (2, 3, 0, 4, 1)  # tap-major rows
     wrow = w.transpose(order).reshape((kt, kh) + ((kw * cin, cout) if last else (cout, -1)))
+    if cin == 1:
+        wrow = w.reshape(cout, -1)  # the patch's row: (C_out, kT*kH*kW)
     out = None
-    for th, row in _rows(xp, w, ext, stride):
-        part = row @ wrow[th] if last else wrow[th] @ row
+    for taps, row in _rows(xp, w, ext, stride):
+        part = row @ wrow[taps] if last else wrow[taps] @ row
         if out is None:
             out = part
         else:
@@ -417,16 +451,17 @@ def _correlate(xp, w, ext, stride):
 
 def _weight_grad(xp, w, g, stride):
     """dw of the correlation of xp with w, given its output gradient g: one
-    (kW*C_in, C_out) product per row of `_rows` (the whole batch contracted at
+    (taps*C_in, C_out) product per row of `_rows` (the whole batch contracted at
     once channels-last, else per clip, then summed), so not per offset's bits."""
-    cout, cin, _, _, kw = w.shape
+    cout, cin = w.shape[:2]
     last = _channels_last(w)
     gm = g.transpose(0, 2, 3, 4, 1).reshape(-1, cout) if last else g.reshape(
         len(g), cout, -1).transpose(0, 2, 1)
     dw = np.empty_like(w)
-    for (t, h), row in _rows(xp, w, g.shape[2:], stride):
+    for taps, row in _rows(xp, w, g.shape[2:], stride):
         part = row.T @ gm if last else (row @ gm).sum(axis=0)
-        dw[:, :, t, h] = part.reshape(kw, cin, cout).transpose(2, 1, 0)
+        dst = dw[(slice(None), slice(None)) + taps]  # (C_out, C_in) + the row's tap axes
+        dst[...] = np.moveaxis(part.reshape(dst.shape[2:] + (cin, cout)), (-1, -2), (0, 1))
     return dw
 
 

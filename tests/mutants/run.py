@@ -58,7 +58,7 @@ MUTANTS = (
     Mutant("conv3d_dw_sign_flipped_channels_first", TENSOR,
            "else (row @ gm).sum(axis=0)", "else -(row @ gm).sum(axis=0)", GRAD_CHECK),
     Mutant("conv3d_dw_nan", TENSOR,
-           "dw[:, :, t, h] = part", "dw[:, :, t, h] = np.nan * part", GRAD_CHECK),
+           "dst[...] = np.moveaxis(", "dst[...] = np.nan * np.moveaxis(", GRAD_CHECK),
     Mutant("conv3d_strided_dx_scatter_scaled", TENSOR,
            "dxp[_tap(off, ext, stride)] += (wk[off].T @ g2)",
            "dxp[_tap(off, ext, stride)] += 1.01 * (wk[off].T @ g2)", GRAD_CHECK),
@@ -74,7 +74,11 @@ MUTANTS = (
     Mutant("batch_norm_fused_relu_mask_dropped", TENSOR,
            "g3 = g3 * (out > 0.0)", "pass", GRAD_CHECK),
     Mutant("lstm_dc_next_without_forget_gate", TENSOR,
-           "dc_next = dc * f[s]", "dc_next = dc", GRAD_CHECK),
+           "np.multiply(dc, f[s, lo:hi], out=dc_next[lo:hi])",
+           "np.copyto(dc_next[lo:hi], dc)", GRAD_CHECK),
+    Mutant("lstm_unstarted_layer_runs_and_keeps_state", TENSOR,
+           "sched = [(max(0, s - t + 1), min(nl, s + 1),", "sched = [(max(0, s - t + 1), nl,",
+           ("tests/test_gate.py::test_recursion_matches_unrolled_oracle",)),
     Mutant("spatial_pool_not_dividing_by_w", TENSOR, "/ (h * w)", "/ h", GRAD_CHECK),
     Mutant("max_pool_routes_all_to_offset_0", TENSOR,
            "+= g * (argoff == idx)", "+= g * (idx == 0)", GRAD_CHECK),
@@ -91,8 +95,8 @@ MUTANTS = (
            GRAD_CHECK),
     # kernels: the loop oracles and memory bounds must fail each of these
     Mutant("conv3d_tap_offsets_swap_h_and_w", TENSOR,
-           "buf[:, k] = xp[_tap((t, h, k), ext, stride)]",
-           "buf[:, k] = xp[_tap((t, k, h), ext, stride)]",
+           "buf[:, k] = xp[_tap(off, ext, stride)][:, 0]",
+           "buf[:, k] = xp[_tap((off[0], off[2], off[1]), ext, stride)][:, 0]",
            (f"{KINDS}[cin1-3x3x3-s111]",)),
     Mutant("conv3d_channels_last_gather_ignores_w_stride", TENSOR,
            "(1, *stride, 1)", "(1, *stride[:2], 1, 1)",

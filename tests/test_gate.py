@@ -1,6 +1,7 @@
 """Gate unit tests: scalar-loop recurrence oracle, hand-computed matching
 fixtures, brute-force consistency oracle, and the gating properties."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -717,3 +718,41 @@ def test_record_holds_the_units_own_embeddings(monkeypatch, gate_active):
     emb, filtered = made
     assert record.emb is emb and record.filtered is filtered
     assert emb.shape == filtered.shape == (3, 4, 2)
+
+
+# SHA-256 of recursion's output, input gradient and all 16 weight and bias
+# gradients on one seeded draw, taken from the layer-by-layer LSTM that the
+# wavefront replaced (numpy 2.4, OpenBLAS 0.3.31, x86-64): the wavefront must
+# keep every sum order. Shapes: the toy and long_clip_gate units, T = 1 and
+# the toy val split's last batch of 4 clips.
+_RECURSION_DIGESTS = {
+    (8, 8, 8): "420f92906bcd9d2de5f126d61bc465a40d5f884da565546b03873c5314dda743",
+    (8, 4, 16): "80e91c12daec168429cfca468ef61e2bbfbfc97d95cdde8c527b537a6860e313",
+    (8, 32, 8): "2d66563059d354a5a8e56a62b7af10dd79a6978ed414af42d380d45d98cc6932",
+    (8, 16, 8): "42de83fb9a431b5ef5c6ccf250b19d9debc259a638f06217bd43032457bc7241",
+    (8, 1, 8): "4a985f9a0e83d96bef67446324fca4aa22fcdd7cab513fecfa2acf3ad24f737d",
+    (4, 8, 8): "682d1100513ff3cfa7664684f8e4461cde251f409bc684b62bf6f28bce7067e3",
+}
+
+
+@pytest.mark.parametrize("shape", list(_RECURSION_DIGESTS), ids=str)
+def test_recursion_bytes_match_the_layer_by_layer_lstm(shape):
+    n, t, c = shape
+    rng = np.random.default_rng(33)
+    params = init_lstm_params(c, 2, rng)
+    leaves = [p for _, p in params.named("l")]
+    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    tt.backward(sg.recursion(x, params), rng.standard_normal(shape))
+    blob = b"".join(a.tobytes() for a in [sg.recursion(x, params).data, x.grad] + [p.grad for p in leaves])
+    assert hashlib.sha256(blob).hexdigest() == _RECURSION_DIGESTS[shape]
+
+
+def test_lstm_refuses_a_layer_whose_input_is_not_the_previous_hidden_width():
+    rng = np.random.default_rng(5)
+    first, second = init_lstm_params(3, 2, rng).layers
+    narrow = init_lstm_params(2, 1, rng).layers[0]  # (2, 4) maps: input width 2, not 3
+    x = Tensor(np.zeros((1, 4, 3)))
+    with pytest.raises(ShapeError, match="layer 1"):
+        tt.lstm(x, [first, narrow])
+    with pytest.raises(ShapeError, match="layer 2"):
+        tt.lstm(x, [first, second, narrow])

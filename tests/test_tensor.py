@@ -559,12 +559,11 @@ def test_grad_check_every_primitive_small_shapes():
         cases.append((lambda m=multiplicative, k=clips:
                       tt.fuse_embedding(vol, tt.sigmoid(emb), m, k), [vol, emb]))
 
+    # a two-layer stack whose input width (3) is not its hidden width (2)
     seq = _rand_params(rng, (2, 4, 3))[0]
-    gates = _rand_params(rng, *[(2, 5)] * 4)
-    gate_biases = _rand_params(rng, *[(2,)] * 4)
-    cases.append(
-        (lambda: tt.lstm_layer(seq, gates, gate_biases), [seq, *gates, *gate_biases])
-    )
+    first = _rand_params(rng, *[(2, 5)] * 4, *[(2,)] * 4)
+    second = _rand_params(rng, *[(2, 4)] * 4, *[(2,)] * 4)
+    cases.append((lambda: tt.lstm(seq, [first, second]), [seq, *first, *second]))
 
     mp = _rand_params(rng, (1, 2, 4, 4, 4))[0]
     cases.append(
