@@ -227,7 +227,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def _sigmoid(x, out=None):
     # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so exp never overflows
     e = np.exp(-np.abs(x))
-    return np.divide(np.exp(np.minimum(x, 0.0)), 1.0 + e, out=out)
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -310,7 +310,7 @@ def lstm(seq: Tensor, layers) -> Tensor:
         # gives each layer's dh from its next step and the output gradient of
         # the layer below it: the rows of p; the row above the top carries g
         wb = np.zeros((nl, 4 * c, 2 * c))
-        wb[:, :, :c] = [w[:, :c] for w in wcat]
+        wb[:, :, :c] = whT.transpose(0, 2, 1)
         wb[1:, :, c:] = wxs
         p = np.zeros((nl + 1, n, 2 * c))
         dz = np.zeros((waves, nl, n, 4, c))
@@ -433,9 +433,8 @@ def _correlate(xp, w, ext, stride):
     cout, cin, kt, kh, kw = w.shape
     last = _channels_last(w)
     order = (2, 3, 4, 1, 0) if last else (2, 3, 0, 4, 1)  # tap-major rows
-    wrow = w.transpose(order).reshape((kt, kh) + ((kw * cin, cout) if last else (cout, -1)))
-    if cin == 1:
-        wrow = w.reshape(cout, -1)  # the patch's row: (C_out, kT*kH*kW)
+    wrow = w.reshape(cout, -1) if cin == 1 else w.transpose(order).reshape(  # one patch row
+        (kt, kh) + ((kw * cin, cout) if last else (cout, -1)))
     out = None
     for taps, row in _rows(xp, w, ext, stride):
         part = row @ wrow[taps] if last else wrow[taps] @ row

@@ -79,6 +79,23 @@ MUTANTS = (
     Mutant("lstm_unstarted_layer_runs_and_keeps_state", TENSOR,
            "sched = [(max(0, s - t + 1), min(nl, s + 1),", "sched = [(max(0, s - t + 1), nl,",
            ("tests/test_gate.py::test_recursion_matches_unrolled_oracle",)),
+    # the gradient that crosses down a layer reaches layer l - 1 one wave late:
+    # it reads the rows of p that layer l wrote two waves on, not one
+    Mutant("lstm_cross_layer_grad_one_wave_late", TENSOR,
+           "        for s in range(waves - 1, -1, -1):\n"
+           "            lo, hi, _ = sched[s]\n"
+           "            if hi == nl:\n"
+           "                p[nl, :, c:] = gt[s - nl + 1]\n"
+           "            dh = p[lo + 1:hi + 1, :, c:] + p[lo:hi, :, :c]\n",
+           "        late = p[:, :, c:].copy()\n"
+           "        for s in range(waves - 1, -1, -1):\n"
+           "            lo, hi, _ = sched[s]\n"
+           "            if hi == nl:\n"
+           "                p[nl, :, c:] = late[nl] = gt[s - nl + 1]\n"
+           "            dh = late[lo + 1:hi + 1] + p[lo:hi, :, :c]\n"
+           "            late[:nl] = p[:nl, :, c:]\n",
+           ("tests/test_gate.py::test_recursion_bytes_match_the_layer_by_layer_lstm[8x8x8]",
+            *GRAD_CHECK)),
     Mutant("spatial_pool_not_dividing_by_w", TENSOR, "/ (h * w)", "/ h", GRAD_CHECK),
     Mutant("max_pool_routes_all_to_offset_0", TENSOR,
            "+= g * (argoff == idx)", "+= g * (idx == 0)", GRAD_CHECK),

@@ -735,7 +735,7 @@ _RECURSION_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("shape", list(_RECURSION_DIGESTS), ids=str)
+@pytest.mark.parametrize("shape", list(_RECURSION_DIGESTS), ids=lambda s: "x".join(map(str, s)))
 def test_recursion_bytes_match_the_layer_by_layer_lstm(shape):
     n, t, c = shape
     rng = np.random.default_rng(33)
