@@ -185,6 +185,10 @@ class _Store:
         w, pad = self.params[f"{conv}.weight"], tuple(k // 2 for k in part.kernel)
         gamma, beta = self.params[f"{norm}.gamma"], self.params[f"{norm}.beta"]
         mean, var = self.buffers[f"{norm}.running_mean"], self.buffers[f"{norm}.running_var"]
+        if training and part.kernel == (1, 1, 1) and part.in_ch < part.out_ch:
+            # an expansion's norm, from the statistics of its narrow input
+            return tt.pointwise_conv_norm(x, w, gamma, beta, mean, var, part.stride,
+                                          relu=part.relu)
         if training:  # batch_norm consumes h, a fresh conv output that nothing else reads
             return tt.batch_norm(tt.conv3d(x, w, part.stride, pad), gamma, beta, mean, var,
                                  True, relu=part.relu)

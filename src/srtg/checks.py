@@ -38,6 +38,9 @@ def _check_primitives():
     fe = Tensor(rng.standard_normal((2, 2, 3)) * 0.5, requires_grad=True)
     mask = np.array([True, False])
     gamma, beta = (Tensor(rng.standard_normal(2) * 0.1 + k, requires_grad=True) for k in (1, 0))
+    # a 1x1x1 expansion (2 -> 3 channels) and its norm, as one op
+    pw = Tensor(rng.standard_normal((3, 2, 1, 1, 1)) * 0.5, requires_grad=True)
+    pg, pb = (Tensor(rng.standard_normal(3) * 0.1 + k, requires_grad=True) for k in (1, 0))
 
     def head():
         pooled = tt.global_avg_pool(tt.max_pool3d(hv, (1, 3, 3), (1, 2, 2), (0, 1, 1)))
@@ -53,6 +56,10 @@ def _check_primitives():
         (lambda: tt.fuse_embedding(fv, fe, False, mask), [fv, fe]),
         (lambda: tt.batch_norm(tt.conv3d(x, w, padding=(1, 1, 1)), gamma, beta, np.zeros(2),
                                np.ones(2), training=True, relu=True), [w, gamma, beta]),
+        (lambda: tt.pointwise_conv_norm(x, pw, pg, pb, np.zeros(3), np.ones(3), (1, 1, 1),
+                                        relu=True), [x, pw, pg, pb]),
+        (lambda: tt.pointwise_conv_norm(x, pw, pg, pb, np.zeros(3), np.ones(3), (2, 2, 2)),
+         [x, pw, pg, pb]),
     ]
     return max(grad_check(f, params) for f, params in cases)
 

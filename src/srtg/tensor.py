@@ -29,6 +29,7 @@ __all__ = [
     "lstm",
     "conv3d",
     "batch_norm",
+    "pointwise_conv_norm",
     "max_pool3d",
     "spatial_avg_pool",
     "global_avg_pool",
@@ -650,6 +651,73 @@ def batch_norm(
         return [(x, dx.reshape(x.data.shape)), (gamma, dgamma), (beta, dbeta)]
 
     return _result(out.reshape(x.data.shape), (x, gamma, beta), bwd)
+
+
+def pointwise_conv_norm(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
+                        running_mean: np.ndarray, running_var: np.ndarray, stride=(1, 1, 1),
+                        *, relu: bool = False) -> Tensor:
+    """batch_norm(conv3d(x, w, stride), gamma, beta, running_mean, running_var,
+    training=True, relu=relu) for a 1x1x1 w, computed on the C_in side.
+
+    The conv applies one (C_out, C_in) matrix W at every position, so with hc
+    the centred strided input and S = sum(hc hc^T) / P its covariance over the
+    P positions, the output's batch mean is W mu and its variance
+    diag(W S W^T). For s = gamma / sqrt(var + eps) the output is one product
+    (s*W) @ hc + beta: neither the conv output, nor the normalized one, nor
+    the norm's input gradient is built at C_out width, and x is not written.
+    The backward is the pair's, written with G = sum(g hc^T):
+    dW = s*G - a*(W S)*P and dx = (s*W)^T g - (W^T diag(a) W) hc -
+    W^T (s*dbeta) / P, for a = s * invstd * dgamma / P.
+    """
+    if x.data.ndim != 5:
+        raise ShapeError(f"pointwise_conv_norm: input must be rank 5, got {x.data.shape}")
+    n, cin = x.data.shape[:2]
+    cout = w.data.shape[0]
+    if w.data.shape != (cout, cin, 1, 1, 1) or {gamma.data.shape, beta.data.shape} != {(cout,)}:
+        raise ShapeError(f"pointwise_conv_norm: weights {w.data.shape} and affine params "
+                         f"{gamma.data.shape}, expected ({cout}, {cin}, 1, 1, 1) and ({cout},)")
+    st, sh, sw = stride
+    xs = x.data[:, :, ::st, ::sh, ::sw]
+    mu = xs.sum(axis=(0, 2, 3, 4)) / (n * xs[0, 0].size)
+    hc = np.subtract(xs, mu[:, None, None, None]).reshape(n, cin, -1)
+    p = n * hc.shape[2]
+    wm = w.data.reshape(cout, cin)
+    wcov = wm @ ((hc @ hc.transpose(0, 2, 1)).sum(axis=0) / p)  # W S
+    var = np.einsum("oc,oc->o", wcov, wm)
+    running_mean *= 0.9
+    running_mean += 0.1 * (wm @ mu)
+    running_var *= 0.9
+    running_var += 0.1 * var
+    invstd = 1.0 / np.sqrt(var + BN_EPS)
+    s = gamma.data * invstd
+    ws = wm * s[:, None]
+    y = ws @ hc
+    y += beta.data[:, None]
+    if relu:
+        np.maximum(y, 0.0, out=y)
+
+    def bwd(g):
+        g3 = g.reshape(n, cout, -1)
+        if relu:
+            g3 = g3 * (y > 0.0)
+        dbeta = g3.sum(axis=(0, 2))
+        gh = (g3 @ hc.transpose(0, 2, 1)).sum(axis=0)  # G
+        dgamma = invstd * np.einsum("oc,oc->o", wm, gh)
+        a = s * invstd * dgamma / p
+        dw = s[:, None] * gh - a[:, None] * wcov * p
+        grads = [(w, dw.reshape(w.data.shape)), (gamma, dgamma), (beta, dbeta)]
+        if not x.needs_grad:
+            return grads
+        dh = ws.T @ g3
+        dh -= (wm.T @ (a[:, None] * wm)) @ hc
+        dh -= (wm.T @ (s * dbeta) / p)[:, None]
+        if (st, sh, sw) == (1, 1, 1):
+            return grads + [(x, dh.reshape(x.data.shape))]
+        dx = np.zeros(x.data.shape)  # a strided input's gradient, scattered
+        dx[:, :, ::st, ::sh, ::sw] = dh.reshape(xs.shape)
+        return grads + [(x, dx)]
+
+    return _result(y.reshape((n, cout) + xs.shape[2:]), (x, w, gamma, beta), bwd)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:

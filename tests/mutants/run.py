@@ -48,6 +48,8 @@ GRAD_CHECK = ("tests/test_cli.py::test_grad_check_command_passes_every_target",)
 KINDS = "tests/test_tensor.py::test_conv3d_kernel_kinds_match_loop_oracles"
 # every conv step's eval fold against the unfolded norm, by network
 FOLD = "tests/test_blocks.py::test_folded_eval_steps_match_unfolded_norm"
+# every expansion step's training norm against conv3d then batch_norm, by network
+EXPAND = "tests/test_blocks.py::test_expansion_steps_match_conv_then_batch_norm"
 
 MUTANTS = (
     # gradients: `srtg grad-check` must fail each of these
@@ -73,6 +75,14 @@ MUTANTS = (
            "dx -= (dbeta / m)[:, None]", "pass", GRAD_CHECK),
     Mutant("batch_norm_fused_relu_mask_dropped", TENSOR,
            "g3 = g3 * (out > 0.0)", "pass", GRAD_CHECK),
+    # the expansion's conv and norm as one op, against conv3d then batch_norm
+    Mutant("pointwise_conv_norm_dw_drops_w_cov_term", TENSOR,
+           "dw = s[:, None] * gh - a[:, None] * wcov * p", "dw = s[:, None] * gh",
+           (f"{EXPAND}[toy_gated]", *GRAD_CHECK)),
+    Mutant("pointwise_conv_norm_dx_correction_on_uncentred_input", TENSOR,
+           "dh -= (wm.T @ (a[:, None] * wm)) @ hc",
+           "dh -= (wm.T @ (a[:, None] * wm)) @ xs.reshape(n, cin, -1)",
+           (f"{EXPAND}[bottleneck_2plus1d_mid]", *GRAD_CHECK)),
     Mutant("lstm_dc_next_without_forget_gate", TENSOR,
            "np.multiply(dc, f[s, lo:hi], out=dc_next[lo:hi])",
            "np.copyto(dc_next[lo:hi], dc)", GRAD_CHECK),

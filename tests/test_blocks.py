@@ -1,6 +1,6 @@
 """Residual block and network tests: placement wiring, shape preservation,
-identity paths, gradient flow, and the tape-free eval forward with its
-batch norm folded into the conv."""
+identity paths, gradient flow, the tape-free eval forward with its batch
+norm folded into the conv, and the expansion steps' one-op training norm."""
 
 import json
 from pathlib import Path
@@ -353,6 +353,61 @@ def test_folded_eval_step_matches_batch_norm_oracle():
                                    block.buffers[f"{norm}.running_var"], training=False)
     got = block._run_op(op, x, training=False).data
     assert _rel_err(got, np.maximum(want, 0.0)) <= 1e-12
+
+
+def _chained_train_op(store, op, x):
+    """A training conv step as the engine's ops spell it: conv3d, then
+    batch_norm on the batch statistics."""
+    part, conv, norm = op
+    h = tt.conv3d(x, store.params[f"{conv}.weight"], part.stride,
+                  tuple(k // 2 for k in part.kernel))
+    return tt.batch_norm(h, store.params[f"{norm}.gamma"], store.params[f"{norm}.beta"],
+                         store.buffers[f"{norm}.running_mean"],
+                         store.buffers[f"{norm}.running_var"], True, relu=part.relu)
+
+
+@pytest.mark.parametrize("spec", EVAL_SPECS, ids=EVAL_IDS)
+def test_expansion_steps_match_conv_then_batch_norm(spec, monkeypatch):
+    # every 1x1x1 step that widens its input (the bottleneck's conv3, the
+    # widening projections) trains through pointwise_conv_norm; against
+    # conv3d then batch_norm: the output, both running buffers and the
+    # gradients of x, w, gamma and beta
+    net = Network(spec, seed=11)
+    _perturb_norms(net, 32)
+    ops = [(block, op) for block in net.blocks for step_ops in block._ops.values()
+           for op in step_ops if op[0].kernel == (1, 1, 1) and op[0].in_ch < op[0].out_ch]
+    assert ops
+    calls, fused = [], tt.pointwise_conv_norm
+    monkeypatch.setattr(tt, "pointwise_conv_norm",
+                        lambda *a, **k: calls.append(1) or fused(*a, **k))
+    rng = np.random.default_rng(33)
+    for store, op in ops:
+        part, conv, norm = op
+        xd = rng.standard_normal((2, part.in_ch, 4, 6, 6)) + rng.standard_normal(
+            (1, part.in_ch, 1, 1, 1))
+        leaves = [store.params[f"{conv}.weight"], store.params[f"{norm}.gamma"],
+                  store.params[f"{norm}.beta"]]
+        buffers = [store.buffers[f"{norm}.running_{k}"] for k in ("mean", "var")]
+        start = [b.copy() for b in buffers]
+        runs = []
+        for run in (lambda x: store._run_op(op, x, training=True),
+                    lambda x: _chained_train_op(store, op, x)):
+            for buf, value in zip(buffers, start):
+                buf[:] = value
+            x = Tensor(xd, requires_grad=True)
+            out = run(x)
+            backward(out, np.random.default_rng(34).standard_normal(out.data.shape))
+            runs.append([out.data, *(b.copy() for b in buffers), x.grad,
+                         *(p.grad for p in leaves)])
+            for p in leaves:
+                p.zero_grad()
+        for got, want in zip(*runs):
+            assert _rel_err(got, want) <= 1e-12, op[1]
+    assert len(calls) == len(ops)
+    # a training forward runs the op once per expansion step, and only there
+    del calls[:]
+    net.forward(np.random.default_rng(35).standard_normal((2, 1, 8, 16, 16)), training=True)
+    assert len(calls) == len(ops)
 
 
 def test_network_smoke_backward_populates_all_grads():

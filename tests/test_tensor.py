@@ -178,6 +178,7 @@ xd, g = rng.standard_normal((8, 32, 32, 8, 8)), rng.standard_normal((8, 32, 32, 
 w1, w3 = rng.standard_normal((32, 32, 1, 1, 1)), rng.standard_normal((32, 32, 3, 3, 3))
 gamma, beta = rng.standard_normal(32), rng.standard_normal(32)
 g2 = rng.standard_normal((8, 32, 16, 4, 4))
+xn, wn = rng.standard_normal((8, 8, 32, 8, 8)), rng.standard_normal((32, 8, 1, 1, 1))
 
 def run(op, *leaves, g=g):
     leaves = [tt.Tensor(a, requires_grad=True) for a in leaves]
@@ -201,6 +202,10 @@ for _ in range(3):
               xd.copy(), gamma, beta),
           run(lambda x, ga, be: tt.batch_norm(x, ga, be, *stats, training=True, relu=True),
               xd.copy(), gamma, beta),
+          run(lambda x, w, ga, be: tt.pointwise_conv_norm(x, w, ga, be, *stats), xn, wn, gamma,
+              beta),
+          run(lambda x, w, ga, be: tt.pointwise_conv_norm(x, w, ga, be, *stats, (2, 2, 2)),
+              xn, wn, gamma, beta, g=g2),
           hashlib.sha256(stats[0].tobytes() + stats[1].tobytes()).hexdigest(),
           run_eval())
 """
@@ -210,10 +215,11 @@ def test_conv3d_bit_identical_across_runs_with_unpinned_blas():
     # BLAS thread counts come from the environment; drop any pinning so the
     # library's default threading is what runs. Each repeat hashes a 1x1x1
     # conv, a padded 3x3x3 conv at stride 1 and at stride 2 (the two input
-    # gradient paths), a training-mode batch_norm and its fused
-    # relu form, forward and backward, and the batch_norm running buffers,
-    # then an eval-mode fused batch_norm without a tape. batch_norm consumes
-    # its input, so each gets a copy of xd.
+    # gradient paths), a training-mode batch_norm and its fused relu form,
+    # an 8 -> 32 pointwise_conv_norm at stride 1 and at stride 2, forward
+    # and backward, and the running buffers the norms moved, then an
+    # eval-mode fused batch_norm without a tape. batch_norm consumes its
+    # input, so each gets a copy of xd.
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     src = os.path.dirname(os.path.dirname(os.path.abspath(tt.__file__)))
@@ -298,6 +304,112 @@ def test_batch_norm_fused_relu_bit_identical_to_relu_of_batch_norm(training, tap
         return [data.tobytes(), *(a.tobytes() for a in stats), *grads]
 
     assert run(False, xd.copy()) == run(True, xd.copy())
+
+
+# ---------------------------------------------------------------------------
+# a 1x1x1 conv and its training norm as one op
+# ---------------------------------------------------------------------------
+
+
+def _pointwise_case(rng, shape, cout):
+    """An input with per-channel offsets, so centring matters, a weight, and
+    gamma, beta and running buffers away from their init."""
+    cin = shape[1]
+    xd = rng.standard_normal(shape) + 2.0 * rng.standard_normal((1, cin, 1, 1, 1))
+    wd = rng.standard_normal((cout, cin, 1, 1, 1))
+    gamma = rng.uniform(0.5, 1.5, cout) * rng.choice([-1.0, 1.0], cout)
+    beta, mean, var = rng.standard_normal(cout), rng.standard_normal(cout), rng.uniform(
+        0.5, 2.0, cout)
+    return xd, wd, gamma, beta, mean, var
+
+
+def _pointwise_runs(case, stride, relu, g_seed=0):
+    """[output, running mean, running var, dx, dw, dgamma, dbeta] of
+    pointwise_conv_norm and of conv3d then batch_norm, on copies of case."""
+    xd, wd, gamma, beta, mean, var = case
+    runs = []
+    for fused in (True, False):
+        x, w, ga, be = (Tensor(a.copy(), requires_grad=True) for a in (xd, wd, gamma, beta))
+        stats = mean.copy(), var.copy()
+        if fused:
+            out = tt.pointwise_conv_norm(x, w, ga, be, *stats, stride, relu=relu)
+        else:
+            out = tt.batch_norm(tt.conv3d(x, w, stride), ga, be, *stats, True, relu=relu)
+        backward(out, np.random.default_rng(g_seed).standard_normal(out.data.shape))
+        runs.append([out.data, *stats, x.grad, w.grad, ga.grad, be.grad])
+    return runs
+
+
+@pytest.mark.parametrize("shape, cout, stride, relu", [
+    ((3, 6, 4, 5, 5), 4, (2, 1, 2), True),  # narrowing
+    ((2, 4, 3, 4, 4), 4, (1, 1, 1), False),  # equal widths
+], ids=["narrowing", "equal"])
+def test_pointwise_conv_norm_matches_conv_then_batch_norm_at_any_width(shape, cout, stride,
+                                                                       relu):
+    # the network runs the op on expansions only, but the algebra holds for
+    # every 1x1x1 conv
+    fused, chain = _pointwise_runs(_pointwise_case(np.random.default_rng(41), shape, cout),
+                                   stride, relu)
+    for got, want in zip(fused, chain):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("relu", [False, True], ids=["plain", "relu"])
+def test_pointwise_conv_norm_matches_loop_oracle(relu):
+    # a strided 2 -> 3 expansion against the scalar-loop conv and norm
+    xd, wd, gamma, beta, mean, var = _pointwise_case(np.random.default_rng(42), (2, 2, 3, 4, 5), 3)
+    want, want_mean, want_var = batch_norm_oracle(
+        conv3d_oracle(xd, wd, (1, 2, 2), (0, 0, 0)), gamma, beta, mean, var, training=True)
+    out = tt.pointwise_conv_norm(Tensor(xd), Tensor(wd), Tensor(gamma), Tensor(beta), mean, var,
+                                 (1, 2, 2), relu=relu)
+    np.testing.assert_allclose(out.data, np.maximum(want, 0.0) if relu else want,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mean, want_mean, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(var, want_var, rtol=0, atol=1e-14)
+
+
+def test_pointwise_conv_norm_leaves_x_unwritten_and_builds_no_dx_it_needs_not():
+    xd, wd, gamma, beta, mean, var = _pointwise_case(np.random.default_rng(43), (2, 2, 3, 3, 3), 5)
+    x, w = Tensor(xd.copy()), Tensor(wd, requires_grad=True)
+    out = tt.pointwise_conv_norm(x, w, Tensor(gamma), Tensor(beta), mean, var, (2, 2, 2))
+    assert x not in [t for t, _ in out._bwd(np.ones(out.data.shape))]
+    assert x.data.tobytes() == xd.tobytes()
+
+
+def test_pointwise_conv_norm_refuses_a_kernel_wider_than_one_tap():
+    x = Tensor(np.zeros((1, 2, 3, 3, 3)))
+    w = Tensor(np.zeros((4, 2, 3, 1, 1)))
+    with pytest.raises(ShapeError, match=r"\(4, 2, 1, 1, 1\)"):
+        tt.pointwise_conv_norm(x, w, Tensor(np.ones(4)), Tensor(np.zeros(4)),
+                               np.zeros(4), np.ones(4))
+
+
+def test_pointwise_conv_norm_tape_keeps_the_narrow_side():
+    # after a training forward through an 8 -> 32 expansion the tape holds
+    # the output, the centred input and (C_out, C_in)-sized arrays; conv3d
+    # then batch_norm also keeps the normalized conv output, at C_out width
+    rng = np.random.default_rng(44)
+    x = Tensor(rng.standard_normal((4, 8, 8, 8, 8)), requires_grad=True)
+    w = Tensor(rng.standard_normal((32, 8, 1, 1, 1)), requires_grad=True)
+    gamma, beta = Tensor(np.ones(32), requires_grad=True), Tensor(np.zeros(32), requires_grad=True)
+    out_bytes = 4 * x.data.nbytes
+
+    def kept(f):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = f()
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert out._bwd is not None
+        return held
+
+    bound = out_bytes + x.data.nbytes + 64 * 1024
+    fused = kept(lambda: tt.pointwise_conv_norm(x, w, gamma, beta, np.zeros(32), np.ones(32)))
+    chain = kept(lambda: tt.batch_norm(tt.conv3d(x, w), gamma, beta, np.zeros(32), np.ones(32),
+                                       True))
+    assert fused <= bound < chain, (fused, bound, chain)
 
 
 # ---------------------------------------------------------------------------
