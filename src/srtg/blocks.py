@@ -191,7 +191,7 @@ class _Store:
                                           relu=part.relu)
         if training:  # batch_norm consumes h, a fresh conv output that nothing else reads
             return tt.batch_norm(tt.conv3d(x, w, part.stride, pad), gamma, beta, mean, var,
-                                 True, relu=part.relu)
+                                 relu=part.relu)
         # eval folds the norm into the conv (Jacob et al. 2018), s = gamma / sqrt(var + eps):
         # conv(x, w * s) + (beta - mean * s), shifted and clamped in place as no tape records
         s = gamma.data / np.sqrt(var + tt.BN_EPS)

@@ -55,7 +55,7 @@ def _check_primitives():
         (lambda: tt.fuse_embedding(fv, fe, True, mask), [fv, fe]),
         (lambda: tt.fuse_embedding(fv, fe, False, mask), [fv, fe]),
         (lambda: tt.batch_norm(tt.conv3d(x, w, padding=(1, 1, 1)), gamma, beta, np.zeros(2),
-                               np.ones(2), training=True, relu=True), [w, gamma, beta]),
+                               np.ones(2), relu=True), [w, gamma, beta]),
         (lambda: tt.pointwise_conv_norm(x, pw, pg, pb, np.zeros(3), np.ones(3), relu=True),
          [x, pw, pg, pb]),
         (lambda: tt.pointwise_conv_norm(x, pw, pg, pb, np.zeros(3), np.ones(3), (2, 2, 2)),

@@ -123,15 +123,10 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _records(parents):
-    """Whether an op over `parents` records a tape node: gradients can flow."""
-    return _grad_enabled and any(p.needs_grad for p in parents)
-
-
 def _result(data, parents, bwd):
     """Wrap an op output, recording the closure only when gradients can flow."""
     out = Tensor(data)
-    if _records(parents):
+    if _grad_enabled and any(p.needs_grad for p in parents):
         out._parents = tuple(parents)
         out._bwd = bwd
     return out
@@ -594,15 +589,14 @@ def batch_norm(
     beta: Tensor,
     running_mean: np.ndarray,
     running_var: np.ndarray,
-    training: bool,
     *,
     relu: bool = False,
 ) -> Tensor:
-    """Per-channel batch normalization over (N, T, H, W) of a rank-5 volume.
+    """Per-channel training batch norm over (N, T, H, W) of a rank-5 volume.
 
-    Training mode normalizes with batch statistics (biased variance) and
-    updates the running buffers in place with momentum 0.1; eval mode uses the
-    running buffers. Variances are offset by `BN_EPS`.
+    It normalizes with batch statistics (biased variance, offset by `BN_EPS`)
+    and updates the running buffers in place with momentum 0.1. Eval folds
+    the norm into the conv instead (`blocks._Store._run_op`).
     `relu` fuses the following relu into this node (InPlace-ABN, Rota Bulo et
     al. 2018). The norm consumes x.data: it is centred in place, so pass an
     input that nothing else reads.
@@ -615,21 +609,17 @@ def batch_norm(
     # channel rows: every reduction is over axes (0, 2) of an (N, C, T*H*W) view
     rows = x.data.reshape(n, c, -1)
     m = x.data.size // c
-    mean = rows.sum(axis=(0, 2)) / m if training else running_mean
+    mean = rows.sum(axis=(0, 2)) / m
     # centred over x's buffer and normalized in place below; the backward never reads x
     xhat = np.subtract(rows, mean[:, None], out=rows)
-    if training:
-        var = np.einsum("ncm,ncm->c", xhat, xhat) / m
-        running_mean *= 0.9
-        running_mean += 0.1 * mean
-        running_var *= 0.9
-        running_var += 0.1 * var
-    else:
-        var = running_var
+    var = np.einsum("ncm,ncm->c", xhat, xhat) / m
+    running_mean *= 0.9
+    running_mean += 0.1 * mean
+    running_var *= 0.9
+    running_var += 0.1 * var
     invstd = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= invstd[:, None]
-    # only the backward reads xhat, so without a tape node it holds the output
-    out = np.multiply(xhat, gamma.data[:, None], out=None if _records((x, gamma, beta)) else xhat)
+    out = xhat * gamma.data[:, None]
     out += beta.data[:, None]
     if relu:
         np.maximum(out, 0.0, out=out)
@@ -640,14 +630,10 @@ def batch_norm(
             g3 = g3 * (out > 0.0)
         dbeta = g3.sum(axis=(0, 2))
         dgamma = np.einsum("ncm,ncm->c", g3, xhat)
-        scale = (gamma.data * invstd)[:, None]
-        if training:  # scale * (g - mean(g) - xhat * mean(g * xhat)), in one array
-            dx = xhat * (-dgamma / m)[:, None]
-            dx += g3
-            dx -= (dbeta / m)[:, None]
-            dx *= scale
-        else:
-            dx = g3 * scale
+        dx = xhat * (-dgamma / m)[:, None]  # gamma*invstd * (g - mean(g) - xhat*mean(g*xhat))
+        dx += g3
+        dx -= (dbeta / m)[:, None]
+        dx *= (gamma.data * invstd)[:, None]
         return [(x, dx.reshape(x.data.shape)), (gamma, dgamma), (beta, dbeta)]
 
     return _result(out.reshape(x.data.shape), (x, gamma, beta), bwd)
@@ -657,7 +643,7 @@ def pointwise_conv_norm(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
                         running_mean: np.ndarray, running_var: np.ndarray, stride=(1, 1, 1),
                         *, relu: bool = False) -> Tensor:
     """batch_norm(conv3d(x, w, stride), gamma, beta, running_mean, running_var,
-    training=True, relu=relu) for a 1x1x1 w, computed on the C_in side.
+    relu=relu) for a 1x1x1 w, computed on the C_in side.
 
     The conv applies one (C_out, C_in) matrix W at every position, so with hc
     the centred strided input and S = sum(hc hc^T) / P its covariance over the

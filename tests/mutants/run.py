@@ -46,7 +46,7 @@ GATE = "src/srtg/gate.py"
 GRAD_CHECK = ("tests/test_cli.py::test_grad_check_command_passes_every_target",)
 # one conv3d kernel kind against the loop oracles, by its parametrize id
 KINDS = "tests/test_tensor.py::test_conv3d_kernel_kinds_match_loop_oracles"
-# every conv step's eval fold against the unfolded norm, by network
+# every conv step's eval fold against the conv then the scalar-loop norm, by network
 FOLD = "tests/test_blocks.py::test_folded_eval_steps_match_unfolded_norm"
 # every expansion step's training norm against conv3d then batch_norm, by network
 EXPAND = "tests/test_blocks.py::test_expansion_steps_match_conv_then_batch_norm"
@@ -131,7 +131,19 @@ MUTANTS = (
     Mutant("batch_norm_view_mixes_n_and_c", TENSOR,
            "rows = x.data.reshape(n, c, -1)",
            "rows = x.data.reshape(c, n, -1).transpose(1, 0, 2)",
-           ("tests/test_tensor.py::test_batch_norm_matches_loop_oracle[True]",)),
+           ("tests/test_tensor.py::test_batch_norm_matches_loop_oracle[plain]",)),
+    # the training norms' running variance: both ops end their update with the
+    # same line, so each replacement carries the line that follows it
+    Mutant("batch_norm_running_var_unbiased", TENSOR,
+           "running_var += 0.1 * var\n    invstd = 1.0 / np.sqrt(var + BN_EPS)\n    xhat",
+           "running_var += 0.1 * var * m / (m - 1)\n"
+           "    invstd = 1.0 / np.sqrt(var + BN_EPS)\n    xhat",
+           ("tests/test_tensor.py::test_batch_norm_matches_loop_oracle[plain]",)),
+    Mutant("pointwise_conv_norm_running_var_uncentred", TENSOR,
+           "running_var += 0.1 * var\n    invstd = 1.0 / np.sqrt(var + BN_EPS)\n    s =",
+           "running_var += 0.1 * (var + (wm @ mu) ** 2)\n"
+           "    invstd = 1.0 / np.sqrt(var + BN_EPS)\n    s =",
+           (f"{EXPAND}[toy_gated]",)),
     Mutant("conv3d_dx_g_padded_without_cropping", TENSOR,
            "crop = [max(-p, 0) for p in pads]", "crop = [0 for p in pads]",
            (f"{KINDS}[1x1x1-s111-p111]",

@@ -292,15 +292,17 @@ def _perturb_norms(store, seed):
 
 
 def _unfolded_run_op(store, op, x, training=False):
-    """An eval conv step as the engine's ops spell it: the conv on the
-    unscaled weights, then batch_norm on the running statistics. It takes
+    """An eval conv step unfolded: the conv on the unscaled weights, then the
+    scalar-loop norm on the running statistics and the step's relu. It takes
     `_Store._run_op`'s arguments, to stand in for it in an eval forward."""
     part, conv, norm = op
     h = tt.conv3d(x, store.params[f"{conv}.weight"], part.stride,
                   tuple(k // 2 for k in part.kernel))
-    return tt.batch_norm(h, store.params[f"{norm}.gamma"], store.params[f"{norm}.beta"],
-                         store.buffers[f"{norm}.running_mean"],
-                         store.buffers[f"{norm}.running_var"], False, relu=part.relu)
+    out, _, _ = batch_norm_oracle(h.data, store.params[f"{norm}.gamma"].data,
+                                  store.params[f"{norm}.beta"].data,
+                                  store.buffers[f"{norm}.running_mean"],
+                                  store.buffers[f"{norm}.running_var"], training=False)
+    return Tensor(np.maximum(out, 0.0) if part.relu else out)
 
 
 def _rel_err(got, want):
@@ -363,7 +365,7 @@ def _chained_train_op(store, op, x):
                   tuple(k // 2 for k in part.kernel))
     return tt.batch_norm(h, store.params[f"{norm}.gamma"], store.params[f"{norm}.beta"],
                          store.buffers[f"{norm}.running_mean"],
-                         store.buffers[f"{norm}.running_var"], True, relu=part.relu)
+                         store.buffers[f"{norm}.running_var"], relu=part.relu)
 
 
 @pytest.mark.parametrize("spec", EVAL_SPECS, ids=EVAL_IDS)

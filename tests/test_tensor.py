@@ -173,12 +173,24 @@ def test_conv3d_backward_gathers_one_row_of_taps():
 _RERUN_SCRIPT = """
 import hashlib, numpy as np
 from srtg import tensor as tt
+from srtg.blocks import ConvStep, _Store
 rng = np.random.default_rng(21)
 xd, g = rng.standard_normal((8, 32, 32, 8, 8)), rng.standard_normal((8, 32, 32, 8, 8))
 w1, w3 = rng.standard_normal((32, 32, 1, 1, 1)), rng.standard_normal((32, 32, 3, 3, 3))
 gamma, beta = rng.standard_normal(32), rng.standard_normal(32)
 g2 = rng.standard_normal((8, 32, 16, 4, 4))
 xn, wn = rng.standard_normal((8, 8, 32, 8, 8)), rng.standard_normal((32, 8, 1, 1, 1))
+# eval steps, each folding its norm into the conv: a 3x3x3 one with its relu and
+# a strided 1x1x1 one, with gamma, beta and the running statistics away from init
+store = _Store()
+ops = [(ConvStep("conv", 32, 32, (3, 3, 3)), "conv", "bn"),
+       (ConvStep("proj", 8, 32, (1, 1, 1), (2, 2, 2), relu=False), "proj", "proj_bn")]
+for op in ops:
+    store._add_op(op, rng)
+norms = [(k, p.data) for k, p in store.params.items() if not k.endswith(".weight")]
+for name, a in norms + list(store.buffers.items()):
+    a[:] = (rng.uniform(0.5, 2.0, a.shape) if name.endswith("_var")
+            else rng.standard_normal(a.shape))
 
 def run(op, *leaves, g=g):
     leaves = [tt.Tensor(a, requires_grad=True) for a in leaves]
@@ -188,19 +200,16 @@ def run(op, *leaves, g=g):
     return hashlib.sha256(blob).hexdigest()
 
 def run_eval():
-    with tt.no_grad():
-        out = tt.batch_norm(tt.Tensor(xd.copy()), tt.Tensor(gamma), tt.Tensor(beta), *stats,
-                            training=False, relu=True)
-    return hashlib.sha256(out.data.tobytes()).hexdigest()
+    outs = [store._run_op(op, tt.Tensor(x), training=False) for op, x in zip(ops, (xd, xn))]
+    return hashlib.sha256(b"".join(out.data.tobytes() for out in outs)).hexdigest()
 
 for _ in range(3):
     stats = np.zeros(32), np.ones(32)
     print(run(lambda x, w: tt.conv3d(x, w), xd, w1),
           run(lambda x, w: tt.conv3d(x, w, padding=(1, 1, 1)), xd, w3),
           run(lambda x, w: tt.conv3d(x, w, (2, 2, 2), (1, 1, 1)), xd, w3, g=g2),
-          run(lambda x, ga, be: tt.batch_norm(x, ga, be, *stats, training=True),
-              xd.copy(), gamma, beta),
-          run(lambda x, ga, be: tt.batch_norm(x, ga, be, *stats, training=True, relu=True),
+          run(lambda x, ga, be: tt.batch_norm(x, ga, be, *stats), xd.copy(), gamma, beta),
+          run(lambda x, ga, be: tt.batch_norm(x, ga, be, *stats, relu=True),
               xd.copy(), gamma, beta),
           run(lambda x, w, ga, be: tt.pointwise_conv_norm(x, w, ga, be, *stats), xn, wn, gamma,
               beta),
@@ -217,9 +226,9 @@ def test_conv3d_bit_identical_across_runs_with_unpinned_blas():
     # conv, a padded 3x3x3 conv at stride 1 and at stride 2 (the two input
     # gradient paths), a training-mode batch_norm and its fused relu form,
     # an 8 -> 32 pointwise_conv_norm at stride 1 and at stride 2, forward
-    # and backward, and the running buffers the norms moved, then an
-    # eval-mode fused batch_norm without a tape. batch_norm consumes its
-    # input, so each gets a copy of xd.
+    # and backward, and the running buffers the norms moved, then two eval
+    # steps with their norms folded into the conv, as `_Store._run_op` runs
+    # them. batch_norm consumes its input, so each gets a copy of xd.
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     src = os.path.dirname(os.path.dirname(os.path.abspath(tt.__file__)))
@@ -261,28 +270,25 @@ def test_conv3d_nonpositive_extent():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("training, relu", [(True, False), (False, False), (True, True),
-                                             (False, True)],
-                         ids=["True", "False", "True-relu", "False-relu"])
-def test_batch_norm_matches_loop_oracle(training, relu):
+@pytest.mark.parametrize("relu", [False, True], ids=["plain", "relu"])
+def test_batch_norm_matches_loop_oracle(relu):
     # N=3, C=4 and unequal T, H, W: a view that mixes clips and channels fails
     rng = np.random.default_rng(17)
     xd = rng.standard_normal((3, 4, 2, 3, 5)) * 1.5 + rng.standard_normal((1, 4, 1, 1, 1))
     gamma, beta = rng.standard_normal(4), rng.standard_normal(4)
     running_mean, running_var = rng.standard_normal(4), rng.random(4) + 0.5
     want, want_mean, want_var = batch_norm_oracle(
-        xd, gamma, beta, running_mean, running_var, training)
-    out = tt.batch_norm(Tensor(xd), Tensor(gamma), Tensor(beta),
-                        running_mean, running_var, training, relu=relu)
+        xd, gamma, beta, running_mean, running_var, training=True)
+    out = tt.batch_norm(Tensor(xd), Tensor(gamma), Tensor(beta), running_mean, running_var,
+                        relu=relu)
     np.testing.assert_allclose(out.data, np.maximum(want, 0.0) if relu else want,
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(running_mean, want_mean, rtol=0, atol=1e-14)
     np.testing.assert_allclose(running_var, want_var, rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("tape", [True, False], ids=["tape", "no_grad"])
-@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
-def test_batch_norm_fused_relu_bit_identical_to_relu_of_batch_norm(training, tape):
+@pytest.mark.parametrize("tape", [True, False], ids=["train-tape", "train-no_grad"])
+def test_batch_norm_fused_relu_bit_identical_to_relu_of_batch_norm(tape):
     rng = np.random.default_rng(23)
     xd = rng.standard_normal((3, 4, 2, 3, 5))
     gamma, beta, g = rng.standard_normal(4), rng.standard_normal(4), rng.standard_normal(xd.shape)
@@ -292,7 +298,7 @@ def test_batch_norm_fused_relu_bit_identical_to_relu_of_batch_norm(training, tap
         leaves = [Tensor(a, requires_grad=True) for a in (xdata, gamma.copy(), beta.copy())]
         stats = [a.copy() for a in running]
         with contextlib.nullcontext() if tape else tt.no_grad():
-            out = tt.batch_norm(*leaves, *stats, training, relu=fused)
+            out = tt.batch_norm(*leaves, *stats, relu=fused)
         assert (out._bwd is not None) == tape
         data = out.data if fused else relu_oracle(out.data)
         grads = []
@@ -333,7 +339,7 @@ def _pointwise_runs(case, stride, relu):
         if fused:
             out = tt.pointwise_conv_norm(x, w, ga, be, *stats, stride, relu=relu)
         else:
-            out = tt.batch_norm(tt.conv3d(x, w, stride), ga, be, *stats, True, relu=relu)
+            out = tt.batch_norm(tt.conv3d(x, w, stride), ga, be, *stats, relu=relu)
         backward(out, np.random.default_rng(0).standard_normal(out.data.shape))
         runs.append([out.data, *stats, x.grad, w.grad, ga.grad, be.grad])
     return runs
@@ -406,8 +412,7 @@ def test_pointwise_conv_norm_tape_keeps_the_narrow_side():
 
     bound = out_bytes + x.data.nbytes + 64 * 1024
     fused = kept(lambda: tt.pointwise_conv_norm(x, w, gamma, beta, np.zeros(32), np.ones(32)))
-    chain = kept(lambda: tt.batch_norm(tt.conv3d(x, w), gamma, beta, np.zeros(32), np.ones(32),
-                                       True))
+    chain = kept(lambda: tt.batch_norm(tt.conv3d(x, w), gamma, beta, np.zeros(32), np.ones(32)))
     assert fused <= bound < chain, (fused, bound, chain)
 
 
@@ -687,7 +692,7 @@ def test_grad_check_every_primitive_small_shapes():
     # batch_norm consumes its input, so it gets a fresh tensor, not the leaf:
     # a 1x1x1 identity conv's output, which passes dx back to bx
     cases.append(
-        (lambda: tt.batch_norm(tt.conv3d(bx, eye), gamma, beta, *stats, training=True),
+        (lambda: tt.batch_norm(tt.conv3d(bx, eye), gamma, beta, *stats),
          [bx, gamma, beta])
     )
 
