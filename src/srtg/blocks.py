@@ -3,7 +3,7 @@
 A block is described once, by its weight-free layout (`block_layout`), cut
 from the validated `NetworkSpec`: the conv steps of the main path, the
 projection skip, where the gated unit sits and how wide it is, and the conv
-kind, gate switch and fusion mode it runs under. `route` is the only
+kind and gate switch it runs under. `route` is the only
 statement of how those pieces are wired, and `block_layouts` the only loop
 over stages and blocks. `Block.forward` runs `route` on tensors;
 `srtg.opcount.count_macs` runs it on shapes, so the op count prices the
@@ -74,7 +74,6 @@ class BlockLayout:
     gate_channels: int
     conv_kind: str
     gate_active: bool
-    fusion_mode: str
 
 
 def block_layout(spec: NetworkSpec, in_ch: int, out_ch: int, stride) -> BlockLayout:
@@ -99,7 +98,7 @@ def block_layout(spec: NetworkSpec, in_ch: int, out_ch: int, stride) -> BlockLay
     gate_at = positions.get(spec.placement, spec.placement)
     on_main = isinstance(gate_at, int) and gate_at < len(convs)
     return BlockLayout(convs, skip, gate_at, convs[gate_at].in_ch if on_main else out_ch,
-                       spec.conv_kind, spec.gate_active, spec.fusion_mode)
+                       spec.conv_kind, spec.gate_active)
 
 
 def route(layout: BlockLayout, x, conv, gate, join):
@@ -245,8 +244,7 @@ class Block(_Store):
             return h
 
         def gate(h):
-            out, decisions = srtg_unit(h, self.lstm, self.layout.gate_active,
-                                       self.layout.fusion_mode)
+            out, decisions = srtg_unit(h, self.lstm, self.layout.gate_active)
             gate_log.append((f"{self.name}.srtg", decisions))
             return out
 

@@ -5,9 +5,9 @@ with grad_check's fixed random cotangent, against central finite differences
 (eps 1e-5) and reports the max relative error. Between them the checks run
 every tensor op a train step runs. Gated units run with the gate bypassed so
 the finite-difference surface stays smooth; the routing a closed gate applies
-is checked as `fuse_embedding` under a fixed mask, in both fusion modes. Conv
-and block inputs hold two clips, so sums over clips (conv weight gradient,
-batch statistics) are checked.
+is checked as `fuse_embedding` under a fixed mask. Conv and block inputs
+hold two clips, so sums over clips (conv weight gradient, batch statistics)
+are checked.
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ def _check_primitives():
         (lambda: tt.conv3d(x, w, (2, 2, 2), (1, 1, 1)), [x, w]),
         (lambda: tt.sigmoid(tt.spatial_avg_pool(v)), [v]),
         (head, [hv, hw, hb]),
-        (lambda: tt.fuse_embedding(fv, fe, True, mask), [fv, fe]),
-        (lambda: tt.fuse_embedding(fv, fe, False, mask), [fv, fe]),
+        (lambda: tt.fuse_embedding(fv, fe, mask), [fv, fe]),
         (lambda: tt.batch_norm(tt.conv3d(x, w, padding=(1, 1, 1)), gamma, beta, np.zeros(2),
                                np.ones(2), relu=True), [w, gamma, beta]),
         (lambda: tt.pointwise_conv_norm(x, pw, pg, pb, np.zeros(3), np.ones(3), relu=True),
@@ -77,13 +76,13 @@ def _check_lstm_layer():
     return grad_check(lambda: recursion(xs, params), [xs] + leaves)
 
 
-def _check_srtg_unit(mode):
+def _check_srtg_unit():
     rng = np.random.default_rng(2)
     x = Tensor(rng.standard_normal((1, 3, 4, 2, 2)))
     params = init_lstm_params(3, 2, np.random.default_rng(3))
 
     def f():
-        return srtg_unit(x, params, gate_active=False, mode=mode)[0]
+        return srtg_unit(x, params, gate_active=False)[0]
 
     return grad_check(f, [p for _, p in params.named("l")])
 
@@ -106,8 +105,7 @@ def _check_block(depth_kind):
 _CHECKS = {
     "primitives": (_check_primitives, 1e-5),
     "lstm_layer": (_check_lstm_layer, 1e-4),
-    "srtg_unit_multiplicative": (lambda: _check_srtg_unit("multiplicative"), 1e-4),
-    "srtg_unit_additive": (lambda: _check_srtg_unit("additive"), 1e-4),
+    "srtg_unit_multiplicative": (_check_srtg_unit, 1e-4),
     "simple_block_final": (lambda: _check_block("simple"), 1e-4),
     "bottleneck_block_final": (lambda: _check_block("bottleneck"), 1e-4),
 }

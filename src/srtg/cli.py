@@ -111,10 +111,18 @@ def _cmd_gen_data(args):
     return 0
 
 
+def _checkpoint_network(state, overrides=()):
+    """The network sections embedded in a checkpoint, with `overrides` applied
+    and validated as a config file's are, and the NetworkSpec they describe."""
+    cfg = config.apply_overrides(dict(state["net_config"]), overrides)
+    return cfg, config.network_spec(cfg)
+
+
 def _check_resumes_this_run(state, path, train_cfg, net_spec, stop_after):
     """A checkpoint of another seed or network restores into equal shapes and
     would train on silently, and one at or past this run's last epoch (the
     smaller of train.epochs and --stop-after) has nothing left to train."""
+    _, saved = _checkpoint_network(state)
     if state["seed"] != train_cfg.seed:
         raise ConfigError(f"{path} was written with train.seed {state['seed']}, "
                           f"but this run has train.seed {train_cfg.seed}")
@@ -122,7 +130,6 @@ def _check_resumes_this_run(state, path, train_cfg, net_spec, stop_after):
         raise ConfigError(f"{path} is already at epoch {state['epoch']}, "
                           f"but this run has train.epochs {train_cfg.epochs}"
                           + (f" and --stop-after {stop_after}" if stop_after else ""))
-    saved = config.network_spec(state["net_config"])
     changed = [f.name for f in fields(saved)
                if getattr(saved, f.name) != getattr(net_spec, f.name)]
     if changed:
@@ -176,8 +183,8 @@ def _net_from_checkpoint(args):
     --set applied; returns it with the --out directory (or None) and the
     --data split."""
     state = checkpoint_load(args.checkpoint)
-    cfg = config.apply_overrides(dict(state["net_config"]), args.set or [])
-    net = Network(config.network_spec(cfg), seed=0)
+    cfg, spec = _checkpoint_network(state, args.set)
+    net = Network(spec, seed=0)
     apply_checkpoint(net, None, state)
     return net, _ensure_out(args.out, cfg) if args.out else None, load_dataset(args.data)
 

@@ -39,7 +39,6 @@ PLACEMENTS = {
     "bottleneck": ("none", "start", "top", "mid", "end", "res", "final"),
 }
 DEPTH_KINDS = tuple(PLACEMENTS)
-FUSION_MODES = ("multiplicative", "additive")
 FAMILIES = ("translate", "oscillate", "reversed_pair")
 
 
@@ -66,7 +65,6 @@ class NetworkSpec:
     depth_kind: str = "simple"
     placement: str = "final"
     gate_active: bool = True
-    fusion_mode: str = "multiplicative"
     stem_channels: int = 64
     stem_kernel: tuple[int, int, int] = (3, 7, 7)
     stem_stride: tuple[int, int, int] = (1, 2, 2)
@@ -86,8 +84,6 @@ class NetworkSpec:
                 f"network.placement {self.placement!r} not valid for {self.depth_kind} "
                 f"blocks (allowed: {', '.join(allowed)})"
             )
-        if self.fusion_mode not in FUSION_MODES:
-            raise ConfigError(f"network.fusion_mode {self.fusion_mode!r}")
         if (self.stem_pool_kernel is None) != (self.stem_pool_stride is None):
             raise ConfigError("network: stem_pool_kernel and stem_pool_stride go together")
         if min(self.in_channels, self.num_classes, self.stem_channels) < 1:

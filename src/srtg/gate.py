@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from srtg import tensor as tt
-from srtg.config import FUSION_MODES
 from srtg.tensor import ShapeError, Tensor
 
 __all__ = [
@@ -191,24 +190,14 @@ def cycle_consistent(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return ((fwd == frames) & (bwd == frames)).all(axis=1), fwd, bwd
 
 
-def fuse(main: Tensor, recurrent: Tensor, mode: str, clips) -> Tensor:
-    """Broadcast the (N, T, C) recurrent stream over the spatial plane and
-    combine it with the clips of the (N,) bool mask `clips`: sigmoid scaling
-    when multiplicative, plain addition otherwise. The other clips pass
-    through unchanged."""
-    if mode not in FUSION_MODES:
-        raise ValueError(f"fuse: unknown mode {mode!r}, expected one of {FUSION_MODES}")
-    multiplicative = mode == "multiplicative"
-    return tt.fuse_embedding(main, tt.sigmoid(recurrent) if multiplicative else recurrent,
-                             multiplicative, clips)
+def fuse(main: Tensor, recurrent: Tensor, clips) -> Tensor:
+    """Broadcast the sigmoid of the (N, T, C) recurrent stream over the
+    spatial plane and scale the clips of the (N,) bool mask `clips` by it.
+    The other clips pass through unchanged."""
+    return tt.fuse_embedding(main, tt.sigmoid(recurrent), clips)
 
 
-def srtg_unit(
-    volume: Tensor,
-    params: LstmParams,
-    gate_active: bool = True,
-    mode: str = "multiplicative",
-):
+def srtg_unit(volume: Tensor, params: LstmParams, gate_active: bool = True):
     """Full squeeze -> recursion -> gate -> fuse unit.
 
     One cycle check covers the batch, but each clip is gated independently:
@@ -227,4 +216,4 @@ def srtg_unit(
     else:
         passed = np.ones(len(emb.data), bool)
         record = GateRecord((GateVerdict.INACTIVE,) * len(passed), emb, filtered)
-    return fuse(volume, filtered, mode, passed), record
+    return fuse(volume, filtered, passed), record

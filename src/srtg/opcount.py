@@ -10,7 +10,7 @@ header:
 * gate MACs  = distance matrices (2*T^2*C) + soft-match blends (2*T^2*C)
                + match-resolution distances (2*T^2*C); comparisons and
                argmin selection are not multiplies and are not counted
-* fuse MACs  = C*T*H*W when fusion is multiplicative (one scale per voxel)
+* fuse MACs  = C*T*H*W (one scale per voxel)
 * head MACs  = features * classes
 * normalization, activations and pooling contribute no multiplies
 * gflops     = 2 * MACs / 1e9 (one multiply + one accumulate per MAC);
@@ -93,8 +93,7 @@ def _block(counts, layout: BlockLayout, in_shape, name):
         counts.add(f"{name}.srtg.lstm", "lstm", t * 2 * 4 * c * (c + c))
         if layout.gate_active:
             counts.add(f"{name}.srtg.gate", "gate", 6 * t * t * c)
-        if layout.fusion_mode == "multiplicative":
-            counts.add(f"{name}.srtg.fuse", "gate", c * t * h * w)
+        counts.add(f"{name}.srtg.fuse", "gate", c * t * h * w)
         return shape
 
     return route(layout, in_shape, conv, gate, lambda main, skip: main)

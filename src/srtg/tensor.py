@@ -554,11 +554,10 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return _result(out, (x,), bwd)
 
 
-def fuse_embedding(vol: Tensor, emb: Tensor, multiplicative: bool, clips) -> Tensor:
-    """Fuse emb[n,t,c], broadcast over the spatial plane, into vol[n,c,t,h,w]:
-    vol * emb when multiplicative, vol + emb otherwise. Only the clips of the
-    constant (N,) bool mask `clips` are fused; the other rows are vol's, bit
-    for bit, and send no gradient to emb."""
+def fuse_embedding(vol: Tensor, emb: Tensor, clips) -> Tensor:
+    """Scale vol[n,c,t,h,w] by emb[n,t,c], broadcast over the spatial plane.
+    Only the clips of the constant (N,) bool mask `clips` are scaled; the
+    other rows are vol's, bit for bit, and send no gradient to emb."""
     n, c, t, h, w = vol.data.shape
     if emb.data.shape != (n, t, c):
         raise ShapeError(
@@ -568,19 +567,16 @@ def fuse_embedding(vol: Tensor, emb: Tensor, multiplicative: bool, clips) -> Ten
     clips = np.asarray(clips, dtype=bool)
     if clips.shape != (n,):
         raise ShapeError(f"fuse_embedding: mask shape {clips.shape}, expected ({n},)")
-    # a passed clip meets the op's identity: 1.0, or -0.0, which keeps a -0.0
+    # a passed clip is scaled by 1.0, which keeps every bit, a -0.0's sign too
     emap = np.where(clips[:, None, None, None, None], emb.data.transpose(0, 2, 1)[..., None, None],
-                    1.0 if multiplicative else -0.0)
+                    1.0)
 
     def bwd(g):
-        if multiplicative:
-            gemb = np.einsum("ncthw,ncthw->nct", g, vd).transpose(0, 2, 1)
-        else:
-            gemb = g.sum(axis=(3, 4)).transpose(0, 2, 1)
+        gemb = np.einsum("ncthw,ncthw->nct", g, vd).transpose(0, 2, 1)
         gemb[~clips] = 0.0
-        return [(vol, g * emap if multiplicative else g), (emb, gemb)]
+        return [(vol, g * emap), (emb, gemb)]
 
-    return _result(vd * emap if multiplicative else vd + emap, (vol, emb), bwd)
+    return _result(vd * emap, (vol, emb), bwd)
 
 
 def batch_norm(

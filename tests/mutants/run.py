@@ -50,6 +50,9 @@ KINDS = "tests/test_tensor.py::test_conv3d_kernel_kinds_match_loop_oracles"
 FOLD = "tests/test_blocks.py::test_folded_eval_steps_match_unfolded_norm"
 # every expansion step's training norm against conv3d then batch_norm, by network
 EXPAND = "tests/test_blocks.py::test_expansion_steps_match_conv_then_batch_norm"
+# a block's wiring against the one written out by hand, by depth kind and placement
+WIRED = "tests/test_blocks.py::test_block_wires_its_unit_where_placement_says"
+BLOCKS = "src/srtg/blocks.py"
 
 MUTANTS = (
     # gradients: `srtg grad-check` must fail each of these
@@ -112,7 +115,7 @@ MUTANTS = (
     Mutant("affine_db_as_mean", TENSOR,
            "(b, g.sum(axis=0))", "(b, g.mean(axis=0))", GRAD_CHECK),
     Mutant("fuse_multiplicative_vol_grad_unscaled", TENSOR,
-           "(vol, g * emap if multiplicative else g)", "(vol, g)", GRAD_CHECK),
+           "(vol, g * emap)", "(vol, g)", GRAD_CHECK),
     Mutant("sigmoid_backward_wrong", TENSOR,
            "[(x, g * s * (1.0 - s))]", "[(x, g * (1.0 - s))]", GRAD_CHECK),
     Mutant("add_relu_mask_ge_minus_one", TENSOR,
@@ -157,17 +160,38 @@ MUTANTS = (
            ("tests/test_tensor.py::test_conv3d_backward_gathers_one_row_of_taps",)),
     # the eval-time batch-norm fold: its shift and its scale, against the
     # unfolded norm on non-trivial running statistics
-    Mutant("bn_fold_shift_drops_mean_term", "src/srtg/blocks.py",
+    Mutant("bn_fold_shift_drops_mean_term", BLOCKS,
            "rows += (beta.data - mean * s)[:, None]", "rows += beta.data[:, None]",
            (f"{FOLD}[toy_gated]", f"{FOLD}[bottleneck_2plus1d_mid]")),
-    Mutant("bn_fold_scale_not_inverted", "src/srtg/blocks.py",
+    Mutant("bn_fold_scale_not_inverted", BLOCKS,
            "s = gamma.data / np.sqrt(var + tt.BN_EPS)", "s = gamma.data * np.sqrt(var + tt.BN_EPS)",
            (f"{FOLD}[toy_gated]", f"{FOLD}[bottleneck_2plus1d_mid]")),
+    # where route wires the unit: each mutant moves one placement's unit
+    Mutant("route_final_gates_main_before_join", BLOCKS,
+           "    out = join(h, skip)\n    if layout.gate_at == \"final\":\n        out = gate(out)\n",
+           "    if layout.gate_at == \"final\":\n        h = gate(h)\n    out = join(h, skip)\n",
+           (f"{WIRED}[simple-final-full_3d]",)),
+    Mutant("route_res_gates_main_not_skip", BLOCKS,
+           "        skip = gate(skip)", "        h = gate(h)",
+           (f"{WIRED}[simple-res-full_3d]",)),
+    Mutant("route_start_gates_main_only", BLOCKS,
+           "        x = gate(x)\n    h = x\n", "        h = gate(x)\n    else:\n        h = x\n",
+           (f"{WIRED}[simple-start-full_3d]",)),
+    Mutant("route_top_gates_one_step_late", BLOCKS,
+           "if layout.gate_at == pos:", "if layout.gate_at == pos - (layout.gate_at == 1):",
+           (f"{WIRED}[bottleneck-top-full_3d]",)),
+    Mutant("route_mid_gates_one_step_early", BLOCKS,
+           "if layout.gate_at == pos:",
+           "if layout.gate_at == pos + (layout.gate_at == len(layout.convs) - 1):",
+           (f"{WIRED}[bottleneck-mid-full_3d]",)),
+    Mutant("route_end_gated_again_after_join", BLOCKS,
+           'if layout.gate_at == "final":',
+           'if layout.gate_at in ("final", len(layout.convs)):',
+           (f"{WIRED}[bottleneck-end-full_3d]",)),
     # the gate: an inactive unit's all-open mask, the soft match's stability
     Mutant("inactive_gate_fuses_no_clip", GATE,
            "passed = np.ones(len(emb.data), bool)", "passed = np.zeros(len(emb.data), bool)",
-           ("tests/test_gate.py::test_unit_inactive_fuses_every_clip[multiplicative]",
-            "tests/test_gate.py::test_unit_inactive_fuses_every_clip[additive]")),
+           ("tests/test_gate.py::test_unit_inactive_fuses_every_clip",)),
     Mutant("soft_match_without_max_subtraction", GATE,
            "np.exp(v - v.max(axis=-1, keepdims=True))", "np.exp(v)",
            ("tests/test_gate.py::test_soft_match_weights_far_frames_finite_and_normalized",)),
@@ -176,7 +200,7 @@ MUTANTS = (
     Mutant("lstm_forget_bias_on_input_gate", GATE,
            "b(1.0), b(0.0), b(0.0), b(0.0)", "b(0.0), b(1.0), b(0.0), b(0.0)",
            ("tests/test_gate.py::test_init_lstm_params_draws_weights_then_biases_forget_bias_one",)),
-    Mutant("two_plus_one_d_temporal_norm_named_mid_bn", "src/srtg/blocks.py",
+    Mutant("two_plus_one_d_temporal_norm_named_mid_bn", BLOCKS,
            '(temporal, f"{conv}.temporal", norm)',
            '(temporal, f"{conv}.temporal", f"{conv}.mid_bn")',
            ("tests/test_blocks.py::test_checkpoint_array_table_matches_golden[long_clip_gate]",)),

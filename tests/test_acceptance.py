@@ -104,7 +104,6 @@ def test_criterion_3_gradient_correctness():
     targets = [
         "lstm_layer",
         "srtg_unit_multiplicative",
-        "srtg_unit_additive",
         "simple_block_final",
         "bottleneck_block_final",
     ]

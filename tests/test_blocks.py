@@ -20,17 +20,17 @@ from srtg.config import (
     network_spec,
     read_config,
 )
-from srtg.gate import GateVerdict
+from srtg.gate import GateVerdict, srtg_unit
 from srtg.tensor import Tensor, backward, grad_check
 
 from oracles import batch_norm_oracle
 
 
 def _spec(depth="simple", conv="full_3d", placement="none", cin=4, cout=4,
-          stride=(1, 1, 1), gate=True, mode="multiplicative"):
+          stride=(1, 1, 1), gate=True):
     """The layout of one cin -> cout block under these network-wide choices."""
     net = NetworkSpec(num_classes=2, depth_kind=depth, conv_kind=conv, placement=placement,
-                      gate_active=gate, fusion_mode=mode, stages=[StageSpec(1, cout)])
+                      gate_active=gate, stages=[StageSpec(1, cout)])
     return block_layout(net, cin, cout, stride)
 
 
@@ -43,7 +43,6 @@ def _mini_network_spec(placement="final", depth="simple", conv="full_3d",
         depth_kind=depth,
         placement=placement,
         gate_active=gate,
-        fusion_mode="multiplicative",
         stem_channels=8,
         stem_kernel=(3, 3, 3),
         stem_stride=(1, 2, 2),
@@ -131,6 +130,61 @@ def test_all_valid_configurations_preserve_plain_shape(depth, placement, conv_ki
     assert out.data.shape == ref_shape
     backward(tt.sum_all(out))
     assert xt.grad is not None and np.isfinite(xt.grad).all()
+
+
+def _wired_by_hand(block, placement, x):
+    """The block's training output on x with its unit at `placement`, written
+    out from the block's own conv steps, `srtg_unit` with the gate inactive
+    and the join relu(main + skip)."""
+    def steps(v, *tags):
+        for tag in tags:
+            for op in block._ops[tag]:
+                v = block._run_op(op, v, training=True)
+        return v
+
+    def unit(v):
+        return srtg_unit(v, block.lstm, gate_active=False)[0]
+
+    def relu_sum(main, skip):
+        return Tensor(np.maximum(main.data + skip.data, 0.0))
+
+    main = [step.tag for step in block.layout.convs]
+    if placement == "start":  # one gated input feeds both paths
+        u = unit(x)
+        return relu_sum(steps(u, *main), steps(u, "down"))
+    if placement == "res":
+        return relu_sum(steps(x, *main), unit(steps(x, "down")))
+    if placement == "final":
+        return unit(relu_sum(steps(x, *main), steps(x, "down")))
+    if placement == "none":
+        return relu_sum(steps(x, *main), steps(x, "down"))
+    # top, mid and end gate the main path after its first, all but its last,
+    # and all of its steps
+    before = {"top": main[:1], "mid": main[:-1], "end": main}[placement]
+    return relu_sum(steps(unit(steps(x, *before)), *main[len(before):]), steps(x, "down"))
+
+
+@pytest.mark.parametrize("conv_kind", ["full_3d", "two_plus_one_d"])
+@pytest.mark.parametrize(
+    "depth,placement",
+    [(depth, p) for depth, placements in PLACEMENTS.items() for p in placements],
+)
+def test_block_wires_its_unit_where_placement_says(depth, placement, conv_kind):
+    # an inactive gate fuses every clip, so a unit wired anywhere else moves
+    # the output; the block widens and strides, so the skip is a projection
+    block = Block(_spec(depth=depth, conv=conv_kind, placement=placement, cin=4, cout=8,
+                        stride=(2, 2, 2), gate=False), np.random.default_rng(36))
+    x = Tensor(np.random.default_rng(37).standard_normal((2, 4, 6, 6, 6)))
+    log = []
+    out = block.forward(x, training=True, gate_log=log)
+    assert out.data.tobytes() == _wired_by_hand(block, placement, x).data.tobytes()
+    assert len(log) == (placement != "none")
+    if placement == "none":
+        return
+    # every LSTM weight learns from an inactive gate, wherever the unit sits
+    backward(out, np.random.default_rng(38).standard_normal(out.data.shape))
+    for name, p in block.lstm.named("lstm"):
+        assert p.grad is not None and (p.grad != 0.0).all(), name
 
 
 def test_factorized_and_full_blocks_same_shapes():
@@ -338,23 +392,6 @@ def test_folded_eval_forward_matches_unfolded_network(spec, monkeypatch):
     want, want_log = net.forward(x)
     assert _rel_err(got.data, want.data) <= 1e-12
     assert [r.verdicts for _, r in got_log] == [r.verdicts for _, r in want_log]
-
-
-def test_folded_eval_step_matches_batch_norm_oracle():
-    # a strided 3x3x3 step with a relu, against the scalar-loop norm
-    block = Block(_spec(cin=2, cout=3, stride=(1, 2, 2)), np.random.default_rng(29))
-    _perturb_norms(block, 30)
-    op = block._ops["conv1"][0]
-    part, conv, norm = op
-    assert part.relu and part.stride == (1, 2, 2)
-    x = Tensor(np.random.default_rng(31).standard_normal((2, 2, 3, 4, 4)))
-    h = tt.conv3d(x, block.params[f"{conv}.weight"], part.stride, (1, 1, 1))
-    want, _, _ = batch_norm_oracle(h.data, block.params[f"{norm}.gamma"].data,
-                                   block.params[f"{norm}.beta"].data,
-                                   block.buffers[f"{norm}.running_mean"],
-                                   block.buffers[f"{norm}.running_var"], training=False)
-    got = block._run_op(op, x, training=False).data
-    assert _rel_err(got, np.maximum(want, 0.0)) <= 1e-12
 
 
 def _chained_train_op(store, op, x):

@@ -119,8 +119,8 @@ def test_resume_matches_uninterrupted(tmp_path):
 
 @pytest.mark.parametrize("extra, message", [
     (["--seed", "99"], "written with train.seed 7, but this run has train.seed 99"),
-    (["--set", "network.fusion_mode=additive", "--set", "network.gate_active=false"],
-     "written for another network: gate_active, fusion_mode differ"),
+    (["--set", "network.gate_active=false", "--set", "network.stem_stride=1x1x1"],
+     "written for another network: gate_active, stem_stride differ"),
     (["--set", "train.epochs=1"], "is already at epoch 1, but this run has train.epochs 1"),
     (["--stop-after", "1"], "is already at epoch 1, but this run has train.epochs 2 "
                             "and --stop-after 1"),
@@ -191,6 +191,29 @@ def test_checkpoint_without_network_sections_exits_2(tmp_path, capsys, edit):
         err = capsys.readouterr().err
         assert err.startswith("runtime error: ") and "forged.bin: net_config" in err, err
         assert len(err.splitlines()) == 1
+        assert not fresh.exists()
+
+
+def test_checkpoint_with_an_unknown_network_key_exits_1_for_every_command(tmp_path, capsys):
+    # the embedded sections are validated as a config file's are, so resuming
+    # refuses a key (here fusion_mode, which older checkpoints carry) as
+    # evaluate and gate-analyze do, before --out is created
+    data = _gen(tmp_path)
+    part = tmp_path / "part"
+    assert main(_train_args(data, part, epochs=4, extra=["--stop-after", "1"])) == 0
+    forged = tmp_path / "forged.bin"
+    _forge_header(part / "checkpoint.bin", forged,
+                  lambda header: header["net_config"]["network"].update(
+                      fusion_mode="multiplicative"))
+    fresh = tmp_path / "fresh"
+    for argv in (_train_args(data, fresh, epochs=4, extra=["--resume", str(forged)]),
+                 ["evaluate", "--checkpoint", str(forged), "--data", str(data / "val.bin"),
+                  "--out", str(fresh)],
+                 ["gate-analyze", "--checkpoint", str(forged), "--data", str(data / "val.bin"),
+                  "--out", str(fresh)]):
+        capsys.readouterr()
+        assert main(argv) == 1, argv[0]
+        assert capsys.readouterr().err == "error: unknown key(s) in [network]: fusion_mode\n"
         assert not fresh.exists()
 
 

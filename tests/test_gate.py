@@ -339,6 +339,28 @@ def test_cycle_t1_always_open():
     assert passed
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 32),
+    st.integers(1, 16),
+    st.floats(1e-3, 1e3),
+    st.integers(0, 2**32 - 1),
+)
+def test_equal_filtered_frames_resolve_every_frame_to_zero_and_close(n, t_len, c_len, scale,
+                                                                     seed):
+    # what keeps the gate shut: when the filtered stream's T frames are one
+    # frame repeated, every soft match blends copies of it, all T frames tie
+    # and the tie goes to index 0, whatever emb is; so no frame t >= 1 ever
+    # resolves to itself, and every clip with T >= 2 closes
+    rng = np.random.default_rng(seed)
+    emb = rng.standard_normal((n, t_len, c_len)) * scale + rng.standard_normal((n, 1, c_len))
+    filtered = np.repeat(rng.standard_normal((n, 1, c_len)) * scale, t_len, axis=1)
+    passed, fwd, _ = cycle_consistent(emb, filtered)
+    assert (fwd == 0).all()
+    assert passed.tolist() == [t_len == 1] * n
+
+
 def test_cycle_shape_mismatch():
     with pytest.raises(ShapeError):
         cycle_consistent(np.zeros((1, 2, 3)), np.zeros((1, 3, 3)))
@@ -515,46 +537,28 @@ def test_soft_weights_translation_invariant(t_len, c_len, shift, seed):
 def test_fuse_multiplicative_zero_recurrent_halves():
     rng = np.random.default_rng(9)
     main = rng.standard_normal((2, 3, 4, 2, 2))
-    out = fuse(Tensor(main), Tensor(np.zeros((2, 4, 3))), "multiplicative", np.ones(2, bool))
+    out = fuse(Tensor(main), Tensor(np.zeros((2, 4, 3))), np.ones(2, bool))
     np.testing.assert_allclose(out.data, 0.5 * main, rtol=0, atol=1e-15)
-
-
-def test_fuse_additive_zero_recurrent_identity():
-    rng = np.random.default_rng(10)
-    main = rng.standard_normal((2, 3, 4, 2, 2))
-    out = fuse(Tensor(main), Tensor(np.zeros((2, 4, 3))), "additive", np.ones(2, bool))
-    np.testing.assert_array_equal(out.data, main)
 
 
 def test_fuse_matches_broadcast_loop_oracle():
     rng = np.random.default_rng(11)
     main = rng.standard_normal((1, 2, 3, 2, 2))
     rec = rng.standard_normal((1, 3, 2))
-    for mode in ("multiplicative", "additive"):
-        out = fuse(Tensor(main), Tensor(rec), mode, np.ones(1, bool)).data
-        expect = np.zeros_like(main)
-        for c in range(2):
-            for t in range(3):
-                for h in range(2):
-                    for w in range(2):
-                        r = rec[0, t, c]
-                        if mode == "multiplicative":
-                            expect[0, c, t, h, w] = main[0, c, t, h, w] / (1 + math.exp(-r))
-                        else:
-                            expect[0, c, t, h, w] = main[0, c, t, h, w] + r
-        np.testing.assert_allclose(out, expect, rtol=0, atol=1e-14)
+    out = fuse(Tensor(main), Tensor(rec), np.ones(1, bool)).data
+    expect = np.zeros_like(main)
+    for c in range(2):
+        for t in range(3):
+            for h in range(2):
+                for w in range(2):
+                    r = rec[0, t, c]
+                    expect[0, c, t, h, w] = main[0, c, t, h, w] / (1 + math.exp(-r))
+    np.testing.assert_allclose(out, expect, rtol=0, atol=1e-14)
 
 
 def test_fuse_shape_mismatch():
     with pytest.raises(ShapeError):
-        fuse(Tensor(np.zeros((1, 2, 3, 2, 2))), Tensor(np.zeros((1, 2, 3))), "multiplicative",
-             np.ones(1, bool))
-
-
-def test_fuse_unknown_mode():
-    with pytest.raises(ValueError, match="mode"):
-        fuse(Tensor(np.zeros((1, 2, 3, 2, 2))), Tensor(np.zeros((1, 3, 2))), "mean",
-             np.ones(1, bool))
+        fuse(Tensor(np.zeros((1, 2, 3, 2, 2))), Tensor(np.zeros((1, 2, 3))), np.ones(1, bool))
 
 
 # ---------------------------------------------------------------------------
@@ -574,21 +578,12 @@ def test_unit_zero_lstm_gate_active_closes_to_identity():
     assert np.array_equal(out.data, x)
 
 
-def test_unit_inactive_additive_zero_lstm_identity():
-    rng = np.random.default_rng(13)
-    params = LstmParams([_zero_layer(3), _zero_layer(3)])
-    x = rng.standard_normal((1, 3, 4, 2, 2))
-    out, record = srtg_unit(Tensor(x), params, gate_active=False, mode="additive")
-    assert record.verdicts == (GateVerdict.INACTIVE,)
-    np.testing.assert_array_equal(out.data, x)
-
-
-@pytest.mark.parametrize("mode", ["multiplicative", "additive"])
-def test_unit_inactive_fuses_every_clip(mode):
+def test_unit_inactive_fuses_every_clip():
     params = init_lstm_params(3, 2, np.random.default_rng(25))
     x = np.random.default_rng(26).standard_normal((3, 3, 4, 2, 2))
-    out, record = srtg_unit(Tensor(x), params, gate_active=False, mode=mode)
-    fused = fuse(Tensor(x), record.filtered, mode, np.ones(3, bool)).data
+    out, record = srtg_unit(Tensor(x), params, gate_active=False)
+    assert record.verdicts == (GateVerdict.INACTIVE,) * 3
+    fused = fuse(Tensor(x), record.filtered, np.ones(3, bool)).data
     assert out.data.tobytes() == fused.tobytes()
     assert all(not np.array_equal(out.data[clip], x[clip]) for clip in range(3))
 
@@ -614,8 +609,7 @@ def test_unit_closed_clip_bit_identical_open_clip_fused():
         assert np.array_equal(out.data[clip], x[clip])
 
 
-@pytest.mark.parametrize("mode", ["multiplicative", "additive"])
-def test_unit_forced_mixed_verdict_passes_closed_clips_bit_identical(monkeypatch, mode):
+def test_unit_forced_mixed_verdict_passes_closed_clips_bit_identical(monkeypatch):
     real = sg.cycle_consistent
 
     def mixed(a, b):  # clips 0 and 2 fail, whatever the check finds
@@ -626,9 +620,9 @@ def test_unit_forced_mixed_verdict_passes_closed_clips_bit_identical(monkeypatch
     params = init_lstm_params(3, 2, np.random.default_rng(21))
     x = np.random.default_rng(22).standard_normal((4, 3, 5, 2, 2))
     x[0, 1, 2, 1, 0] = -0.0
-    out, record = srtg_unit(Tensor(x), params, gate_active=True, mode=mode)
+    out, record = srtg_unit(Tensor(x), params, gate_active=True)
     assert [v.fused for v in record] == [False, True, False, True]
-    fused = fuse(Tensor(x), record.filtered, mode, np.ones(4, bool)).data
+    fused = fuse(Tensor(x), record.filtered, np.ones(4, bool)).data
     for clip, verdict in enumerate(record):
         expect = fused[clip] if verdict.fused else x[clip]
         assert out.data[clip].tobytes() == expect.tobytes()
@@ -645,18 +639,15 @@ def test_unit_gradients_flow_through_fused_path():
         assert p.grad is not None
 
 
-def test_unit_grad_check_both_modes():
+def test_unit_grad_check():
     rng = np.random.default_rng(17)
     x = Tensor(rng.standard_normal((1, 3, 4, 2, 2)))
-    for mode in ("multiplicative", "additive"):
-        params = init_lstm_params(3, 2, np.random.default_rng(18))
-        names_params = list(params.named("lstm"))
+    params = init_lstm_params(3, 2, np.random.default_rng(18))
 
-        def f():
-            return srtg_unit(x, params, gate_active=False, mode=mode)[0]
+    def f():
+        return srtg_unit(x, params, gate_active=False)[0]
 
-        err = grad_check(f, [p for _, p in names_params])
-        assert err <= 1e-4, f"mode={mode}: {err}"
+    assert grad_check(f, [p for _, p in params.named("lstm")]) <= 1e-4
 
 
 def _count_checks(monkeypatch):

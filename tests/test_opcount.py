@@ -24,7 +24,6 @@ def _mini_spec(placement="final", depth="simple", conv="full_3d", gate=True):
         depth_kind=depth,
         placement=placement,
         gate_active=gate,
-        fusion_mode="multiplicative",
         stem_channels=4,
         stem_kernel=(3, 3, 3),
         stem_stride=(1, 2, 2),
@@ -120,13 +119,6 @@ def test_gate_inactive_drops_gate_term_keeps_lstm():
     inactive = count_macs(_mini_spec(gate=False), (1, 8, 16, 16))
     assert inactive.totals["lstm"] == active.totals["lstm"]
     assert inactive.totals["gate"] < active.totals["gate"]
-
-
-def test_additive_fusion_counts_no_multiplies():
-    spec = _mini_spec()
-    spec.fusion_mode = "additive"
-    counts = count_macs(spec, (1, 8, 16, 16))
-    assert not any(l.name.endswith(".fuse") for l in counts.layers)
 
 
 def test_input_channel_mismatch_rejected():

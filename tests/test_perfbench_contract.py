@@ -30,7 +30,7 @@ UNITS = 2  # one gated unit per block, one block per stage
 def _spec(gate_active):
     return NetworkSpec(
         in_channels=1, num_classes=2, conv_kind="full_3d", depth_kind="simple",
-        placement="final", gate_active=gate_active, fusion_mode="multiplicative",
+        placement="final", gate_active=gate_active,
         stem_channels=4, stem_kernel=(3, 3, 3), stem_stride=(1, 2, 2),
         stem_pool_kernel=None, stem_pool_stride=None,
         stages=[StageSpec(blocks=1, channels=4), StageSpec(blocks=1, channels=8,

@@ -671,9 +671,8 @@ def test_grad_check_every_primitive_small_shapes():
 
     vol, emb = _rand_params(rng, (3, 3, 2, 2, 2), (3, 2, 3))
     masks = (np.ones(3, bool), np.array([True, False, True]))
-    for multiplicative, clips in itertools.product((True, False), masks):
-        cases.append((lambda m=multiplicative, k=clips:
-                      tt.fuse_embedding(vol, tt.sigmoid(emb), m, k), [vol, emb]))
+    for clips in masks:
+        cases.append((lambda k=clips: tt.fuse_embedding(vol, tt.sigmoid(emb), k), [vol, emb]))
 
     # a two-layer stack whose input width (3) is not its hidden width (2)
     seq = _rand_params(rng, (2, 4, 3))[0]
@@ -710,34 +709,29 @@ def _fuse_case(seed):
     return vd, ed, np.array([False, True, False])
 
 
-@pytest.mark.parametrize("multiplicative", [True, False])
-def test_fuse_embedding_passed_rows_bit_identical(multiplicative):
+def test_fuse_embedding_passed_rows_bit_identical():
     vd, ed, clips = _fuse_case(12)
-    out = tt.fuse_embedding(Tensor(vd), Tensor(ed), multiplicative, clips).data
+    out = tt.fuse_embedding(Tensor(vd), Tensor(ed), clips).data
     assert out[~clips].tobytes() == vd[~clips].tobytes()  # keeps the sign of -0.0
     assert np.signbit(out[0, 0, 0, 0, 0]) and np.signbit(out[2, 1, 1, 1, 1])
 
 
-@pytest.mark.parametrize("multiplicative", [True, False])
-def test_fuse_embedding_open_rows_match_numpy_oracle(multiplicative):
+def test_fuse_embedding_open_rows_match_numpy_oracle():
     vd, ed, clips = _fuse_case(13)
-    out = tt.fuse_embedding(Tensor(vd), Tensor(ed), multiplicative, clips).data
-    emap = ed[1].T[:, :, None, None]
-    assert np.array_equal(out[1], vd[1] * emap if multiplicative else vd[1] + emap)
-    full = tt.fuse_embedding(Tensor(vd), Tensor(ed), multiplicative, np.ones(3, bool)).data
+    out = tt.fuse_embedding(Tensor(vd), Tensor(ed), clips).data
+    assert np.array_equal(out[1], vd[1] * ed[1].T[:, :, None, None])
+    full = tt.fuse_embedding(Tensor(vd), Tensor(ed), np.ones(3, bool)).data
     assert np.array_equal(out[1], full[1])
 
 
-@pytest.mark.parametrize("multiplicative", [True, False])
-def test_fuse_embedding_passed_rows_send_emb_exact_zero(multiplicative):
+def test_fuse_embedding_passed_rows_send_emb_exact_zero():
     vd, ed, clips = _fuse_case(14)
     vol, emb = Tensor(vd, requires_grad=True), Tensor(ed, requires_grad=True)
     g = np.random.default_rng(15).standard_normal(vd.shape)
-    backward(tt.fuse_embedding(vol, emb, multiplicative, clips), g)
+    backward(tt.fuse_embedding(vol, emb, clips), g)
     assert emb.grad[~clips].tobytes() == np.zeros((2, 2, 2)).tobytes()
     assert vol.grad[~clips].tobytes() == g[~clips].tobytes()  # passed rows receive g
-    gmap = ed[1].T[:, :, None, None]
-    np.testing.assert_array_equal(vol.grad[1], g[1] * gmap if multiplicative else g[1])
+    np.testing.assert_array_equal(vol.grad[1], g[1] * ed[1].T[:, :, None, None])
     assert np.abs(emb.grad[1]).min() > 0
 
 
@@ -745,7 +739,7 @@ def test_fuse_embedding_passed_rows_send_emb_exact_zero(multiplicative):
 def test_fuse_embedding_mask_shape_mismatch(clips):
     vd, ed, _ = _fuse_case(16)
     with pytest.raises(ShapeError, match="mask shape"):
-        tt.fuse_embedding(Tensor(vd), Tensor(ed), True, clips)
+        tt.fuse_embedding(Tensor(vd), Tensor(ed), clips)
 
 
 def test_outputs_finite_on_finite_inputs():
@@ -794,15 +788,13 @@ def _ops_called(monkeypatch, run):
 
 def _train_steps():
     """One forward, cross-entropy and backward for each conv kind, with and
-    without a stem pool, in each fusion mode; every gated unit has at least
-    one closed clip, so the routing runs too."""
+    without a stem pool; every gated unit has at least one closed clip, so
+    the routing runs too."""
     x = np.random.default_rng(22).standard_normal((2, 1, 8, 16, 16))
-    for conv, pool, mode in itertools.product(
-        ("full_3d", "two_plus_one_d"), (None, (1, 3, 3)), ("multiplicative", "additive")
-    ):
+    for conv, pool in itertools.product(("full_3d", "two_plus_one_d"), (None, (1, 3, 3))):
         spec = NetworkSpec(
             in_channels=1, num_classes=2, conv_kind=conv, depth_kind="simple",
-            placement="final", gate_active=True, fusion_mode=mode, stem_channels=4,
+            placement="final", gate_active=True, stem_channels=4,
             stem_kernel=(3, 3, 3), stem_stride=(1, 2, 2), stem_pool_kernel=pool,
             stem_pool_stride=pool and (1, 2, 2),
             stages=[StageSpec(blocks=1, channels=4, stride=(1, 1, 1))],

@@ -52,7 +52,6 @@ def _tiny_net_spec(num_classes=2, gate=True, placement="final"):
         depth_kind="simple",
         placement=placement,
         gate_active=gate,
-        fusion_mode="multiplicative",
         stem_channels=4,
         stem_kernel=(3, 3, 3),
         stem_stride=(1, 2, 2),
