@@ -28,7 +28,7 @@ from srtg.gate import (
     squeeze,
     srtg_unit,
 )
-from srtg.tensor import ShapeError, Tensor, backward, grad_check
+from srtg.tensor import ShapeError, Tensor, backward
 
 from oracles import cycle_oracle, lstm_oracle, separated_embedding
 
@@ -637,17 +637,6 @@ def test_unit_gradients_flow_through_fused_path():
     assert x.grad is not None and np.isfinite(x.grad).all()
     for _, p in params.named("lstm"):
         assert p.grad is not None
-
-
-def test_unit_grad_check():
-    rng = np.random.default_rng(17)
-    x = Tensor(rng.standard_normal((1, 3, 4, 2, 2)))
-    params = init_lstm_params(3, 2, np.random.default_rng(18))
-
-    def f():
-        return srtg_unit(x, params, gate_active=False)[0]
-
-    assert grad_check(f, [p for _, p in params.named("lstm")]) <= 1e-4
 
 
 def _count_checks(monkeypatch):
